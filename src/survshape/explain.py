@@ -51,6 +51,9 @@ __all__ = [
     "surrogate_c_index",
 ]
 
+# About how many squared distances dataset_diameter forms at a time (8 MB).
+_DIAMETER_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -104,13 +107,29 @@ class Explanation:
 
 
 def dataset_diameter(dataset: SurvivalDataset) -> float:
-    """Largest pairwise Euclidean distance over the dataset's feature rows."""
+    """Largest pairwise Euclidean distance over the dataset's feature rows.
+
+    Squared distances sq_i + sq_j - 2 x_i.x_j are formed for one block of
+    rows against all rows at a time, so memory stays O(n). Every block
+    has at least two rows: a one-row product goes through BLAS's
+    matrix-vector kernel, whose rounding can differ from the full
+    matrix product's.
+    """
     x = dataset.features
-    if x.shape[0] < 2:
+    n = x.shape[0]
+    if n < 2:
         raise DiameterUndefinedError("need >= 2 points for a diameter")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    return float(np.sqrt(max(float(d2.max()), 0.0)))
+    n_blocks = max(1, n // max(2, _DIAMETER_BLOCK_ELEMENTS // n))
+    peaks = np.empty(n_blocks)
+    for b, (xb, sqb) in enumerate(zip(np.array_split(x, n_blocks),
+                                       np.array_split(sq, n_blocks))):
+        d2 = np.add.outer(sqb, sq)
+        gram = xb @ x.T
+        gram *= 2.0
+        d2 -= gram
+        peaks[b] = d2.max()
+    return float(np.sqrt(max(float(peaks.max()), 0.0)))
 
 
 def generate_perturbations(x, dataset: SurvivalDataset, n_points: int = 100,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -310,14 +310,23 @@ def _node_to_jsonable(node: dict):
     }
 
 
-def _node_from_jsonable(node: dict):
+def _node_from_jsonable(node: dict, m: int, s: int):
+    """Inverse of _node_to_jsonable; DataError for a node the forest cannot use."""
+    if not isinstance(node, dict):
+        raise DataError("tree node is not a JSON object")
     if "values" in node:
-        return {"values": np.asarray(node["values"], dtype=float)}
+        values = np.asarray(node["values"], dtype=float)
+        if values.shape != (s,):
+            raise DataError(f"leaf holds {values.size} values, the grid has {s}")
+        return {"values": values}
+    feature = int(node["feature"])
+    if not 0 <= feature < m:
+        raise DataError(f"split feature {feature} outside 0..{m - 1}")
     return {
-        "feature": int(node["feature"]),
+        "feature": feature,
         "threshold": float(node["threshold"]),
-        "left": _node_from_jsonable(node["left"]),
-        "right": _node_from_jsonable(node["right"]),
+        "left": _node_from_jsonable(node["left"], m, s),
+        "right": _node_from_jsonable(node["right"], m, s),
     }
 
 
@@ -350,22 +359,57 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
         json.dump(payload, fh)
 
 
+def _field(obj: dict, key: str, kind, path):
+    """obj[key] checked against `kind`; DataError when missing or ill-typed."""
+    if key not in obj:
+        raise DataError(f"{path}: forest file has no {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"{path}: forest file's {key!r} has the wrong type")
+    return value
+
+
 def load_forest(path):
-    """Read a forest written by save_forest; returns (forest, extra)."""
+    """Read a forest written by save_forest; returns (forest, extra).
+
+    Invalid JSON, a missing or ill-typed key, an unknown config key or a
+    tree that does not fit the grid and features raises DataError.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "survshape-forest":
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{path}: not a valid forest file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != "survshape-forest":
         raise DataError(f"{path}: not a survshape forest file")
     if payload.get("version") != 1:
         raise DataError(f"{path}: unsupported forest file version")
-    grid = TimeGrid(np.asarray(payload["grid"]["times"], dtype=float),
-                    payload["grid"]["gamma"])
-    cfg = ForestConfig(**payload["config"])
-    forest = SurvivalForest(
-        tuple(_node_from_jsonable(t) for t in payload["trees"]),
-        grid,
-        tuple(payload["feature_names"]),
-        tuple(payload["feature_kinds"]),
-        cfg,
-    )
+    grid_blob = _field(payload, "grid", dict, path)
+    names = _field(payload, "feature_names", list, path)
+    kinds = _field(payload, "feature_kinds", list, path)
+    config = _field(payload, "config", dict, path)
+    trees = _field(payload, "trees", list, path)
+    times = _field(grid_blob, "times", list, path)
+    gamma = _field(grid_blob, "gamma", (int, float), path)
+    if len(names) != len(kinds) or not all(isinstance(v, str) for v in names + kinds):
+        raise DataError(f"{path}: feature names and kinds must be matching lists of strings")
+    unknown = sorted(set(config) - {f.name for f in fields(ForestConfig)})
+    if unknown:
+        raise DataError(f"{path}: unknown forest config key(s): {', '.join(unknown)}")
+    if not trees:
+        raise DataError(f"{path}: forest file holds no trees")
+    try:
+        grid = TimeGrid(np.asarray(times, dtype=float), gamma)
+        cfg = ForestConfig(**config)
+        forest = SurvivalForest(
+            tuple(_node_from_jsonable(t, len(names), grid.n_intervals) for t in trees),
+            grid,
+            tuple(names),
+            tuple(kinds),
+            cfg,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed forest file: {exc!r}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return forest, payload.get("extra")

@@ -292,20 +292,51 @@ def concordance_index(risk_scores, dataset: SurvivalDataset) -> float:
     times with exactly one event, the event sample counts as failing first.
     Tied risk scores earn 0.5. Raises MetricUndefinedError when no pair
     is admissible.
+
+    O(n log n) time and O(n) memory: samples are visited by time
+    descending, censored before events within one time, and a Fenwick
+    tree over dense risk ranks counts the later samples each event
+    outranks. A time's events are inserted only after all of them are
+    queried, so equal-time event pairs stay inadmissible.
     """
     r = np.asarray(risk_scores, dtype=float)
     if r.shape != (dataset.n,):
         raise DataError("need exactly one risk score per sample")
     if not np.all(np.isfinite(r)):
         raise DataError("risk scores must be finite")
-    t = dataset.times
-    e = dataset.events
-    # i ranges over samples that can be the earlier, observed failure.
-    ii, jj = np.where((e[:, None] == 1)
-                      & ((t[:, None] < t[None, :])
-                         | ((t[:, None] == t[None, :]) & (e[None, :] == 0))))
-    if len(ii) == 0:
+    order = np.lexsort((dataset.events, -dataset.times))
+    t = dataset.times[order]
+    e = dataset.events[order]
+    # Ranks start at 1 so that the Fenwick tree's index 0 stays empty.
+    ranks = np.unique(r, return_inverse=True)[1][order] + 1
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    stops = np.r_[starts[1:], len(t)]
+    # Within one time, positions [start, split) are censored, [split, stop) events.
+    splits = starts + np.add.reduceat(1 - e, starts)
+    # Each event's admissible partners are exactly the samples placed before its time's events.
+    admissible = int(np.dot(splits, stops - splits))
+    if admissible == 0:
         raise MetricUndefinedError("no admissible pairs for the concordance index")
-    correct = np.count_nonzero(r[ii] > r[jj])
-    tied = np.count_nonzero(r[ii] == r[jj])
-    return float((correct + 0.5 * tied) / len(ii))
+    size = int(ranks.max()) + 1
+    below = [0] * size  # Fenwick tree: prefix sums give the inserted count at ranks <= k
+    equal = [0] * size  # inserted count at exactly rank k
+    correct = tied = 0
+    ranks = ranks.tolist()
+
+    def insert(group):
+        for k in group:
+            equal[k] += 1
+            while k < size:
+                below[k] += 1
+                k += k & -k
+
+    for start, split, stop in zip(starts.tolist(), splits.tolist(), stops.tolist()):
+        insert(ranks[start:split])
+        for k in ranks[split:stop]:
+            tied += equal[k]
+            k -= 1
+            while k > 0:
+                correct += below[k]
+                k -= k & -k
+        insert(ranks[split:stop])
+    return float((correct + 0.5 * tied) / admissible)

@@ -257,3 +257,52 @@ class TestEval:
                     "--model", str(fitted_dir / "forest.bin"),
                     "--data", str(synth_dir / "dataset.csv"), "--out", str(tmp_path)])
         assert code == 3
+
+
+def _forest_without_grid(payload):
+    del payload["grid"]
+
+
+def _forest_with_text_times(payload):
+    payload["grid"]["times"] = "1.0,2.0"
+
+
+def _forest_with_unknown_config_key(payload):
+    payload["config"]["n_estimators"] = 10
+
+
+def _forest_with_short_leaf(payload):
+    payload["trees"] = [{"values": [0.0]}]
+
+
+class TestMalformedForestFile:
+    """explain --forest on a broken forest.bin: exit 3 and one line on stderr."""
+
+    def explain_with(self, forest_text, synth_dir, tmp_path, capsys):
+        path = tmp_path / "forest.bin"
+        path.write_text(forest_text, encoding="utf-8")
+        code = run(["explain", "--forest", str(path),
+                    "--data", str(synth_dir / "dataset.csv"), "--mode", "global",
+                    "--epochs", "5", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "nam.json").exists()
+        return err
+
+    def test_truncated_file(self, synth_dir, fitted_dir, tmp_path, capsys):
+        text = (fitted_dir / "forest.bin").read_text(encoding="utf-8")
+        err = self.explain_with(text[:len(text) // 2], synth_dir, tmp_path, capsys)
+        assert "not a valid forest file" in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_forest_without_grid, "has no 'grid'"),
+        (_forest_with_text_times, "'times' has the wrong type"),
+        (_forest_with_unknown_config_key, "unknown forest config key(s): n_estimators"),
+        (_forest_with_short_leaf, "leaf holds 1 values"),
+    ])
+    def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys):
+        payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
+        corrupt(payload)
+        err = self.explain_with(json.dumps(payload), synth_dir, tmp_path, capsys)
+        assert message in err

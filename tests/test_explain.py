@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from survshape import explain
 from survshape.errors import AlignmentError, DiameterUndefinedError
 from survshape.explain import (
     build_neighborhood,
@@ -80,6 +81,61 @@ class TestPerturbations:
         ds = SurvivalDataset.from_arrays(x, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
         with pytest.raises(DiameterUndefinedError):
             generate_perturbations(ds.features[0], ds, 10, seed=0)
+
+
+def brute_force_diameter(x):
+    """Largest np.linalg.norm over all row pairs, one row at a time."""
+    return max(float(np.linalg.norm(x - row, axis=1).max()) for row in x)
+
+
+def full_matrix_diameter(x):
+    """The diameter from the whole n x n squared-distance matrix at once."""
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    return float(np.sqrt(max(float(d2.max()), 0.0)))
+
+
+def features_only(x):
+    return SurvivalDataset.from_arrays(x, np.arange(1.0, len(x) + 1), np.ones(len(x), dtype=int))
+
+
+class TestDatasetDiameter:
+    def test_two_points(self):
+        ds = features_only(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert dataset_diameter(ds) == 5.0
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(0)
+        x = np.repeat(rng.normal(size=(7, 3)), 5, axis=0)[rng.permutation(35)]
+        assert dataset_diameter(features_only(x)) == pytest.approx(brute_force_diameter(x),
+                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 31, 64, 97])
+    def test_small_blocks_match_brute_force(self, n, monkeypatch):
+        # 64 elements per block: rows split into blocks of n // 32 or more.
+        monkeypatch.setattr(explain, "_DIAMETER_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        x[-1] = 10.0  # the farthest pair straddles the first and last block
+        assert dataset_diameter(features_only(x)) == pytest.approx(brute_force_diameter(x),
+                                                                   rel=1e-12)
+
+    def test_block_size_not_dividing_n(self):
+        # 1501 rows: several blocks of unequal size at the default budget.
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(1501, 4))
+        assert 1501 % (explain._DIAMETER_BLOCK_ELEMENTS // 1501) != 0
+        assert dataset_diameter(features_only(x)) == pytest.approx(brute_force_diameter(x),
+                                                                   rel=1e-12)
+
+    def test_same_float_as_full_matrix_on_5000_rows(self):
+        _, dataset, _, _ = linear_setup(n=5000, coef=(1.0, -0.5, 0.3, 0.0, 0.8, 0.0, 0.2, 1.2),
+                                        censoring=0.45, seed=17)
+        assert dataset.features.shape == (5000, 8)
+        assert dataset_diameter(dataset).hex() == full_matrix_diameter(dataset.features).hex()
+
+    def test_coincident_points_have_zero_diameter(self):
+        assert dataset_diameter(features_only(np.ones((4, 2)))) == 0.0
 
 
 class TestNeighborhoodWeights:

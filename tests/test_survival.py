@@ -254,3 +254,87 @@ class TestConcordanceIndex:
         except MetricUndefinedError:
             return
         assert forward + backward == pytest.approx(1.0)
+
+
+def pairwise_concordance_index(risk_scores, dataset):
+    """Reference C-index over the full n x n pair matrix (quadratic memory)."""
+    r = np.asarray(risk_scores, dtype=float)
+    if r.shape != (dataset.n,):
+        raise DataError("need exactly one risk score per sample")
+    if not np.all(np.isfinite(r)):
+        raise DataError("risk scores must be finite")
+    t = dataset.times
+    e = dataset.events
+    # i ranges over samples that can be the earlier, observed failure.
+    ii, jj = np.where((e[:, None] == 1)
+                      & ((t[:, None] < t[None, :])
+                         | ((t[:, None] == t[None, :]) & (e[None, :] == 0))))
+    if len(ii) == 0:
+        raise MetricUndefinedError("no admissible pairs for the concordance index")
+    correct = np.count_nonzero(r[ii] > r[jj])
+    tied = np.count_nonzero(r[ii] == r[jj])
+    return float((correct + 0.5 * tied) / len(ii))
+
+
+@st.composite
+def tied_survival_data(draw, max_n=30):
+    """(scores, dataset) with few distinct times and scores, so ties are common."""
+    n = draw(st.integers(2, max_n))
+    time_values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 7.0, 1e300]),
+                                min_size=1, max_size=4, unique_by=float.hex))
+    times = draw(st.lists(st.sampled_from(time_values), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    events[draw(st.integers(0, n - 1))] = 1  # a dataset needs one observed event
+    score_values = draw(st.lists(st.floats(-1e6, 1e6, width=64), min_size=1, max_size=4))
+    scores = draw(st.lists(st.sampled_from(score_values), min_size=n, max_size=n))
+    return np.array(scores), make_dataset(times, events)
+
+
+class TestConcordanceIndexOracle:
+    """The O(n log n) C-index reproduces the pairwise definition bit for bit."""
+
+    @staticmethod
+    def assert_same(scores, ds):
+        try:
+            expected = pairwise_concordance_index(scores, ds)
+        except MetricUndefinedError:
+            with pytest.raises(MetricUndefinedError):
+                concordance_index(scores, ds)
+            return
+        assert concordance_index(scores, ds).hex() == expected.hex()
+
+    @given(tied_survival_data())
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties_match_pairwise(self, data):
+        self.assert_same(*data)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_continuous_data_match_pairwise(self, seed, n):
+        rng = np.random.default_rng(seed)
+        times = rng.exponential(size=n)
+        events = (rng.uniform(size=n) < 0.55).astype(int)
+        events[0] = 1
+        self.assert_same(rng.normal(size=n), make_dataset(times, events))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_event_and_censored_tied_at_every_time(self, seed):
+        # Each time holds both an event and a censored sample.
+        rng = np.random.default_rng(seed)
+        times = np.repeat(rng.permutation(6).astype(float), 4)
+        events = np.tile([1, 0, 1, 0], 6)
+        scores = rng.integers(0, 3, len(times)).astype(float)
+        self.assert_same(scores, make_dataset(times, events))
+
+    @pytest.mark.parametrize("times, events", [
+        ([2.0, 2.0], [1, 1]),             # equal-time events
+        ([1.0, 2.0], [0, 1]),             # the only event is the last time
+        ([3.0, 3.0, 1.0], [1, 1, 0]),     # equal-time events, earlier censoring
+    ])
+    def test_no_admissible_pair_raises_in_both(self, times, events):
+        ds = make_dataset(times, events)
+        with pytest.raises(MetricUndefinedError):
+            pairwise_concordance_index(np.zeros(ds.n), ds)
+        with pytest.raises(MetricUndefinedError):
+            concordance_index(np.zeros(ds.n), ds)
