@@ -11,7 +11,6 @@ import numpy as np
 from survshape import (
     SurvivalDataset,
     build_time_grid,
-    chf_to_sf,
     concordance_index,
     nelson_aalen,
 )
@@ -33,9 +32,9 @@ print("horizon    :", grid.horizon)
 
 # Nelson-Aalen sums d/n over the distinct observed times.
 chf = nelson_aalen(cohort, grid)
-sf = chf_to_sf(chf)
+survival = np.exp(-chf.values)
 print("\n t_j   H(t_j)  S(t_j)")
-for t, h, s in zip(grid.times, chf.values, sf.values):
+for t, h, s in zip(grid.times, chf.values, survival):
     print(f"{t:5.1f}  {h:6.3f}  {s:6.3f}")
 
 # Step-function evaluation works at arbitrary times, 0 hazard before t_0.

@@ -31,8 +31,9 @@ print(f"forest: {len(forest.trees)} trees on a grid of {forest.grid.n_intervals}
 # Hazard curves react to the risky feature.
 low = np.array([-0.8, 0.0, 0.0])
 high = np.array([+0.8, 0.0, 0.0])
-print("\nintegrated CHF, low-risk profile :", round(forest.predict_chf(low).integral(), 3))
-print("integrated CHF, high-risk profile:", round(forest.predict_chf(high).integral(), 3))
+low_risk, high_risk = risk_scores(forest, np.array([low, high]))
+print("\nintegrated CHF, low-risk profile :", round(low_risk, 3))
+print("integrated CHF, high-risk profile:", round(high_risk, 3))
 
 c_train = concordance_index(risk_scores(forest, train.features), train)
 c_test = concordance_index(risk_scores(forest, test.features), test)

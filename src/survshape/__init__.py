@@ -46,7 +46,6 @@ from .forest import (
     SurvivalForest,
     fit_forest,
     load_forest,
-    log_rank_statistic,
     permutation_importance,
     predict_chf,
     predict_chf_matrix,
@@ -73,16 +72,11 @@ from .survival import (
     KIND_NUMERIC,
     KIND_ONE_HOT,
     PiecewiseChf,
-    PiecewiseSf,
-    Sample,
     SurvivalDataset,
     TimeGrid,
     build_time_grid,
-    chf_to_sf,
     concordance_index,
-    mean_chf,
     nelson_aalen,
-    project_chf,
 )
 from .synthetic import (
     ExactCoxPredictor,

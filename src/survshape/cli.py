@@ -41,7 +41,7 @@ from .forest import (
 )
 from .nam import NamConfig, load_model, save_model
 from .report import (
-    _fmt as _fmt_number,
+    _fmt,
     explanation_summary,
     write_explanation_csv,
     write_shapes_svg,
@@ -57,12 +57,6 @@ EXIT_NUMERIC = 4
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _banner(command: str, settings: dict) -> str:
@@ -128,8 +122,8 @@ def cmd_fit(args) -> int:
         f"train_samples = {train.n}",
         f"test_samples = {test.n}",
         f"features = {train.m}",
-        f"c_index_train = {_fmt_number(c_train)}",
-        f"c_index_test = {_fmt_number(c_test)}",
+        f"c_index_train = {_fmt(c_train)}",
+        f"c_index_test = {_fmt(c_test)}",
         "forest = forest.bin",
     ]
     _write_report(out, banner, body)
@@ -246,8 +240,8 @@ def cmd_eval(args) -> int:
     c_blackbox, c_surrogate = surrogate_c_index(model, forest, test)
     body = [
         f"test_samples = {test.n}",
-        f"c_index_blackbox = {_fmt_number(c_blackbox)}",
-        f"c_index_surrogate = {_fmt_number(c_surrogate)}",
+        f"c_index_blackbox = {_fmt(c_blackbox)}",
+        f"c_index_surrogate = {_fmt(c_surrogate)}",
     ]
     _write_report(out, banner, body)
     print("\n".join(body))
@@ -351,13 +345,34 @@ def _apply_config(subparser, command, path):
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
-    known = {action.dest for action in subparser._actions}
-    known -= {"help", "func", "config"}
-    unknown = sorted(set(overrides) - known)
+    actions = {action.dest: action for action in subparser._actions
+               if action.dest not in ("help", "config")}
+    unknown = sorted(set(overrides) - set(actions))
     if unknown:
         raise _UsageError(f"config {path}: unknown option(s) for {command}: "
                           + ", ".join(unknown))
-    subparser.set_defaults(**overrides)
+    subparser.set_defaults(**{key: _config_value(actions[key], value, path)
+                              for key, value in overrides.items()})
+
+
+def _config_value(action, value, path):
+    """A config value checked against the type its flag parses to.
+
+    An int counts for a float flag and becomes a float; a bool counts only
+    for an on/off flag; null counts for a flag whose default is None.
+    """
+    expected = bool if action.nargs == 0 else (action.type or str)
+    if expected is float and type(value) is int:
+        value = float(value)
+    if value is None and action.default is None:
+        return value
+    if type(value) is not expected:
+        raise _UsageError(f"config {path}: {action.dest} must be {expected.__name__}, "
+                          f"not {type(value).__name__}")
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(f"config {path}: {action.dest} must be one of "
+                          + ", ".join(action.choices))
+    return value
 
 
 def main(argv=None) -> int:

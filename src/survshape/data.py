@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, _field
 from .survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 
 _TRUE_WORDS = {"1", "1.0", "true", "yes", "y"}
@@ -195,11 +195,27 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DatasetSchema":
-        schema = cls(payload["time"], payload["event"],
-                     list(payload["features"].items()))
-        schema.levels = {n: tuple(v) for n, v in payload.get("levels", {}).items()}
-        schema.stats = {n: (float(v[0]), float(v[1]))
-                        for n, v in payload.get("stats", {}).items()}
+        """Inverse of to_dict; DataError for a missing or ill-typed key."""
+        if not isinstance(payload, dict):
+            raise SchemaError("fitted schema must be a JSON object")
+        where = "fitted schema"
+        schema = cls(_field(payload, "time", str, where), _field(payload, "event", str, where),
+                     list(_field(payload, "features", dict, where).items()))
+        levels = payload.get("levels", {})
+        stats = payload.get("stats", {})
+        if not isinstance(levels, dict) or not all(isinstance(v, list)
+                                                   for v in levels.values()):
+            raise SchemaError(f"{where}'s 'levels' must map features to lists")
+        if not isinstance(stats, dict) or not all(
+                isinstance(v, list) and len(v) == 2
+                and all(isinstance(s, (int, float)) for s in v) for v in stats.values()):
+            raise SchemaError(f"{where}'s 'stats' must map features to [mean, std] pairs")
+        schema.levels = {n: tuple(v) for n, v in levels.items()}
+        schema.stats = {n: (float(v[0]), float(v[1])) for n, v in stats.items()}
+        if schema.fitted:
+            for name, kind in schema.feature_specs:
+                if name not in (schema.stats if kind == "numeric" else schema.levels):
+                    raise SchemaError(f"{where} has no fitted encoding for {name!r}")
         return schema
 
 

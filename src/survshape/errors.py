@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all survshape modules.
 
 DataError covers malformed or degenerate inputs (CLI exit code 3),
-NumericError covers runtime numeric failures (CLI exit code 4).
+NumericError covers runtime numeric failures (CLI exit code 4). The
+JSON readers share `_field`, which turns a missing or ill-typed key into
+a DataError.
 """
 
 
@@ -26,7 +28,7 @@ class SchemaError(DataError):
 
 
 class AlignmentError(DataError):
-    """Step functions live on different time grids; project first."""
+    """Step functions live on different time grids."""
 
 
 class DiameterUndefinedError(DataError):
@@ -47,3 +49,17 @@ class TrainingDivergedError(NumericError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+
+
+def _field(obj: dict, key: str, kind, where: str):
+    """obj[key] checked against `kind`; DataError when missing or ill-typed.
+
+    `where` names the object in the message, e.g. "forest.bin: forest
+    file". A bool never counts as a number.
+    """
+    if key not in obj:
+        raise DataError(f"{where} has no {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"{where}'s {key!r} has the wrong type")
+    return value

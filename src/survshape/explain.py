@@ -4,15 +4,21 @@ Local mode perturbs the explained point, weights neighbors by a distance
 kernel, turns black-box hazards into log-ratio targets against the
 Nelson-Aalen baseline, fits the additive surrogate and reports centered
 shape curves. Global mode runs the same machinery with the training set
-as the point cloud and unit weights. The black box only needs a
-`predict_chf(x) -> PiecewiseChf` method (or to be such a callable) whose
-outputs share one grid with the baseline.
+as the point cloud and unit weights.
+
+The black box is read through one protocol: a `grid` (TimeGrid) and
+`predict_chf_matrix(x) -> (n, s+1) array` of cumulative hazards on that
+grid, which must be the baseline's grid. Its risk score is the
+integrated CHF, `predict_chf_matrix(x) @ grid.widths`. A box with only a
+per-row `predict_chf(x) -> PiecewiseChf`, or a bare callable of that
+kind, is adapted at each entry point by stacking its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from types import SimpleNamespace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .survival import (
     KIND_NUMERIC,
     PiecewiseChf,
     SurvivalDataset,
+    TimeGrid,
     build_time_grid,
     concordance_index,
     nelson_aalen,
@@ -63,10 +70,6 @@ class Neighborhood:
     points: np.ndarray
     weights: np.ndarray
     radius: float
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,6 @@ class Explanation:
     @property
     def m(self) -> int:
         return len(self.feature_names)
-
-    def curve_for(self, name: str) -> ShapeCurve:
-        return self.curves[self.feature_names.index(name)]
 
 
 def dataset_diameter(dataset: SurvivalDataset) -> float:
@@ -185,13 +185,33 @@ def build_neighborhood(x, dataset: SurvivalDataset, n_points: int = 100,
     return Neighborhood(x, points, weights, radius)
 
 
-def _chf_predictor(blackbox):
-    predict = getattr(blackbox, "predict_chf", None)
-    if predict is None and callable(blackbox):
-        predict = blackbox
-    if predict is None:
-        raise DataError("black box must expose predict_chf or be callable")
-    return predict
+def _as_batch(blackbox, default_grid: Callable[[], TimeGrid]):
+    """The black box under the batch protocol: `grid` plus `predict_chf_matrix`.
+
+    A box that has predict_chf_matrix is returned as it is. Any other box
+    is read row by row through its predict_chf, or called itself, and its
+    rows are stacked; if it has no grid of its own, it gets default_grid().
+    """
+    if hasattr(blackbox, "predict_chf_matrix"):
+        return blackbox
+    predict = getattr(blackbox, "predict_chf", blackbox)
+    if not callable(predict):
+        raise DataError("black box must expose predict_chf_matrix or predict_chf, "
+                        "or be callable")
+    grid = getattr(blackbox, "grid", None) or default_grid()
+
+    def predict_chf_matrix(x) -> np.ndarray:
+        chfs = [predict(point) for point in np.atleast_2d(x)]
+        if any(chf.grid != grid for chf in chfs):
+            raise AlignmentError("black-box CHF rows do not all lie on the box's grid")
+        return np.array([chf.values for chf in chfs])
+
+    return SimpleNamespace(grid=grid, predict_chf_matrix=predict_chf_matrix)
+
+
+def _risk(box, x: np.ndarray) -> np.ndarray:
+    """Integrated-CHF risk scores of a batch-protocol box."""
+    return np.asarray(box.predict_chf_matrix(x), dtype=float) @ box.grid.widths
 
 
 def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
@@ -199,41 +219,15 @@ def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
     """Log-ratio targets ln H_j(x_i) - ln H_0j with both sides epsilon-floored."""
     if not epsilon > 0:
         raise DataError("epsilon must be positive")
+    box = _as_batch(blackbox, lambda: baseline.grid)
+    if box.grid != baseline.grid:
+        raise AlignmentError("black-box CHF grid differs from the baseline grid")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float)
     log_baseline = np.log(np.maximum(baseline.values, epsilon))
-    matrix_fn = getattr(blackbox, "predict_chf_matrix", None)
-    if matrix_fn is not None:
-        grid = getattr(blackbox, "grid", None)
-        if grid is not None and grid != baseline.grid:
-            raise AlignmentError(
-                "black-box CHF grid differs from the baseline grid; project first")
-        values = np.asarray(matrix_fn(points), dtype=float)
-        rows = np.log(np.maximum(values, epsilon)) - log_baseline[None, :]
-    else:
-        predict = _chf_predictor(blackbox)
-        rows = np.empty((points.shape[0], baseline.grid.n_intervals))
-        for i, p in enumerate(points):
-            chf = predict(p)
-            if chf.grid != baseline.grid:
-                raise AlignmentError(
-                    "black-box CHF grid differs from the baseline grid; project first")
-            rows[i] = np.log(np.maximum(chf.values, epsilon)) - log_baseline
+    values = np.asarray(box.predict_chf_matrix(points), dtype=float)
+    rows = np.log(np.maximum(values, epsilon)) - log_baseline[None, :]
     return TargetBatch(points, rows, baseline.grid.widths, weights, epsilon)
-
-
-def _resolve_grid(blackbox, dataset, gamma_fraction):
-    grid = getattr(blackbox, "grid", None)
-    return grid if grid is not None else build_time_grid(dataset, gamma_fraction)
-
-
-def _blackbox_risk(blackbox, x: np.ndarray) -> np.ndarray:
-    """Integrated-CHF risk scores, via the batch path when the box has one."""
-    scorer = getattr(blackbox, "risk_scores", None)
-    if scorer is not None:
-        return np.asarray(scorer(x), dtype=float)
-    predict = _chf_predictor(blackbox)
-    return np.array([predict(row).integral() for row in np.atleast_2d(x)])
 
 
 def _curve_grid(values: np.ndarray, kind: str, samples: int) -> np.ndarray:
@@ -247,9 +241,9 @@ def _curve_grid(values: np.ndarray, kind: str, samples: int) -> np.ndarray:
 
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
                      epsilon, gamma_fraction, curve_samples, params):
-    grid = _resolve_grid(blackbox, dataset, gamma_fraction)
-    baseline = nelson_aalen(dataset, grid)
-    targets = build_targets(blackbox, baseline, points, weights, epsilon)
+    box = _as_batch(blackbox, lambda: build_time_grid(dataset, gamma_fraction))
+    baseline = nelson_aalen(dataset, box.grid)
+    targets = build_targets(box, baseline, points, weights, epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
     model, trace = train(model, targets, config, lam, mu)
 
@@ -272,8 +266,7 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
     try:
         c_index = concordance_index(predict_log_risk(model, dataset.features), dataset)
-        c_blackbox = concordance_index(_blackbox_risk(blackbox, dataset.features),
-                                       dataset)
+        c_blackbox = concordance_index(_risk(box, dataset.features), dataset)
     except MetricUndefinedError:
         c_index = None
         c_blackbox = None
@@ -322,9 +315,11 @@ def surrogate_c_index(explanation: Union[Explanation, NamModel], blackbox,
     """Concordance of the black box and of the surrogate on held-out data.
 
     Black-box risk is the integrated CHF; surrogate risk is the additive
-    log-risk itself (exp is monotone, so the ordering is the Cox one).
+    log-risk itself (exp is monotone, so the ordering is the Cox one). A
+    per-row box with no grid of its own is read on the test data's grid.
     """
     model = explanation.model if isinstance(explanation, Explanation) else explanation
-    c_blackbox = concordance_index(_blackbox_risk(blackbox, test.features), test)
+    box = _as_batch(blackbox, lambda: build_time_grid(test))
+    c_blackbox = concordance_index(_risk(box, test.features), test)
     c_surrogate = concordance_index(predict_log_risk(model, test.features), test)
     return c_blackbox, c_surrogate

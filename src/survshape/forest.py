@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _field
 from .survival import (
     PiecewiseChf,
     SurvivalDataset,
@@ -86,41 +86,6 @@ class SurvivalForest:
 
     def predict_chf_matrix(self, x) -> np.ndarray:
         return predict_chf_matrix(self, x)
-
-    def risk_scores(self, x) -> np.ndarray:
-        return risk_scores(self, x)
-
-
-def log_rank_statistic(times_a, events_a, times_b, events_b) -> float:
-    """Two-sample log-rank chi-square statistic; symmetric, 0 without events."""
-    ta = np.asarray(times_a, dtype=float)
-    tb = np.asarray(times_b, dtype=float)
-    ea = np.asarray(events_a, dtype=int)
-    eb = np.asarray(events_b, dtype=int)
-    if len(ta) == 0 or len(tb) == 0:
-        raise DataError("both groups must be nonempty")
-    times = np.concatenate([ta, tb])
-    events = np.concatenate([ea, eb])
-    in_a = np.zeros(len(times), dtype=bool)
-    in_a[:len(ta)] = True
-    event_times = np.unique(times[events == 1])
-    if len(event_times) == 0:
-        return 0.0
-    num = 0.0
-    var = 0.0
-    for u in event_times:
-        at_risk = times >= u
-        n = int(at_risk.sum())
-        n_a = int((at_risk & in_a).sum())
-        here = (times == u) & (events == 1)
-        d = int(here.sum())
-        d_a = int((here & in_a).sum())
-        num += d_a - d * n_a / n
-        if n > 1:
-            var += d * (n_a / n) * (1.0 - n_a / n) * (n - d) / (n - 1)
-    if var <= 0.0:
-        return 0.0
-    return float(num * num / var)
 
 
 def _best_split_for_feature(values, times, events, min_leaf_events):
@@ -359,21 +324,12 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
         json.dump(payload, fh)
 
 
-def _field(obj: dict, key: str, kind, path):
-    """obj[key] checked against `kind`; DataError when missing or ill-typed."""
-    if key not in obj:
-        raise DataError(f"{path}: forest file has no {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DataError(f"{path}: forest file's {key!r} has the wrong type")
-    return value
-
-
 def load_forest(path):
     """Read a forest written by save_forest; returns (forest, extra).
 
-    Invalid JSON, a missing or ill-typed key, an unknown config key or a
-    tree that does not fit the grid and features raises DataError.
+    Invalid JSON, a missing or ill-typed key, an `extra` that is neither
+    an object nor null, an unknown config key or a tree that does not fit
+    the grid and features raises DataError.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -384,13 +340,17 @@ def load_forest(path):
         raise DataError(f"{path}: not a survshape forest file")
     if payload.get("version") != 1:
         raise DataError(f"{path}: unsupported forest file version")
-    grid_blob = _field(payload, "grid", dict, path)
-    names = _field(payload, "feature_names", list, path)
-    kinds = _field(payload, "feature_kinds", list, path)
-    config = _field(payload, "config", dict, path)
-    trees = _field(payload, "trees", list, path)
-    times = _field(grid_blob, "times", list, path)
-    gamma = _field(grid_blob, "gamma", (int, float), path)
+    where = f"{path}: forest file"
+    grid_blob = _field(payload, "grid", dict, where)
+    names = _field(payload, "feature_names", list, where)
+    kinds = _field(payload, "feature_kinds", list, where)
+    config = _field(payload, "config", dict, where)
+    trees = _field(payload, "trees", list, where)
+    times = _field(grid_blob, "times", list, where)
+    gamma = _field(grid_blob, "gamma", (int, float), where)
+    extra = payload.get("extra")
+    if extra is not None and not isinstance(extra, dict):
+        raise DataError(f"{where}'s 'extra' must be an object or null")
     if len(names) != len(kinds) or not all(isinstance(v, str) for v in names + kinds):
         raise DataError(f"{path}: feature names and kinds must be matching lists of strings")
     unknown = sorted(set(config) - {f.name for f in fields(ForestConfig)})
@@ -412,4 +372,4 @@ def load_forest(path):
         raise DataError(f"{path}: malformed forest file: {exc!r}") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return forest, payload.get("extra")
+    return forest, extra

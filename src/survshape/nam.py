@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDivergedError
+from .errors import DataError, NumericError, TrainingDivergedError, _field
 
 VARIANTS = ("base", "lasso", "shortcut")
 
@@ -183,9 +183,6 @@ class NamModel:
             params.append(self.omega)
         return params
 
-    def subnet_param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.layer_weights, self.layer_biases))
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.param_arrays()])
 
@@ -235,16 +232,21 @@ def init_model(m: int, config: NamConfig,
     return NamModel(weights, biases, np.zeros(1), beta, alpha, omega, config, names)
 
 
-def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False):
-    """Run all subnetworks on x (n, m); returns g (m, n) and the backprop cache."""
+def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
+                    k: Optional[int] = None):
+    """Run the subnetworks on x (n, m); returns g (m, n) and the backprop cache.
+
+    With k given, only subnetwork k runs, on x of shape (n, 1), and g is (1, n).
+    """
     act, _ = ACTIVATIONS[model.config.activation]
+    nets = slice(None) if k is None else slice(k, k + 1)
     a = x.T[:, :, None]  # (m, n, 1)
     inputs, preacts = [], []
     last = len(model.layer_weights) - 1
     for l, (w, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
         if keep_cache:
             inputs.append(a)
-        z = np.matmul(a, w) + b[:, None, :]
+        z = np.matmul(a, w[nets]) + b[nets, None, :]
         if l < last:
             if keep_cache:
                 preacts.append(z)
@@ -293,46 +295,59 @@ def predict_log_risk(model: NamModel, x) -> np.ndarray:
     return _combine(model, g, x)
 
 
-def loss_and_gradient(model: NamModel, targets: TargetBatch,
-                      lam: float = 0.0, mu: float = 0.0):
-    """Exact loss and analytic gradients for every trainable array.
+def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float,
+                    keep_cache: bool = False):
+    """Forward pass and the penalized loss; returns (loss, g, log_risk, cache).
 
     The smooth part is sum_i v_i sum_j (target_ij - log_risk_i)^2 * width_j.
     The lasso variant adds lam * sum|beta|, the shortcut variant
-    lam * sum|alpha| + mu * ||subnet parameters||^2. At the |.| kink the
-    subgradient 0 is used. Gradients come back in param_arrays() order.
+    lam * sum|alpha| + mu * ||subnet parameters||^2.
     """
     if lam < 0 or mu < 0:
         raise DataError("regularization strengths must be nonnegative")
     x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
-    _, act_grad = ACTIVATIONS[model.config.activation]
-
-    g, (inputs, preacts) = _subnet_forward(model, x, keep_cache=True)
+    g, cache = _subnet_forward(model, x, keep_cache)
     log_risk = _combine(model, g, x)
-
     resid = phi - log_risk[:, None]
     loss = float(np.einsum("i,ij,j->", v, resid * resid, tau))
+    if model.variant == "lasso":
+        loss += lam * float(np.abs(model.beta).sum())
+    elif model.variant == "shortcut":
+        loss += lam * float(np.abs(model.alpha).sum())
+        if mu > 0.0:
+            loss += mu * sum(float(np.sum(a * a))
+                             for a in model.layer_weights + model.layer_biases)
+    return loss, g, log_risk, cache
+
+
+def loss_and_gradient(model: NamModel, targets: TargetBatch,
+                      lam: float = 0.0, mu: float = 0.0):
+    """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
+
+    At the |.| kink the subgradient 0 is used. Gradients come back in
+    param_arrays() order.
+    """
+    loss, g, log_risk, (inputs, preacts) = _penalized_loss(model, targets, lam, mu,
+                                                           keep_cache=True)
+    x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
+    _, act_grad = ACTIVATIONS[model.config.activation]
 
     # d loss / d log_risk
     u = 2.0 * v * (log_risk * tau.sum() - phi @ tau)
 
     m, n = g.shape
+    d_bias = np.array([u.sum()])
     if model.variant == "base":
         dg = np.broadcast_to(u, (m, n))
-        d_bias = np.array([u.sum()])
         head_grads = []
     elif model.variant == "lasso":
-        loss += lam * float(np.abs(model.beta).sum())
         dg = model.beta[:, None] * u[None, :]
-        d_bias = np.array([u.sum()])
         d_beta = g @ u + lam * np.sign(model.beta)
         head_grads = [d_beta]
     else:
-        loss += lam * float(np.abs(model.alpha).sum())
         dg = model.alpha[:, None] * u[None, :]
-        d_bias = np.array([u.sum()])
         d_alpha = (g - model.omega[:, None] * x.T) @ u + lam * np.sign(model.alpha)
         d_omega = ((1.0 - model.alpha)[:, None] * x.T) @ u
         head_grads = [d_alpha, d_omega]
@@ -351,10 +366,6 @@ def loss_and_gradient(model: NamModel, targets: TargetBatch,
     layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
 
     if model.variant == "shortcut" and mu > 0.0:
-        sq = 0.0
-        for arr in model.layer_weights + model.layer_biases:
-            sq += float(np.sum(arr * arr))
-        loss += mu * sq
         for idx in range(0, len(layer_grads), 2):
             layer_grads[idx] = layer_grads[idx] + 2.0 * mu * model.layer_weights[idx // 2]
             layer_grads[idx + 1] = layer_grads[idx + 1] + 2.0 * mu * model.layer_biases[idx // 2]
@@ -367,19 +378,7 @@ def loss_and_gradient(model: NamModel, targets: TargetBatch,
 def loss_only(model: NamModel, targets: TargetBatch,
               lam: float = 0.0, mu: float = 0.0) -> float:
     """Loss without gradients (used for traces and finite-difference oracles)."""
-    x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
-    g, _ = _subnet_forward(model, x)
-    log_risk = _combine(model, g, x)
-    resid = phi - log_risk[:, None]
-    loss = float(np.einsum("i,ij,j->", v, resid * resid, tau))
-    if model.variant == "lasso":
-        loss += lam * float(np.abs(model.beta).sum())
-    elif model.variant == "shortcut":
-        loss += lam * float(np.abs(model.alpha).sum())
-        if mu > 0.0:
-            loss += mu * sum(float(np.sum(a * a))
-                             for a in model.layer_weights + model.layer_biases)
-    return loss
+    return _penalized_loss(model, targets, lam, mu)[0]
 
 
 def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
@@ -453,13 +452,7 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
 def feature_contribution(model: NamModel, k: int, xs) -> np.ndarray:
     """Uncentered contribution of feature k at the given coordinate values."""
     xs = np.asarray(xs, dtype=float).ravel()
-    act, _ = ACTIVATIONS[model.config.activation]
-    a = xs[:, None]
-    last = len(model.layer_weights) - 1
-    for l, (w, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
-        z = a @ w[k] + b[k]
-        a = act(z) if l < last else z
-    g = a[:, 0]
+    g = _subnet_forward(model, xs[:, None], k=k)[0][0]
     if model.variant == "lasso":
         return model.beta[k] * g
     if model.variant == "shortcut":
@@ -514,31 +507,66 @@ def save_model(model: NamModel, path) -> None:
         json.dump(payload, fh)
 
 
+def _fill(target: np.ndarray, blob, key: str, where: str) -> None:
+    """Copy a JSON array into target; DataError unless it is numeric with target's shape."""
+    try:
+        values = np.asarray(blob, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{where}'s {key!r} is not a numeric array") from None
+    if values.shape != target.shape:
+        raise DataError(f"{where}'s {key!r} has shape {values.shape}, "
+                        f"the config needs {target.shape}")
+    target[...] = values
+
+
 def load_model(path) -> NamModel:
-    """Read a checkpoint written by save_model."""
+    """Read a checkpoint written by save_model.
+
+    Invalid JSON, a missing or ill-typed key, a config NamConfig rejects
+    and arrays whose shapes do not fit the config, the feature count or
+    the variant's heads raise DataError.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "survshape-nam":
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
         raise DataError(f"{path}: not a survshape model checkpoint")
     if payload.get("version") != 1:
         raise DataError(f"{path}: unsupported checkpoint version")
-    cfg = NamConfig(
-        hidden_sizes=tuple(payload["config"]["hidden_sizes"]),
-        activation=payload["config"]["activation"],
-        learning_rate=payload["config"]["learning_rate"],
-        epochs=payload["config"]["epochs"],
-        batch=payload["config"]["batch"],
-        seed=payload["config"]["seed"],
-        variant=payload["config"]["variant"],
-    )
-    names = payload["feature_names"]
-    return NamModel(
-        [np.asarray(w, dtype=float) for w in payload["layer_weights"]],
-        [np.asarray(b, dtype=float) for b in payload["layer_biases"]],
-        np.asarray(payload["bias"], dtype=float),
-        None if payload["beta"] is None else np.asarray(payload["beta"], dtype=float),
-        None if payload["alpha"] is None else np.asarray(payload["alpha"], dtype=float),
-        None if payload["omega"] is None else np.asarray(payload["omega"], dtype=float),
-        cfg,
-        None if names is None else tuple(names),
-    )
+    where = f"{path}: model file"
+    blob = _field(payload, "config", dict, where)
+    names = _field(payload, "feature_names", (list, type(None)), where)
+    weights = _field(payload, "layer_weights", list, where)
+    biases = _field(payload, "layer_biases", list, where)
+    if names is not None and not all(isinstance(name, str) for name in names):
+        raise DataError(f"{where}'s 'feature_names' must be strings")
+    if not weights or not isinstance(weights[0], list):
+        raise DataError(f"{where}'s 'layer_weights' holds no per-feature arrays")
+    settings = {key: _field(blob, key, kind, where) for key, kind in (
+        ("hidden_sizes", list), ("activation", str), ("learning_rate", (int, float)),
+        ("epochs", int), ("batch", (int, type(None))), ("seed", int), ("variant", str))}
+    try:
+        cfg = NamConfig(**settings)
+        model = init_model(len(weights[0]), cfg, names)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where} has a malformed config: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if len(weights) != len(model.layer_weights) or len(biases) != len(model.layer_biases):
+        raise DataError(f"{where} has {len(weights)} weight and {len(biases)} bias layers, "
+                        f"the config needs {len(model.layer_weights)}")
+    for key, targets, blobs in (("layer_weights", model.layer_weights, weights),
+                                ("layer_biases", model.layer_biases, biases)):
+        for target, layer in zip(targets, blobs):
+            _fill(target, layer, key, where)
+    _fill(model.bias, _field(payload, "bias", list, where), "bias", where)
+    for key in ("beta", "alpha", "omega"):
+        target = getattr(model, key)
+        head = _field(payload, key, (list, type(None)), where)
+        if (target is None) != (head is None):
+            raise DataError(f"{where}'s {key!r} does not fit the {cfg.variant} variant")
+        if target is not None:
+            _fill(target, head, key, where)
+    return model

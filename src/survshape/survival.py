@@ -1,7 +1,7 @@
 """Core survival-analysis machinery.
 
-Censored datasets, the event-time interval grid, piecewise-constant
-cumulative-hazard / survival step functions, the Nelson-Aalen estimator
+Censored datasets, the event-time interval grid, the piecewise-constant
+cumulative-hazard step function, the Nelson-Aalen estimator
 and Harrell's concordance index. Everything here is immutable after
 construction and free of hidden state, so concurrent read-only use is safe.
 """
@@ -9,12 +9,10 @@ construction and free of hidden state, so concurrent read-only use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     DataError,
     EstimatorUndefinedError,
     GridDegenerateError,
@@ -23,15 +21,6 @@ from .errors import (
 
 KIND_NUMERIC = "numeric"
 KIND_ONE_HOT = "one_hot_level"
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: feature vector, observed time, event indicator."""
-
-    features: np.ndarray
-    event_time: float
-    event_indicator: int
 
 
 @dataclass(frozen=True)
@@ -99,9 +88,6 @@ class SurvivalDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i].copy(), float(self.times[i]), int(self.events[i]))
-
     def subset(self, indices) -> "SurvivalDataset":
         idx = np.asarray(indices, dtype=int)
         return SurvivalDataset(self.features[idx], self.times[idx], self.events[idx],
@@ -143,11 +129,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1] + self.gamma)
 
-    def interval_index(self, t) -> np.ndarray:
-        """Index j of the interval containing each t (clipped to [0, s])."""
-        return np.clip(np.searchsorted(self.times, np.asarray(t, dtype=float),
-                                       side="right") - 1, 0, len(self.times) - 1)
-
     def __eq__(self, other):
         if not isinstance(other, TimeGrid):
             return NotImplemented
@@ -183,32 +164,6 @@ class PiecewiseChf:
 
     def __call__(self, t) -> np.ndarray:
         return _step_values(self.grid.times, self.values, np.asarray(t, dtype=float))
-
-    def integral(self) -> float:
-        """Area under the step function over [t_0, horizon]; a monotone risk summary."""
-        return float(np.dot(self.values, self.grid.widths))
-
-
-@dataclass(frozen=True)
-class PiecewiseSf:
-    """Piecewise-constant survival function on a TimeGrid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_intervals,):
-            raise DataError("need one survival value per grid interval")
-        if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
-            raise DataError("survival values must lie in [0, 1]")
-        if np.any(np.diff(v) > 1e-12):
-            raise DataError("survival values must be nonincreasing")
-        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
-
-    def __call__(self, t) -> np.ndarray:
-        idx = np.searchsorted(self.grid.times, np.asarray(t, dtype=float), side="right") - 1
-        return np.where(idx >= 0, self.values[np.clip(idx, 0, len(self.values) - 1)], 1.0)
 
 
 def build_time_grid(dataset: SurvivalDataset, gamma_fraction: float = 0.01) -> TimeGrid:
@@ -254,33 +209,6 @@ def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
     cum = np.cumsum(increments)
     values = _step_values(uniq, cum, grid.times)
     return PiecewiseChf(grid, values)
-
-
-def chf_to_sf(chf: PiecewiseChf) -> PiecewiseSf:
-    """S = exp(-H), pointwise on the grid."""
-    return PiecewiseSf(chf.grid, np.exp(-chf.values))
-
-
-def project_chf(chf: PiecewiseChf, target_grid: TimeGrid) -> PiecewiseChf:
-    """Re-express a CHF on another grid by right-continuous step lookup.
-
-    The value on target interval j is the source CHF evaluated at the
-    target's j-th time; times before the source grid's start map to 0.
-    """
-    if chf.grid == target_grid:
-        return PiecewiseChf(target_grid, chf.values.copy())
-    return PiecewiseChf(target_grid, chf(target_grid.times))
-
-
-def mean_chf(chfs: Sequence[PiecewiseChf]) -> PiecewiseChf:
-    """Arithmetic mean of step functions sharing one grid."""
-    if not chfs:
-        raise DataError("cannot average an empty collection of CHFs")
-    grid = chfs[0].grid
-    for c in chfs[1:]:
-        if c.grid != grid:
-            raise AlignmentError("CHFs live on different grids; project first")
-    return PiecewiseChf(grid, np.mean([c.values for c in chfs], axis=0))
 
 
 def concordance_index(risk_scores, dataset: SurvivalDataset) -> float:

@@ -141,8 +141,9 @@ class ExactCoxPredictor:
     """Noise-free CHF black box following the synthetic proportional-hazards law.
 
     Predictions live on a fixed TimeGrid: H_j(x) = H0(t_j) * exp(log_risk(x)).
-    Exposes the same grid/predict_chf surface as the fitted forest, so the
-    explanation pipeline can run against an oracle with known structure.
+    Exposes the same grid/predict_chf_matrix/predict_chf surface as the
+    fitted forest, so the explanation pipeline can run against an oracle
+    with known structure.
     """
 
     def __init__(self, spec: SyntheticSpec, grid: TimeGrid):
@@ -157,12 +158,19 @@ class ExactCoxPredictor:
     def baseline(self) -> PiecewiseChf:
         return PiecewiseChf(self.grid, self._baseline_values.copy())
 
+    def predict_chf_matrix(self, x) -> np.ndarray:
+        """CHF values for many rows at once; shape (n, s+1)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1:] != (self.spec.m,):
+            raise DataError(f"expected rows of {self.spec.m} features")
+        factors = np.exp(self.spec.log_risk(x))
+        return factors[:, None] * self._baseline_values[None, :]
+
     def predict_chf(self, x) -> PiecewiseChf:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.spec.m,):
             raise DataError(f"expected a length-{self.spec.m} feature vector")
-        factor = float(np.exp(self.spec.log_risk(x[None, :])[0]))
-        return PiecewiseChf(self.grid, self._baseline_values * factor)
+        return PiecewiseChf(self.grid, self.predict_chf_matrix(x[None, :])[0])
 
 
 def oracle_psi_star(log_ratios, widths) -> np.ndarray:

@@ -306,3 +306,151 @@ class TestMalformedForestFile:
         corrupt(payload)
         err = self.explain_with(json.dumps(payload), synth_dir, tmp_path, capsys)
         assert message in err
+
+
+@pytest.fixture(scope="module")
+def model_dir(synth_dir, fitted_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    code = run(["explain", "--forest", str(fitted_dir / "forest.bin"),
+                "--data", str(synth_dir / "dataset.csv"), "--variant", "lasso",
+                "--lam", "0.1", "--epochs", "5", "--hidden", "4,3", "--out", str(out)])
+    assert code == 0
+    return out
+
+
+def _forest_with_list_extra(payload):
+    payload["extra"] = [1]
+
+
+def _forest_with_partial_schema(payload):
+    payload["extra"] = {"schema": {"event": "e"}}
+
+
+class TestMalformedForestExtra:
+    """A forest.bin whose `extra` or embedded schema is broken: exit 3, one line."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_forest_with_list_extra, "'extra' must be an object or null"),
+        (_forest_with_partial_schema, "fitted schema has no 'time'"),
+    ])
+    def test_explain_and_eval_exit_3(self, corrupt, message, synth_dir, fitted_dir,
+                                     model_dir, tmp_path, capsys):
+        payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
+        corrupt(payload)
+        forest = tmp_path / "forest.bin"
+        forest.write_text(json.dumps(payload), encoding="utf-8")
+        data = str(synth_dir / "dataset.csv")
+        commands = [
+            ["explain", "--forest", str(forest), "--data", data, "--epochs", "5",
+             "--out", str(tmp_path / "explain")],
+            ["eval", "--forest", str(forest), "--model", str(model_dir / "nam.json"),
+             "--data", data, "--out", str(tmp_path / "eval")],
+        ]
+        for argv in commands:
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+
+
+def _model_config_rejected(payload):
+    payload["config"]["activation"] = "sigmoid"
+
+
+def _model_config_ill_typed(payload):
+    payload["config"]["epochs"] = "5"
+
+
+def _model_without_weights(payload):
+    del payload["layer_weights"]
+
+
+def _model_layer_shape_off(payload):
+    payload["config"]["hidden_sizes"] = [4, 4]
+
+
+def _model_feature_count_off(payload):
+    payload["layer_biases"][0] = payload["layer_biases"][0][:1]
+
+
+def _model_head_of_other_variant(payload):
+    payload["alpha"] = payload["beta"]
+    payload["beta"] = None
+
+
+class TestMalformedModelFile:
+    """eval --model on a broken nam.json: exit 3 and one line on stderr."""
+
+    def eval_with(self, model_bytes, synth_dir, fitted_dir, tmp_path, capsys):
+        path = tmp_path / "nam.json"
+        path.write_bytes(model_bytes)
+        code = run(["eval", "--forest", str(fitted_dir / "forest.bin"),
+                    "--model", str(path), "--data", str(synth_dir / "dataset.csv"),
+                    "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_truncated_file(self, synth_dir, fitted_dir, model_dir, tmp_path, capsys):
+        head = (model_dir / "nam.json").read_bytes()[:300]
+        err = self.eval_with(head, synth_dir, fitted_dir, tmp_path, capsys)
+        assert "not a valid model file" in err
+
+    def test_invalid_utf8(self, synth_dir, fitted_dir, tmp_path, capsys):
+        err = self.eval_with(b'{"format": "\xff"}', synth_dir, fitted_dir, tmp_path, capsys)
+        assert "not a valid model file" in err
+
+    def test_payload_not_an_object(self, synth_dir, fitted_dir, tmp_path, capsys):
+        err = self.eval_with(b"[1, 2]", synth_dir, fitted_dir, tmp_path, capsys)
+        assert "not a survshape model checkpoint" in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_model_without_weights, "model file has no 'layer_weights'"),
+        (_model_config_ill_typed, "model file's 'epochs' has the wrong type"),
+        (_model_config_rejected, "unknown activation 'sigmoid'"),
+        (_model_layer_shape_off, "the config needs (2, 4, 4)"),
+        (_model_feature_count_off, "'layer_biases' has shape (1, 4)"),
+        (_model_head_of_other_variant, "'beta' does not fit the lasso variant"),
+    ])
+    def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, model_dir,
+                         tmp_path, capsys):
+        payload = json.loads((model_dir / "nam.json").read_text(encoding="utf-8"))
+        corrupt(payload)
+        err = self.eval_with(json.dumps(payload).encode(), synth_dir, fitted_dir,
+                             tmp_path, capsys)
+        assert message in err
+
+
+class TestConfigValueTypes:
+    """A --config value of the wrong type is a usage error: exit 2, one line."""
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("fit", {"trees": [3]}, "trees must be int, not list"),
+        ("fit", {"trees": "3"}, "trees must be int, not str"),
+        ("fit", {"test_fraction": True}, "test_fraction must be float, not bool"),
+        ("explain", {"mode": "both"}, "mode must be one of local, global"),
+    ])
+    def test_wrong_type_is_usage_error(self, command, overrides, message, synth_dir,
+                                       fitted_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        argv = [command, "--data", str(synth_dir / "dataset.csv"),
+                "--out", str(tmp_path / "out"), "--config", str(cfg)]
+        if command == "explain":
+            argv += ["--forest", str(fitted_dir / "forest.bin")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_for_float_flag_runs_as_float(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "m": 1, "coef": "1.0", "scale": 2,
+                                   "out": str(out)}))
+        assert run(["synth", "--config", str(cfg)]) == 0
+        assert "  scale = 2.0\n" in (out / "report.txt").read_text()

@@ -106,6 +106,23 @@ class TestLoadCsv:
         ])
         assert np.array_equal(ds.features, ds2.features)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"time": None}, "has no 'time'"),
+        ({"features": ["age"]}, "'features' has the wrong type"),
+        ({"stats": {"age": [0.0]}}, "'stats' must map features to [mean, std] pairs"),
+        ({"levels": {"grp": "A"}}, "'levels' must map features to lists"),
+        ({"levels": {}}, "no fitted encoding for 'grp'"),
+    ])
+    def test_schema_dict_malformed(self, change, message):
+        payload = {"time": "t", "event": "e",
+                   "features": {"age": "numeric", "grp": "categorical"},
+                   "levels": {"grp": ["A", "B"]}, "stats": {"age": [2.0, 1.0]}}
+        payload.update(change)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        with pytest.raises(DataError) as info:
+            DatasetSchema.from_dict(payload)
+        assert message in str(info.value)
+
 
 class TestTrainTestSplit:
     def make(self, n=100, seed=0):

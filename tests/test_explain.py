@@ -342,3 +342,58 @@ class TestSurrogateCIndex:
         expl = explain_global(oracle, dataset, fast_config(epochs=30))
         c_bb, _ = surrogate_c_index(expl, oracle, dataset)
         assert c_bb == 1.0
+
+
+class PerRowBox:
+    """Only the per-row protocol of another box: its grid and predict_chf."""
+
+    def __init__(self, box):
+        self.grid = box.grid
+        self.predict_chf = box.predict_chf
+
+
+class BatchOnlyBox:
+    """The batch protocol of another box; asking it for a single row fails."""
+
+    def __init__(self, box):
+        self.grid = box.grid
+        self.predict_chf_matrix = box.predict_chf_matrix
+
+    def predict_chf(self, x):
+        raise AssertionError("the batch protocol must not fall back to rows")
+
+
+class TestBlackBoxProtocol:
+    def assert_same_explanation(self, a, b):
+        assert np.array_equal(a.model.flatten(), b.model.flatten())
+        for ca, cb in zip(a.curves, b.curves):
+            assert np.array_equal(ca.xs, cb.xs) and np.array_equal(ca.values, cb.values)
+        assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.parametrize("make_box", ["oracle", "forest"])
+    def test_per_row_and_batch_boxes_explain_identically(self, make_box):
+        # An additive law: a linear one's x @ coef can round differently for
+        # one row than for many, which would change the rows, not the pipeline.
+        spec = SyntheticSpec(n=80, m=4, shapes=("linear", "square", "sin3", "zero"),
+                             censoring_rate=0.2, seed=13)
+        dataset, _ = generate_cox_data(spec)
+        box = ExactCoxPredictor.for_dataset(spec, dataset)
+        if make_box == "forest":
+            from survshape.forest import ForestConfig, fit_forest
+            box = fit_forest(dataset, ForestConfig(n_trees=5, min_leaf_events=3, seed=2))
+        cfg = fast_config(epochs=40)
+        self.assert_same_explanation(explain_global(PerRowBox(box), dataset, cfg),
+                                     explain_global(box, dataset, cfg))
+        x = dataset.features[4]
+        self.assert_same_explanation(
+            explain_local(PerRowBox(box), dataset, x, cfg, n_points=30, seed=3),
+            explain_local(box, dataset, x, cfg, n_points=30, seed=3))
+
+    def test_batch_box_never_asks_for_rows(self):
+        _, dataset, _, oracle = linear_setup(n=60, seed=14)
+        box = BatchOnlyBox(oracle)
+        cfg = fast_config(epochs=20)
+        expl = explain_global(box, dataset, cfg)
+        explain_local(box, dataset, dataset.features[0], cfg, n_points=20, seed=1)
+        c_bb, _ = surrogate_c_index(expl, box, dataset)
+        assert c_bb == expl.diagnostics.c_index_blackbox

@@ -6,7 +6,6 @@ from survshape.forest import (
     ForestConfig,
     fit_forest,
     load_forest,
-    log_rank_statistic,
     permutation_importance,
     predict_chf,
     predict_chf_matrix,
@@ -16,6 +15,38 @@ from survshape.forest import (
 )
 from survshape.survival import SurvivalDataset, concordance_index
 from survshape.synthetic import SyntheticSpec, generate_cox_data
+
+
+def log_rank_statistic(times_a, events_a, times_b, events_b) -> float:
+    """Two-sample log-rank chi-square statistic; symmetric, 0 without events."""
+    ta = np.asarray(times_a, dtype=float)
+    tb = np.asarray(times_b, dtype=float)
+    ea = np.asarray(events_a, dtype=int)
+    eb = np.asarray(events_b, dtype=int)
+    if len(ta) == 0 or len(tb) == 0:
+        raise DataError("both groups must be nonempty")
+    times = np.concatenate([ta, tb])
+    events = np.concatenate([ea, eb])
+    in_a = np.zeros(len(times), dtype=bool)
+    in_a[:len(ta)] = True
+    event_times = np.unique(times[events == 1])
+    if len(event_times) == 0:
+        return 0.0
+    num = 0.0
+    var = 0.0
+    for u in event_times:
+        at_risk = times >= u
+        n = int(at_risk.sum())
+        n_a = int((at_risk & in_a).sum())
+        here = (times == u) & (events == 1)
+        d = int(here.sum())
+        d_a = int((here & in_a).sum())
+        num += d_a - d * n_a / n
+        if n > 1:
+            var += d * (n_a / n) * (1.0 - n_a / n) * (n - d) / (n - 1)
+    if var <= 0.0:
+        return 0.0
+    return float(num * num / var)
 
 
 def hand_nelson_aalen(times, events, at_times):

@@ -9,15 +9,10 @@ from survshape.errors import (
     MetricUndefinedError,
 )
 from survshape.survival import (
-    PiecewiseChf,
     SurvivalDataset,
-    TimeGrid,
     build_time_grid,
-    chf_to_sf,
     concordance_index,
-    mean_chf,
     nelson_aalen,
-    project_chf,
 )
 
 
@@ -124,75 +119,6 @@ class TestNelsonAalen:
             expected = [brute_force_nelson_aalen(times, events, tj) for tj in grid.times]
             assert chf.values == pytest.approx(expected, abs=1e-12)
             assert np.all(np.diff(chf.values) >= -1e-15)
-
-
-class TestChfSfConversion:
-    def test_zero_hazard(self):
-        grid = TimeGrid(np.array([1.0, 2.0, 3.0]), 0.1)
-        sf = chf_to_sf(PiecewiseChf(grid, np.zeros(3)))
-        assert np.array_equal(sf.values, [1.0, 1.0, 1.0])
-
-    def test_log_two(self):
-        grid = TimeGrid(np.array([1.0, 2.0]), 0.1)
-        sf = chf_to_sf(PiecewiseChf(grid, np.full(2, np.log(2.0))))
-        assert sf.values == pytest.approx([0.5, 0.5], abs=1e-15)
-
-    def test_hand_values(self):
-        grid = TimeGrid(np.array([1.0, 3.0]), 0.1)
-        sf = chf_to_sf(PiecewiseChf(grid, np.array([1 / 3, 4 / 3])))
-        assert sf.values == pytest.approx([0.71653, 0.26360], abs=5e-6)
-
-    @given(st.lists(st.floats(0.0, 50.0), min_size=2, max_size=8))
-    def test_neg_log_roundtrip(self, raw):
-        values = np.sort(np.asarray(raw))
-        grid = TimeGrid(np.arange(1.0, len(values) + 1.0), 0.5)
-        chf = PiecewiseChf(grid, values)
-        back = -np.log(chf_to_sf(chf).values)
-        assert back == pytest.approx(values, abs=1e-12)
-
-
-class TestProjectChf:
-    def test_identity_on_same_grid(self):
-        grid = TimeGrid(np.array([1.0, 2.0, 3.0]), 0.1)
-        chf = PiecewiseChf(grid, np.array([0.1, 0.2, 0.5]))
-        out = project_chf(chf, grid)
-        assert np.array_equal(out.values, chf.values)
-
-    def test_zero_before_source_start(self):
-        source_grid = TimeGrid(np.array([2.0, 5.0]), 0.1)
-        chf = PiecewiseChf(source_grid, np.array([1 / 3, 1 / 3]))
-        target = TimeGrid(np.array([1.0, 2.0, 3.0]), 0.1)
-        out = project_chf(chf, target)
-        assert out.values == pytest.approx([0.0, 1 / 3, 1 / 3], abs=1e-15)
-
-    def test_constant_source(self):
-        source_grid = TimeGrid(np.array([0.5, 1.5]), 0.1)
-        chf = PiecewiseChf(source_grid, np.array([0.7, 0.7]))
-        target = TimeGrid(np.array([0.6, 2.0, 9.0]), 1.0)
-        out = project_chf(chf, target)
-        assert np.allclose(out.values, 0.7)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_idempotent_on_own_grid(self, seed):
-        rng = np.random.default_rng(seed)
-        times = np.unique(np.round(rng.uniform(0, 10, 5), 2))
-        if len(times) < 2:
-            return
-        grid = TimeGrid(times, 0.3)
-        chf = PiecewiseChf(grid, np.sort(rng.uniform(0, 2, len(times))))
-        once = project_chf(chf, grid)
-        twice = project_chf(once, grid)
-        assert np.array_equal(once.values, twice.values)
-
-
-class TestMeanChf:
-    def test_mean_of_two(self):
-        grid = TimeGrid(np.array([1.0, 2.0]), 0.1)
-        a = PiecewiseChf(grid, np.array([0.2, 0.4]))
-        b = PiecewiseChf(grid, np.array([0.4, 0.8]))
-        out = mean_chf([a, b])
-        assert out.values == pytest.approx([0.3, 0.6])
 
 
 class TestConcordanceIndex:
