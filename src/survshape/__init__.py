@@ -56,9 +56,7 @@ from .nam import (
     NamConfig,
     NamModel,
     ShapeCurve,
-    ShapeValues,
     TargetBatch,
-    forward,
     init_model,
     load_model,
     loss_and_gradient,

@@ -15,7 +15,6 @@ built-in defaults; explicit flags still win over the config file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -30,7 +29,7 @@ from .data import (
     load_prepared_csv,
     read_csv_rows,
 )
-from .errors import DataError, NumericError, SurvShapeError
+from .errors import DataError, NumericError, SurvShapeError, _read_json
 from .explain import explain_global, explain_local, surrogate_c_index
 from .forest import (
     ForestConfig,
@@ -59,10 +58,22 @@ class _UsageError(Exception):
     pass
 
 
-def _banner(command: str, settings: dict) -> str:
-    lines = [f"survshape {command} (v{__version__})"]
-    lines += [f"  {key} = {_fmt(value)}" for key, value in settings.items()]
+def _banner(args) -> str:
+    """The command's name, then every option it runs with, in flag order."""
+    lines = [f"survshape {args.command} (v{__version__})"]
+    lines += [f"  {key} = {_fmt(value)}" for key, value in vars(args).items()
+              if key not in ("command", "func", "config")]
     return "\n".join(lines)
+
+
+def _parse_list(args, dest: str, kind):
+    """The comma-separated values of a flag, each parsed by kind (int or float)."""
+    text = getattr(args, dest)
+    try:
+        return tuple(kind(item) for item in text.split(","))
+    except ValueError:
+        raise _UsageError(f"--{dest.replace('_', '-')} needs comma-separated "
+                          f"{kind.__name__}s, not {text!r}") from None
 
 
 def _write_report(out_dir: str, banner: str, body_lines: list[str]) -> None:
@@ -86,14 +97,7 @@ def _load_dataset_for(forest_extra: Optional[dict], path: str):
 
 def cmd_fit(args) -> int:
     out = _ensure_out(args.out)
-    settings = {
-        "data": args.data, "schema": args.schema, "out": out,
-        "trees": args.trees, "min_leaf_events": args.min_leaf_events,
-        "max_depth": args.max_depth, "features_per_split": args.features_per_split,
-        "test_fraction": args.test_fraction, "gamma_fraction": args.gamma_fraction,
-        "seed": args.seed,
-    }
-    banner = _banner("fit", settings)
+    banner = _banner(args)
     print(banner)
 
     if args.schema is not None:
@@ -140,18 +144,8 @@ def cmd_explain(args) -> int:
     if args.mu is None:
         args.mu = 1.0 if args.variant == "shortcut" else 0.0
 
-    hidden = tuple(int(h) for h in args.hidden.split(","))
-    settings = {
-        "forest": args.forest, "data": args.data, "out": out,
-        "mode": args.mode, "variant": args.variant,
-        "center_row": args.center_row, "center_values": args.center_values,
-        "n_points": args.n_points, "lam": args.lam, "mu": args.mu,
-        "epsilon": args.epsilon, "hidden": args.hidden,
-        "activation": args.activation, "learning_rate": args.learning_rate,
-        "epochs": args.epochs, "batch": args.batch, "seed": args.seed,
-        "svg": args.svg,
-    }
-    banner = _banner("explain", settings)
+    hidden = _parse_list(args, "hidden", int)
+    banner = _banner(args)
     print(banner)
 
     forest, extra = load_forest(args.forest)
@@ -166,7 +160,7 @@ def cmd_explain(args) -> int:
                 raise DataError(f"--center-row {args.center_row} outside 0..{dataset.n - 1}")
             center = dataset.features[args.center_row]
         else:
-            center = np.array([float(v) for v in args.center_values.split(",")])
+            center = np.array(_parse_list(args, "center_values", float))
             if center.shape != (dataset.m,):
                 raise _UsageError(
                     f"--center-values needs {dataset.m} comma-separated numbers")
@@ -195,14 +189,9 @@ def cmd_synth(args) -> int:
     out = _ensure_out(args.out)
     if (args.coef is None) == (args.shapes is None):
         raise _UsageError("give exactly one of --coef / --shapes")
-    coef = None if args.coef is None else tuple(float(c) for c in args.coef.split(","))
+    coef = None if args.coef is None else _parse_list(args, "coef", float)
     shapes = None if args.shapes is None else tuple(args.shapes.split(","))
-    settings = {
-        "n": args.n, "m": args.m, "coef": args.coef, "shapes": args.shapes,
-        "scale": args.scale, "shape": args.shape, "censoring": args.censoring,
-        "dist": args.dist, "seed": args.seed, "out": out,
-    }
-    banner = _banner("synth", settings)
+    banner = _banner(args)
     print(banner)
 
     spec = SyntheticSpec(n=args.n, m=args.m, coef=coef, shapes=shapes,
@@ -229,9 +218,7 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _ensure_out(args.out)
-    settings = {"forest": args.forest, "model": args.model, "data": args.data,
-                "out": out}
-    banner = _banner("eval", settings)
+    banner = _banner(args)
     print(banner)
 
     forest, extra = load_forest(args.forest)
@@ -336,13 +323,7 @@ def build_parser():
 
 def _apply_config(subparser, command, path):
     """Load a flat JSON option map and install it as the command's defaults."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    overrides = _read_json(path, "config")
     if not isinstance(overrides, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
     actions = {action.dest: action for action in subparser._actions

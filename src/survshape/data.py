@@ -15,17 +15,20 @@ which is what keeps test-set normalization honest.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, _field
+from .errors import DataError, SchemaError, _field, _read_json
 from .survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 
 _TRUE_WORDS = {"1", "1.0", "true", "yes", "y"}
 _FALSE_WORDS = {"0", "0.0", "false", "no", "n"}
+# Time and event column names of a prepared CSV (export_csv, load_prepared_csv).
+_TIME, _EVENT = "time", "event"
+# Shuffles a split tries before giving up on finding events on both sides.
+_SPLIT_ATTEMPTS = 20
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -79,19 +82,8 @@ class DatasetSchema:
     def from_config(cls, source) -> "DatasetSchema":
         """Build from a JSON config file path or an equivalent dict."""
         if isinstance(source, dict):
-            cfg = source
-        else:
-            try:
-                with open(source, encoding="utf-8") as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                raise SchemaError(f"cannot read schema {source}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"schema {source} is not valid JSON: {exc}") from exc
-        for key in ("time", "event", "features"):
-            if key not in cfg:
-                raise SchemaError(f"schema config is missing the {key!r} key")
-        return cls(cfg["time"], cfg["event"], list(cfg["features"].items()))
+            return cls.from_dict(source, "schema config")
+        return cls.from_dict(_read_json(source, "schema"), f"schema {source}")
 
     @property
     def fitted(self) -> bool:
@@ -194,11 +186,13 @@ class DatasetSchema:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DatasetSchema":
-        """Inverse of to_dict; DataError for a missing or ill-typed key."""
+    def from_dict(cls, payload: dict, where: str = "fitted schema") -> "DatasetSchema":
+        """Inverse of to_dict; DataError for a missing or ill-typed key.
+
+        `where` names the payload in the message.
+        """
         if not isinstance(payload, dict):
-            raise SchemaError("fitted schema must be a JSON object")
-        where = "fitted schema"
+            raise SchemaError(f"{where} must be a JSON object")
         schema = cls(_field(payload, "time", str, where), _field(payload, "event", str, where),
                      list(_field(payload, "features", dict, where).items()))
         levels = payload.get("levels", {})
@@ -227,34 +221,45 @@ def load_csv(path, schema: DatasetSchema) -> SurvivalDataset:
     return schema.fit_transform(rows)
 
 
-def train_test_split(dataset: SurvivalDataset, test_fraction: float, seed: int = 0,
-                     max_retries: int = 20):
+def _split_indices(n: int, test_fraction: float, seed: int):
+    """Candidate (train, test) row indices of n rows, one seeded shuffle each.
+
+    The test side takes round(n * test_fraction) rows, clamped to 1..n-1;
+    attempt a shuffles with default_rng([seed, a]). A side of fewer than
+    2 rows can never hold a dataset, so it is a DataError at once.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise DataError("test_fraction must lie strictly between 0 and 1")
+    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
+    if min(n_test, n - n_test) < 2:
+        raise DataError(f"a split of {n} rows at test fraction {test_fraction} gives "
+                        f"{n - n_test} train and {n_test} test rows; each side needs "
+                        f"at least 2")
+    for attempt in range(_SPLIT_ATTEMPTS):
+        order = np.random.default_rng([seed, attempt]).permutation(n)
+        yield order[n_test:], order[:n_test]
+
+
+def train_test_split(dataset: SurvivalDataset, test_fraction: float, seed: int = 0):
     """Seeded shuffle into (train, test); both parts must keep >= 1 event.
 
     Event-starved shuffles are retried with fresh derived seeds a bounded
     number of times before giving up with a DataError.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError("test_fraction must lie strictly between 0 and 1")
-    n_test = int(round(dataset.n * test_fraction))
-    n_test = min(max(n_test, 1), dataset.n - 1)
-    for attempt in range(max_retries):
-        order = np.random.default_rng([seed, attempt]).permutation(dataset.n)
-        test_idx, train_idx = order[:n_test], order[n_test:]
+    for train_idx, test_idx in _split_indices(dataset.n, test_fraction, seed):
         try:
             return dataset.subset(train_idx), dataset.subset(test_idx)
         except DataError:
             continue
     raise DataError(f"could not find a split with events on both sides "
-                    f"in {max_retries} tries")
+                    f"in {_SPLIT_ATTEMPTS} tries")
 
 
-def export_csv(dataset: SurvivalDataset, path, time_column: str = "time",
-               event_column: str = "event") -> None:
+def export_csv(dataset: SurvivalDataset, path) -> None:
     """Write the prepared matrix as CSV; floats use repr so reload is exact."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [time_column, event_column])
+        writer.writerow(list(dataset.feature_names) + [_TIME, _EVENT])
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.features[i]]
             row.append(repr(float(dataset.times[i])))
@@ -262,8 +267,7 @@ def export_csv(dataset: SurvivalDataset, path, time_column: str = "time",
             writer.writerow(row)
 
 
-def load_prepared_csv(path, time_column: str = "time",
-                      event_column: str = "event") -> SurvivalDataset:
+def load_prepared_csv(path) -> SurvivalDataset:
     """Read a CSV written by export_csv (or any already-encoded file) verbatim.
 
     Every non-time/event column is a feature taken as-is, no re-fitting;
@@ -273,15 +277,15 @@ def load_prepared_csv(path, time_column: str = "time",
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     header = list(rows[0].keys())
-    for col in (time_column, event_column):
+    for col in (_TIME, _EVENT):
         if col not in header:
             raise SchemaError(f"column {col!r} missing from {path}")
-    feature_names = [c for c in header if c not in (time_column, event_column)]
+    feature_names = [c for c in header if c not in (_TIME, _EVENT)]
     if not feature_names:
         raise SchemaError(f"{path}: no feature columns")
-    times = np.array([_parse_float(r[time_column], time_column, i)
+    times = np.array([_parse_float(r[_TIME], _TIME, i)
                       for i, r in enumerate(rows)])
-    events = np.array([_parse_event(r[event_column], i) for i, r in enumerate(rows)],
+    events = np.array([_parse_event(r[_EVENT], i) for i, r in enumerate(rows)],
                       dtype=int)
     features = np.column_stack([
         np.array([_parse_float(r[name], name, i) for i, r in enumerate(rows)])
@@ -296,29 +300,23 @@ def _is_missing(cell) -> bool:
 
 
 def load_and_split_csv(path, schema: DatasetSchema, test_fraction: float,
-                       seed: int = 0, max_retries: int = 20):
+                       seed: int = 0):
     """Row-level split, then fit the schema on the training rows only.
 
     Returns (train, test); normalization statistics never see the test rows.
+    The rows are split as train_test_split splits a dataset of that size.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError("test_fraction must lie strictly between 0 and 1")
     rows = read_csv_rows(path)
-    n = len(rows)
-    if n < 2:
+    if len(rows) < 2:
         raise SchemaError(f"{path}: need at least 2 data rows")
-    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
-    last_error: Optional[Exception] = None
-    for attempt in range(max_retries):
-        order = np.random.default_rng([seed, attempt]).permutation(n)
-        test_rows = [rows[i] for i in order[:n_test]]
-        train_rows = [rows[i] for i in order[n_test:]]
+    last_error = None
+    for train_idx, test_idx in _split_indices(len(rows), test_fraction, seed):
         trial = DatasetSchema(schema.time_column, schema.event_column,
                               schema.feature_specs)
         try:
-            train = trial.fit_transform(train_rows)
-            test = trial.transform(test_rows)
-        except (DataError, SchemaError) as exc:
+            train = trial.fit_transform([rows[i] for i in train_idx])
+            test = trial.transform([rows[i] for i in test_idx])
+        except DataError as exc:
             last_error = exc
             continue
         schema.levels = trial.levels

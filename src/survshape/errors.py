@@ -2,9 +2,12 @@
 
 DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The
-JSON readers share `_field`, which turns a missing or ill-typed key into
-a DataError.
+JSON readers share `_read_json`, which turns an unreadable or unparsable
+file into a DataError, and `_field`, which does the same for a missing
+or ill-typed key.
 """
+
+import json
 
 
 class SurvShapeError(Exception):
@@ -63,3 +66,19 @@ def _field(obj: dict, key: str, kind, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DataError(f"{where}'s {key!r} has the wrong type")
     return value
+
+
+def _read_json(path, kind: str):
+    """The parsed content of a JSON file; DataError when it cannot be read.
+
+    `kind` names the file in the message, e.g. "forest" gives "...: not a
+    valid forest file: ...". A missing or unreadable file, invalid UTF-8
+    and invalid JSON each give a one-line message.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a valid {kind} file: {exc}") from exc

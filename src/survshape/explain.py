@@ -60,6 +60,8 @@ __all__ = [
 
 # About how many squared distances dataset_diameter forms at a time (8 MB).
 _DIAMETER_BLOCK_ELEMENTS = 1 << 20
+# Points on the sampled curve of a numeric feature.
+_CURVE_SAMPLES = 101
 
 
 @dataclass(frozen=True)
@@ -227,21 +229,21 @@ def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
     log_baseline = np.log(np.maximum(baseline.values, epsilon))
     values = np.asarray(box.predict_chf_matrix(points), dtype=float)
     rows = np.log(np.maximum(values, epsilon)) - log_baseline[None, :]
-    return TargetBatch(points, rows, baseline.grid.widths, weights, epsilon)
+    return TargetBatch(points, rows, baseline.grid.widths, weights)
 
 
-def _curve_grid(values: np.ndarray, kind: str, samples: int) -> np.ndarray:
+def _curve_grid(values: np.ndarray, kind: str) -> np.ndarray:
     if kind != KIND_NUMERIC:
         return np.unique(values)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         return np.array([lo])
-    return np.linspace(lo, hi, samples)
+    return np.linspace(lo, hi, _CURVE_SAMPLES)
 
 
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
-                     epsilon, gamma_fraction, curve_samples, params):
-    box = _as_batch(blackbox, lambda: build_time_grid(dataset, gamma_fraction))
+                     epsilon, params):
+    box = _as_batch(blackbox, lambda: build_time_grid(dataset))
     baseline = nelson_aalen(dataset, box.grid)
     targets = build_targets(box, baseline, points, weights, epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
@@ -250,7 +252,7 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
     curves = []
     for k, kind in enumerate(dataset.feature_kinds):
         reference = points[:, k]
-        xs = _curve_grid(reference, kind, curve_samples)
+        xs = _curve_grid(reference, kind)
         curves.append(shape_curve(model, k, xs, reference))
 
     if model.variant == "lasso":
@@ -279,8 +281,7 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
 def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
                   lam: float = 0.0, mu: float = 0.0, n_points: int = 100,
-                  epsilon: float = 1e-5, seed: int = 0,
-                  gamma_fraction: float = 0.01, curve_samples: int = 101) -> Explanation:
+                  epsilon: float = 1e-5, seed: int = 0) -> Explanation:
     """Explain the black box around one point via a perturbation neighborhood.
 
     The kernel radius is the largest distance between x and a generated
@@ -293,13 +294,11 @@ def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
               "epsilon": epsilon, "n_points": n_points, "seed": seed,
               "center": x.tolist()}
     return _fit_and_package("local", blackbox, dataset, nbhd.points, nbhd.weights,
-                            config, lam, mu, epsilon, gamma_fraction, curve_samples,
-                            params)
+                            config, lam, mu, epsilon, params)
 
 
 def explain_global(blackbox, dataset: SurvivalDataset, config: NamConfig,
-                   lam: float = 0.0, mu: float = 0.0, epsilon: float = 1e-5,
-                   gamma_fraction: float = 0.01, curve_samples: int = 101) -> Explanation:
+                   lam: float = 0.0, mu: float = 0.0, epsilon: float = 1e-5) -> Explanation:
     """Explain the black box over the whole training set with unit weights."""
     points = dataset.features.copy()
     weights = np.ones(dataset.n)
@@ -307,7 +306,7 @@ def explain_global(blackbox, dataset: SurvivalDataset, config: NamConfig,
               "epsilon": epsilon, "n_points": dataset.n, "seed": config.seed,
               "center": None}
     return _fit_and_package("global", blackbox, dataset, points, weights, config,
-                            lam, mu, epsilon, gamma_fraction, curve_samples, params)
+                            lam, mu, epsilon, params)
 
 
 def surrogate_c_index(explanation: Union[Explanation, NamModel], blackbox,

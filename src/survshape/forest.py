@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _field
+from .errors import DataError, _field, _read_json
 from .survival import (
     PiecewiseChf,
     SurvivalDataset,
@@ -194,12 +194,6 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
                           dataset.feature_kinds, config)
 
 
-def _tree_values(node: dict, x: np.ndarray) -> np.ndarray:
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["values"]
-
-
 def _tree_values_batch(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
     if "values" in node:
         out[idx] = node["values"]
@@ -209,29 +203,21 @@ def _tree_values_batch(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarr
     _tree_values_batch(node["right"], x, out, idx[~mask])
 
 
-def _check_input(forest: SurvivalForest, x: np.ndarray, name="x"):
-    if x.shape[-1] != forest.m:
-        raise DataError(f"{name} has {x.shape[-1]} features, forest expects {forest.m}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{name} contains non-finite values")
-
-
 def predict_chf(forest: SurvivalForest, x) -> PiecewiseChf:
-    """Mean over trees of the leaf CHFs reached by x, on the shared grid."""
+    """Mean over trees of the leaf CHFs reached by x: one row of predict_chf_matrix."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("predict_chf takes a single feature vector")
-    _check_input(forest, x)
-    total = np.zeros(forest.grid.n_intervals)
-    for tree in forest.trees:
-        total += _tree_values(tree, x)
-    return PiecewiseChf(forest.grid, total / len(forest.trees))
+    return PiecewiseChf(forest.grid, predict_chf_matrix(forest, x[None, :])[0])
 
 
 def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
     """CHF values for many rows at once; shape (n, s+1)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_input(forest, x)
+    if x.shape[-1] != forest.m:
+        raise DataError(f"x has {x.shape[-1]} features, forest expects {forest.m}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("x contains non-finite values")
     total = np.zeros((x.shape[0], forest.grid.n_intervals))
     scratch = np.empty_like(total)
     all_rows = np.arange(x.shape[0])
@@ -327,15 +313,11 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
 def load_forest(path):
     """Read a forest written by save_forest; returns (forest, extra).
 
-    Invalid JSON, a missing or ill-typed key, an `extra` that is neither
-    an object nor null, an unknown config key or a tree that does not fit
-    the grid and features raises DataError.
+    An unreadable file, invalid JSON, a missing or ill-typed key, an
+    `extra` that is neither an object nor null, an unknown config key or
+    a tree that does not fit the grid and features raises DataError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise DataError(f"{path}: not a valid forest file: {exc}") from exc
+    payload = _read_json(path, "forest")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-forest":
         raise DataError(f"{path}: not a survshape forest file")
     if payload.get("version") != 1:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDivergedError, _field
+from .errors import DataError, NumericError, TrainingDivergedError, _field, _read_json
 
 VARIANTS = ("base", "lasso", "shortcut")
 
@@ -83,14 +83,12 @@ class TargetBatch:
     log_ratios : (n, s+1) targets, log H_j(x_i) - log H_0j (epsilon-floored)
     widths : (s+1,) interval widths weighting each column's residual
     weights : (n,) nonnegative per-example kernel weights
-    epsilon : the floor applied when the targets were built
     """
 
     x: np.ndarray
     log_ratios: np.ndarray
     widths: np.ndarray
     weights: np.ndarray
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -121,15 +119,7 @@ class TargetBatch:
 
     def rows(self, idx) -> "TargetBatch":
         return TargetBatch(self.x[idx], self.log_ratios[idx], self.widths,
-                           self.weights[idx], self.epsilon)
-
-
-@dataclass(frozen=True)
-class ShapeValues:
-    """Per-feature contributions g and the combined additive log-risk."""
-
-    g: np.ndarray
-    log_risk: float
+                           self.weights[idx])
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,6 @@ class ShapeCurve:
     feature: int
     xs: np.ndarray
     values: np.ndarray
-    centered: bool
 
 
 @dataclass
@@ -276,16 +265,6 @@ def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         linear = (1.0 - model.alpha) * model.omega
         total = model.alpha @ g + x @ linear
     return total + model.bias[0]
-
-
-def forward(model: NamModel, x) -> ShapeValues:
-    """Per-feature contributions and the additive log-risk for one input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.m,):
-        raise DataError(f"expected a length-{model.m} feature vector")
-    g = subnet_outputs(model, x[None, :])
-    log_risk = _combine(model, g, x[None, :])
-    return ShapeValues(g[:, 0].copy(), float(log_risk[0]))
 
 
 def predict_log_risk(model: NamModel, x) -> np.ndarray:
@@ -460,24 +439,22 @@ def feature_contribution(model: NamModel, k: int, xs) -> np.ndarray:
     return g
 
 
-def shape_curve(model: NamModel, k: int, grid, reference=None) -> ShapeCurve:
+def shape_curve(model: NamModel, k: int, grid, reference) -> ShapeCurve:
     """Sampled contribution curve for feature k, centered over reference values.
 
     The curve is shifted so its mean over the reference coordinates is 0;
-    with no reference points the shift is skipped and the curve flagged
-    uncentered.
+    a missing or empty reference raises DataError.
     """
     if not 0 <= k < model.m:
         raise DataError(f"feature index {k} out of range")
     xs = np.asarray(grid, dtype=float).ravel()
     if np.any(np.diff(xs) < 0):
         raise DataError("curve grid must be sorted")
+    if reference is None or np.size(reference) == 0:
+        raise DataError("shape curves need reference values to center on")
     values = feature_contribution(model, k, xs)
-    reference = None if reference is None else np.asarray(reference, dtype=float).ravel()
-    if reference is None or reference.size == 0:
-        return ShapeCurve(k, xs, values, centered=False)
     offset = float(np.mean(feature_contribution(model, k, reference)))
-    return ShapeCurve(k, xs, values - offset, centered=True)
+    return ShapeCurve(k, xs, values - offset)
 
 
 def save_model(model: NamModel, path) -> None:
@@ -522,15 +499,11 @@ def _fill(target: np.ndarray, blob, key: str, where: str) -> None:
 def load_model(path) -> NamModel:
     """Read a checkpoint written by save_model.
 
-    Invalid JSON, a missing or ill-typed key, a config NamConfig rejects
-    and arrays whose shapes do not fit the config, the feature count or
-    the variant's heads raise DataError.
+    An unreadable file, invalid JSON, a missing or ill-typed key, a
+    config NamConfig rejects and arrays whose shapes do not fit the
+    config, the feature count or the variant's heads raise DataError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise DataError(f"{path}: not a valid model file: {exc}") from exc
+    payload = _read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
         raise DataError(f"{path}: not a survshape model checkpoint")
     if payload.get("version") != 1:

@@ -11,7 +11,6 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -107,17 +106,16 @@ def _panel_svg(name, curve, reference, x0, y0) -> list[str]:
 
     # density strip: histogram of the reference values, opacity ~ density
     strip_top = top + plot_h + 3
-    if reference is not None and reference.size:
-        bins = min(24, max(4, int(math.sqrt(reference.size)) * 2))
-        counts, edges = np.histogram(reference, bins=bins, range=(x_lo, x_hi))
-        peak = counts.max() if counts.max() > 0 else 1
-        for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-            if c == 0:
-                continue
-            opacity = 0.15 + 0.85 * (c / peak)
-            parts.append(f'<rect x="{px(lo):.1f}" y="{strip_top:.1f}" '
-                         f'width="{max(px(hi) - px(lo), 0.5):.1f}" height="{_STRIP_H}" '
-                         f'fill="#d95f02" fill-opacity="{opacity:.3f}"/>')
+    bins = min(24, max(4, int(math.sqrt(reference.size)) * 2))
+    counts, edges = np.histogram(reference, bins=bins, range=(x_lo, x_hi))
+    peak = counts.max() if counts.max() > 0 else 1
+    for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
+        if c == 0:
+            continue
+        opacity = 0.15 + 0.85 * (c / peak)
+        parts.append(f'<rect x="{px(lo):.1f}" y="{strip_top:.1f}" '
+                     f'width="{max(px(hi) - px(lo), 0.5):.1f}" height="{_STRIP_H}" '
+                     f'fill="#d95f02" fill-opacity="{opacity:.3f}"/>')
 
     if len(xs) == 1:
         parts.append(f'<circle cx="{px(xs[0]):.1f}" cy="{py(ys[0]):.1f}" r="2.5" '
@@ -140,10 +138,10 @@ def _panel_svg(name, curve, reference, x0, y0) -> list[str]:
     return parts
 
 
-def write_shapes_svg(expl: Explanation, path, columns: Optional[int] = None) -> None:
+def write_shapes_svg(expl: Explanation, path) -> None:
     """Small-multiples plot of every centered shape curve with density strips."""
     m = expl.m
-    cols = columns if columns else max(1, int(math.ceil(math.sqrt(m))))
+    cols = max(1, int(math.ceil(math.sqrt(m))))
     rows = int(math.ceil(m / cols))
     width = cols * _PANEL_W + (cols + 1) * _GAP
     height = rows * _PANEL_H + (rows + 1) * _GAP
@@ -157,8 +155,7 @@ def write_shapes_svg(expl: Explanation, path, columns: Optional[int] = None) -> 
         r, c = divmod(k, cols)
         x0 = _GAP + c * (_PANEL_W + _GAP)
         y0 = _GAP + r * (_PANEL_H + _GAP)
-        reference = expl.reference_points[:, k] if expl.reference_points.size else None
-        parts.extend(_panel_svg(name, curve, reference, x0, y0))
+        parts.extend(_panel_svg(name, curve, expl.reference_points[:, k], x0, y0))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -216,6 +216,18 @@ class TestConfigFile:
                     "--out", str(tmp_path), "--config", str(cfg)])
         assert code == 2
 
+    def test_banner_lists_flags_not_the_config_file(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trees": 4, "min_leaf_events": 2}))
+        out = tmp_path / "o"
+        common = ["fit", "--data", str(synth_dir / "dataset.csv"), "--out", str(out)]
+        assert run(common + ["--trees", "4", "--min-leaf-events", "2"]) == 0
+        from_flags = (out / "report.txt").read_text().split("\n\n")[0]
+        assert run(common + ["--config", str(cfg)]) == 0
+        from_config = (out / "report.txt").read_text().split("\n\n")[0]
+        assert from_config == from_flags
+        assert "  trees = 4\n" in from_config and "config" not in from_config
+
     def test_shortcut_mu_defaults_to_one(self, synth_dir, fitted_dir, tmp_path):
         out = tmp_path / "m"
         code = run(["explain", "--forest", str(fitted_dir / "forest.bin"),
@@ -454,3 +466,55 @@ class TestConfigValueTypes:
                                    "out": str(out)}))
         assert run(["synth", "--config", str(cfg)]) == 0
         assert "  scale = 2.0\n" in (out / "report.txt").read_text()
+
+
+class TestCommaListFlags:
+    """A bad element in a comma-separated flag is a usage error: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["explain", "--hidden", "8,x"], "--hidden needs comma-separated ints"),
+        (["explain", "--hidden", ""], "--hidden needs comma-separated ints"),
+        (["explain", "--mode", "local", "--center-values", "1,a,2"],
+         "--center-values needs comma-separated floats"),
+        (["synth", "--n", "20", "--m", "2", "--coef", "1,zz"],
+         "--coef needs comma-separated floats"),
+    ], ids=["hidden-text", "hidden-empty", "center-values-text", "coef-text"])
+    def test_bad_element_exits_2(self, argv, message, synth_dir, fitted_dir, tmp_path,
+                                 capsys):
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if argv[0] == "explain":
+            argv += ["--forest", str(fitted_dir / "forest.bin"),
+                     "--data", str(synth_dir / "dataset.csv"), "--epochs", "5"]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestMalformedConfigAndSchema:
+    """fit with a broken --config or --schema file: exit 3 and one line on stderr."""
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--config", b'{"trees": "\xff"}', "not a valid config file"),
+        ("--schema", b'{"time": "\xff"}', "not a valid schema file"),
+        ("--schema", b'{"time": "time", "event": "event", "features": [1]}',
+         "'features' has the wrong type"),
+    ], ids=["config-invalid-utf8", "schema-invalid-utf8", "schema-features-list"])
+    def test_exit_3(self, flag, content, message, synth_dir, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        code = run(["fit", "--data", str(synth_dir / "dataset.csv"), "--trees", "2",
+                    "--out", str(tmp_path / "out"), flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_config_not_an_object_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code = run(["fit", "--data", str(synth_dir / "dataset.csv"),
+                    "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert code == 2
+        assert "must hold a JSON object" in capsys.readouterr().err

@@ -154,6 +154,25 @@ class TestTrainTestSplit:
         with pytest.raises(DataError):
             train_test_split(ds, 0.5, seed=0)
 
+    def test_one_row_side_names_both_sizes(self, tmp_path):
+        ds = SurvivalDataset.from_arrays(np.arange(5.0)[:, None], np.arange(1.0, 6.0),
+                                         np.ones(5, dtype=int))
+        with pytest.raises(DataError, match="4 train and 1 test rows"):
+            train_test_split(ds, 0.25, seed=0)
+        path = tmp_path / "d.csv"
+        export_csv(ds, path)
+        schema = DatasetSchema.from_config({"time": "time", "event": "event",
+                                            "features": {"x0": "numeric"}})
+        with pytest.raises(DataError, match="4 train and 1 test rows"):
+            load_and_split_csv(path, schema, 0.25, seed=0)
+
+    def test_single_event_exhausts_the_retries(self):
+        # 6 rows, one event, 3 per side: every shuffle starves one side
+        ds = SurvivalDataset.from_arrays(np.arange(6.0)[:, None], np.arange(1.0, 7.0),
+                                         np.array([1, 0, 0, 0, 0, 0]))
+        with pytest.raises(DataError, match="could not find a split"):
+            train_test_split(ds, 0.5, seed=0)
+
     def test_bad_fraction(self):
         with pytest.raises(DataError):
             train_test_split(self.make(), 1.5)
@@ -197,3 +216,16 @@ class TestLoadAndSplit:
         assert train.features[:, 0].std() == pytest.approx(1.0, abs=1e-12)
         # test column generally is notexactly standardized
         assert abs(test.features[:, 0].mean()) > 1e-6
+
+    def test_same_rows_as_train_test_split(self, tmp_path):
+        spec = SyntheticSpec(n=60, m=2, coef=(1.0, 0.0), censoring_rate=0.3, seed=8)
+        ds, _ = generate_cox_data(spec)
+        path = tmp_path / "prepared.csv"
+        export_csv(ds, path)
+        schema = DatasetSchema.from_config({"time": "time", "event": "event",
+                                            "features": {"x0": "numeric", "x1": "numeric"}})
+        by_csv = load_and_split_csv(path, schema, 0.3, seed=4)
+        by_dataset = train_test_split(load_prepared_csv(path), 0.3, seed=4)
+        for a, b in zip(by_csv, by_dataset):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.events, b.events)

@@ -261,7 +261,6 @@ class TestExplainLocal:
             offset = vals.mean()
             recon = feature_contribution(expl.model, k, curve.xs) - offset
             assert np.allclose(recon, curve.values, atol=1e-10)
-            assert curve.centered
 
 
 class TestExplainGlobal:

@@ -204,6 +204,15 @@ class TestFitAndPredict:
         batch = predict_chf_matrix(forest, ds.features)
         for i in range(ds.n):
             assert np.array_equal(batch[i], predict_chf(forest, ds.features[i]).values)
+        # Rows off the training data, through the forest's own method.
+        spec = SyntheticSpec(n=120, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.3, seed=2)
+        forest = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=10, seed=3))
+        x = np.random.default_rng(4).uniform(-1, 1, (50, 3))
+        batch = predict_chf_matrix(forest, x)
+        for i in range(len(x)):
+            single = forest.predict_chf(x[i]).values
+            assert np.array_equal(single, predict_chf_matrix(forest, x[i][None])[0])
+            assert np.array_equal(single, batch[i])
 
     def test_prediction_monotone(self):
         spec = SyntheticSpec(n=80, m=3, coef=(1.0, -0.5, 0.0), censoring_rate=0.25, seed=4)

@@ -6,7 +6,6 @@ from survshape.nam import (
     NamConfig,
     NamModel,
     TargetBatch,
-    forward,
     init_model,
     load_model,
     loss_and_gradient,
@@ -61,9 +60,9 @@ class TestInitAndForward:
 
     def test_fresh_model_finite(self):
         model = init_model(4, small_config())
-        out = forward(model, np.array([0.3, -1.0, 2.0, 0.0]))
-        assert np.isfinite(out.log_risk)
-        assert np.all(np.isfinite(out.g))
+        x = np.array([[0.3, -1.0, 2.0, 0.0]])
+        assert np.all(np.isfinite(predict_log_risk(model, x)))
+        assert np.all(np.isfinite(subnet_outputs(model, x)))
 
     def test_head_initial_values(self):
         lasso = init_model(2, small_config("lasso"))
@@ -77,33 +76,35 @@ class TestInitAndForward:
         model = init_model(2, small_config())
         model.layer_weights[-1][...] = 0.0
         model.layer_biases[-1][...] = 0.0
-        assert forward(model, np.array([0.7, -0.4])).log_risk == 0.0
+        assert predict_log_risk(model, np.array([[0.7, -0.4]]))[0] == 0.0
 
     def test_shortcut_pure_linear_path(self):
         model = init_model(3, small_config("shortcut"))
         model.alpha[...] = 0.0
         model.omega[...] = 2.5
         x = np.array([0.1, -0.2, 0.3])
-        out = forward(model, x)
-        assert out.log_risk == pytest.approx(2.5 * x.sum() + model.bias[0])
+        log_risk = predict_log_risk(model, x[None, :])[0]
+        assert log_risk == pytest.approx(2.5 * x.sum() + model.bias[0])
 
     def test_additivity_single_coordinate(self):
         rng = np.random.default_rng(3)
         model = init_model(4, small_config())
         randomize_params(model, rng)
         x = rng.uniform(-1, 1, 4)
-        base_g = forward(model, x).g
+        base_g = subnet_outputs(model, x[None, :])[:, 0]
         for j in range(4):
             x2 = x.copy()
             x2[j] += 0.5
-            g2 = forward(model, x2).g
+            g2 = subnet_outputs(model, x2[None, :])[:, 0]
             changed = ~np.isclose(g2, base_g)
             assert not changed[np.arange(4) != j].any()
 
     def test_dimension_mismatch(self):
         model = init_model(3, small_config())
         with pytest.raises(DataError):
-            forward(model, np.array([1.0, 2.0]))
+            subnet_outputs(model, np.array([[1.0, 2.0]]))
+        with pytest.raises(DataError):
+            predict_log_risk(model, np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
     def test_log_risk_recomputable_from_g(self, variant):
@@ -111,15 +112,15 @@ class TestInitAndForward:
         model = init_model(3, small_config(variant))
         randomize_params(model, rng)
         x = rng.uniform(-1, 1, 3)
-        out = forward(model, x)
+        g = subnet_outputs(model, x[None, :])[:, 0]
         if variant == "base":
-            expected = out.g.sum() + model.bias[0]
+            expected = g.sum() + model.bias[0]
         elif variant == "lasso":
-            expected = model.beta @ out.g + model.bias[0]
+            expected = model.beta @ g + model.bias[0]
         else:
-            expected = (model.alpha @ out.g
+            expected = (model.alpha @ g
                         + ((1 - model.alpha) * model.omega) @ x + model.bias[0])
-        assert out.log_risk == pytest.approx(expected, abs=1e-12)
+        assert predict_log_risk(model, x[None, :])[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestLossAndGradient:
@@ -282,7 +283,6 @@ class TestShapeCurve:
         reference = rng.uniform(-1, 1, 40)
         curve = shape_curve(model, 0, np.linspace(-1, 1, 21), reference)
         recentered = shape_curve(model, 0, np.sort(reference), reference)
-        assert curve.centered
         assert float(np.mean(recentered.values)) == pytest.approx(0.0, abs=1e-10)
 
     def test_lasso_zero_coefficient_flat(self):
@@ -298,15 +298,15 @@ class TestShapeCurve:
         model.alpha[1] = 0.0
         model.omega[1] = 1.3
         xs = np.linspace(-2, 2, 9)
-        curve = shape_curve(model, 1, xs, None)
+        curve = shape_curve(model, 1, xs, xs)
         slopes = np.diff(curve.values) / np.diff(xs)
         assert np.allclose(slopes, 1.3, atol=1e-12)
-        assert not curve.centered
 
     def test_empty_reference_flagged(self):
         model = init_model(1, small_config())
-        curve = shape_curve(model, 0, np.linspace(0, 1, 5), [])
-        assert not curve.centered
+        for reference in ([], None):
+            with pytest.raises(DataError, match="reference"):
+                shape_curve(model, 0, np.linspace(0, 1, 5), reference)
 
 
 class TestCheckpoint:
