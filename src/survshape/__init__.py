@@ -47,9 +47,7 @@ from .forest import (
     fit_forest,
     load_forest,
     permutation_importance,
-    predict_chf,
     predict_chf_matrix,
-    risk_scores,
     save_forest,
 )
 from .nam import (
@@ -75,6 +73,7 @@ from .survival import (
     build_time_grid,
     concordance_index,
     nelson_aalen,
+    risk_scores,
 )
 from .synthetic import (
     ExactCoxPredictor,

@@ -35,7 +35,6 @@ from .forest import (
     ForestConfig,
     fit_forest,
     load_forest,
-    risk_scores,
     save_forest,
 )
 from .nam import NamConfig, load_model, save_model
@@ -45,7 +44,7 @@ from .report import (
     write_explanation_csv,
     write_shapes_svg,
 )
-from .survival import concordance_index
+from .survival import concordance_index, risk_scores
 from .synthetic import SHAPE_FUNCTIONS, SyntheticSpec, generate_cox_data
 
 EXIT_OK = 0
@@ -136,7 +135,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    out = _ensure_out(args.out)
     if args.mode == "local" and args.center_row is None and args.center_values is None:
         raise _UsageError("local mode needs --center-row or --center-values")
     if args.center_row is not None and args.center_values is not None:
@@ -164,6 +162,8 @@ def cmd_explain(args) -> int:
             if center.shape != (dataset.m,):
                 raise _UsageError(
                     f"--center-values needs {dataset.m} comma-separated numbers")
+    out = _ensure_out(args.out)
+    if args.mode == "local":
         explanation = explain_local(forest, dataset, center, config,
                                     lam=args.lam, mu=args.mu,
                                     n_points=args.n_points, epsilon=args.epsilon,
@@ -186,11 +186,11 @@ def cmd_explain(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _ensure_out(args.out)
     if (args.coef is None) == (args.shapes is None):
         raise _UsageError("give exactly one of --coef / --shapes")
     coef = None if args.coef is None else _parse_list(args, "coef", float)
     shapes = None if args.shapes is None else tuple(args.shapes.split(","))
+    out = _ensure_out(args.out)
     banner = _banner(args)
     print(banner)
 

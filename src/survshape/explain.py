@@ -9,16 +9,14 @@ as the point cloud and unit weights.
 The black box is read through one protocol: a `grid` (TimeGrid) and
 `predict_chf_matrix(x) -> (n, s+1) array` of cumulative hazards on that
 grid, which must be the baseline's grid. Its risk score is the
-integrated CHF, `predict_chf_matrix(x) @ grid.widths`. A box with only a
-per-row `predict_chf(x) -> PiecewiseChf`, or a bare callable of that
-kind, is adapted at each entry point by stacking its rows.
+integrated CHF, `survival.risk_scores`. A per-row model is wrapped by its
+caller into a box whose `predict_chf_matrix` stacks the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,10 +35,9 @@ from .survival import (
     KIND_NUMERIC,
     PiecewiseChf,
     SurvivalDataset,
-    TimeGrid,
-    build_time_grid,
     concordance_index,
     nelson_aalen,
+    risk_scores,
 )
 
 __all__ = [
@@ -187,47 +184,17 @@ def build_neighborhood(x, dataset: SurvivalDataset, n_points: int = 100,
     return Neighborhood(x, points, weights, radius)
 
 
-def _as_batch(blackbox, default_grid: Callable[[], TimeGrid]):
-    """The black box under the batch protocol: `grid` plus `predict_chf_matrix`.
-
-    A box that has predict_chf_matrix is returned as it is. Any other box
-    is read row by row through its predict_chf, or called itself, and its
-    rows are stacked; if it has no grid of its own, it gets default_grid().
-    """
-    if hasattr(blackbox, "predict_chf_matrix"):
-        return blackbox
-    predict = getattr(blackbox, "predict_chf", blackbox)
-    if not callable(predict):
-        raise DataError("black box must expose predict_chf_matrix or predict_chf, "
-                        "or be callable")
-    grid = getattr(blackbox, "grid", None) or default_grid()
-
-    def predict_chf_matrix(x) -> np.ndarray:
-        chfs = [predict(point) for point in np.atleast_2d(x)]
-        if any(chf.grid != grid for chf in chfs):
-            raise AlignmentError("black-box CHF rows do not all lie on the box's grid")
-        return np.array([chf.values for chf in chfs])
-
-    return SimpleNamespace(grid=grid, predict_chf_matrix=predict_chf_matrix)
-
-
-def _risk(box, x: np.ndarray) -> np.ndarray:
-    """Integrated-CHF risk scores of a batch-protocol box."""
-    return np.asarray(box.predict_chf_matrix(x), dtype=float) @ box.grid.widths
-
-
 def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
                   epsilon: float = 1e-5) -> TargetBatch:
     """Log-ratio targets ln H_j(x_i) - ln H_0j with both sides epsilon-floored."""
     if not epsilon > 0:
         raise DataError("epsilon must be positive")
-    box = _as_batch(blackbox, lambda: baseline.grid)
-    if box.grid != baseline.grid:
+    if blackbox.grid != baseline.grid:
         raise AlignmentError("black-box CHF grid differs from the baseline grid")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float)
     log_baseline = np.log(np.maximum(baseline.values, epsilon))
-    values = np.asarray(box.predict_chf_matrix(points), dtype=float)
+    values = np.asarray(blackbox.predict_chf_matrix(points), dtype=float)
     rows = np.log(np.maximum(values, epsilon)) - log_baseline[None, :]
     return TargetBatch(points, rows, baseline.grid.widths, weights)
 
@@ -243,9 +210,8 @@ def _curve_grid(values: np.ndarray, kind: str) -> np.ndarray:
 
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
                      epsilon, params):
-    box = _as_batch(blackbox, lambda: build_time_grid(dataset))
-    baseline = nelson_aalen(dataset, box.grid)
-    targets = build_targets(box, baseline, points, weights, epsilon)
+    baseline = nelson_aalen(dataset, blackbox.grid)
+    targets = build_targets(blackbox, baseline, points, weights, epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
     model, trace = train(model, targets, config, lam, mu)
 
@@ -268,7 +234,7 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
     try:
         c_index = concordance_index(predict_log_risk(model, dataset.features), dataset)
-        c_blackbox = concordance_index(_risk(box, dataset.features), dataset)
+        c_blackbox = concordance_index(risk_scores(blackbox, dataset.features), dataset)
     except MetricUndefinedError:
         c_index = None
         c_blackbox = None
@@ -314,11 +280,9 @@ def surrogate_c_index(explanation: Union[Explanation, NamModel], blackbox,
     """Concordance of the black box and of the surrogate on held-out data.
 
     Black-box risk is the integrated CHF; surrogate risk is the additive
-    log-risk itself (exp is monotone, so the ordering is the Cox one). A
-    per-row box with no grid of its own is read on the test data's grid.
+    log-risk itself (exp is monotone, so the ordering is the Cox one).
     """
     model = explanation.model if isinstance(explanation, Explanation) else explanation
-    box = _as_batch(blackbox, lambda: build_time_grid(test))
-    c_blackbox = concordance_index(_risk(box, test.features), test)
+    c_blackbox = concordance_index(risk_scores(blackbox, test.features), test)
     c_surrogate = concordance_index(predict_log_risk(model, test.features), test)
     return c_blackbox, c_surrogate

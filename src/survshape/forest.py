@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import DataError, _field, _read_json
 from .survival import (
-    PiecewiseChf,
     SurvivalDataset,
     TimeGrid,
     _hazard_increments,
     _step_values,
     build_time_grid,
     concordance_index,
+    risk_scores,
 )
 
 
@@ -80,9 +80,6 @@ class SurvivalForest:
     @property
     def m(self) -> int:
         return len(self.feature_names)
-
-    def predict_chf(self, x) -> PiecewiseChf:
-        return predict_chf(self, x)
 
     def predict_chf_matrix(self, x) -> np.ndarray:
         return predict_chf_matrix(self, x)
@@ -203,14 +200,6 @@ def _tree_values_batch(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarr
     _tree_values_batch(node["right"], x, out, idx[~mask])
 
 
-def predict_chf(forest: SurvivalForest, x) -> PiecewiseChf:
-    """Mean over trees of the leaf CHFs reached by x: one row of predict_chf_matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError("predict_chf takes a single feature vector")
-    return PiecewiseChf(forest.grid, predict_chf_matrix(forest, x[None, :])[0])
-
-
 def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
     """CHF values for many rows at once; shape (n, s+1)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -225,11 +214,6 @@ def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
         _tree_values_batch(tree, x, scratch, all_rows)
         total += scratch
     return total / len(forest.trees)
-
-
-def risk_scores(forest: SurvivalForest, x) -> np.ndarray:
-    """Integrated CHF per row: a monotone scalar risk summary for ranking."""
-    return predict_chf_matrix(forest, x) @ forest.grid.widths
 
 
 def permutation_importance(forest: SurvivalForest, dataset: SurvivalDataset,

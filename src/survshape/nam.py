@@ -246,15 +246,6 @@ def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
     return g, (inputs, preacts)
 
 
-def subnet_outputs(model: NamModel, x: np.ndarray) -> np.ndarray:
-    """Raw subnetwork outputs g_k(x_k) for a batch; shape (m, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.m:
-        raise DataError(f"expected {model.m} features, got {x.shape[1]}")
-    g, _ = _subnet_forward(model, x)
-    return g
-
-
 def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Additive log-risk for the variant; g is (m, n), x is (n, m)."""
     if model.variant == "base":
@@ -270,7 +261,9 @@ def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def predict_log_risk(model: NamModel, x) -> np.ndarray:
     """Additive log-risk for a batch of rows; usable as a risk score."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    g = subnet_outputs(model, x)
+    if x.shape[1] != model.m:
+        raise DataError(f"expected {model.m} features, got {x.shape[1]}")
+    g, _ = _subnet_forward(model, x)
     return _combine(model, g, x)
 
 

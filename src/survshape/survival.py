@@ -1,8 +1,8 @@
 """Core survival-analysis machinery.
 
 Censored datasets, the event-time interval grid, the piecewise-constant
-cumulative-hazard step function, the Nelson-Aalen estimator
-and Harrell's concordance index. Everything here is immutable after
+cumulative-hazard step function, the Nelson-Aalen estimator, the
+integrated-CHF risk score of a black box and Harrell's concordance index. Everything here is immutable after
 construction and free of hidden state, so concurrent read-only use is safe.
 """
 
@@ -209,6 +209,11 @@ def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
     cum = np.cumsum(increments)
     values = _step_values(uniq, cum, grid.times)
     return PiecewiseChf(grid, values)
+
+
+def risk_scores(box, x) -> np.ndarray:
+    """Integrated CHF per row of any black box: a monotone risk summary for ranking."""
+    return np.asarray(box.predict_chf_matrix(x), dtype=float) @ box.grid.widths
 
 
 def concordance_index(risk_scores, dataset: SurvivalDataset) -> float:

@@ -3,7 +3,7 @@
 Event times are drawn from a proportional-hazards law with a Weibull
 baseline, whose inverse cumulative hazard is closed-form, so the sampled
 times follow S(t|x) = exp(-H0(t) * exp(log_risk(x))) exactly. An exact
-CHF predictor over the same law doubles as a noise-free black box.
+CHF predictor over the same law doubles as a noise-free batch black box.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError, NumericError
-from .survival import PiecewiseChf, SurvivalDataset, TimeGrid, build_time_grid
+from .survival import SurvivalDataset, TimeGrid, build_time_grid
 
 # Named univariate shapes usable as ground-truth per-feature effects.
 SHAPE_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -141,9 +141,9 @@ class ExactCoxPredictor:
     """Noise-free CHF black box following the synthetic proportional-hazards law.
 
     Predictions live on a fixed TimeGrid: H_j(x) = H0(t_j) * exp(log_risk(x)).
-    Exposes the same grid/predict_chf_matrix/predict_chf surface as the
-    fitted forest, so the explanation pipeline can run against an oracle
-    with known structure.
+    Exposes the same grid/predict_chf_matrix surface as the fitted forest,
+    so the explanation pipeline can run against an oracle with known
+    structure.
     """
 
     def __init__(self, spec: SyntheticSpec, grid: TimeGrid):
@@ -152,11 +152,8 @@ class ExactCoxPredictor:
         self._baseline_values = spec.baseline_chf(grid.times)
 
     @classmethod
-    def for_dataset(cls, spec, dataset, gamma_fraction: float = 0.01):
-        return cls(spec, build_time_grid(dataset, gamma_fraction))
-
-    def baseline(self) -> PiecewiseChf:
-        return PiecewiseChf(self.grid, self._baseline_values.copy())
+    def for_dataset(cls, spec, dataset):
+        return cls(spec, build_time_grid(dataset))
 
     def predict_chf_matrix(self, x) -> np.ndarray:
         """CHF values for many rows at once; shape (n, s+1)."""
@@ -165,12 +162,6 @@ class ExactCoxPredictor:
             raise DataError(f"expected rows of {self.spec.m} features")
         factors = np.exp(self.spec.log_risk(x))
         return factors[:, None] * self._baseline_values[None, :]
-
-    def predict_chf(self, x) -> PiecewiseChf:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.spec.m,):
-            raise DataError(f"expected a length-{self.spec.m} feature vector")
-        return PiecewiseChf(self.grid, self.predict_chf_matrix(x[None, :])[0])
 
 
 def oracle_psi_star(log_ratios, widths) -> np.ndarray:

@@ -492,6 +492,31 @@ class TestCommaListFlags:
         assert message in err
 
 
+class TestUsageErrorLeavesNoOut:
+    """A command that exits 2 on its own usage checks never creates --out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--hidden", "8,x"],
+        ["explain", "--mode", "local"],
+        ["explain", "--mode", "local", "--center-row", "1", "--center-values", "0,0"],
+        ["explain", "--mode", "local", "--center-values", "0,0,0"],
+        ["synth", "--n", "20", "--m", "2", "--coef", "1,zz"],
+        ["synth", "--n", "20", "--m", "2"],
+    ], ids=["hidden-text", "local-no-center", "two-centers", "center-values-count",
+            "coef-text", "synth-no-truth"])
+    def test_exit_2_without_out_dir(self, argv, synth_dir, fitted_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = argv + ["--out", str(out)]
+        if argv[0] == "explain":
+            argv += ["--forest", str(fitted_dir / "forest.bin"),
+                     "--data", str(synth_dir / "dataset.csv"), "--epochs", "5"]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestMalformedConfigAndSchema:
     """fit with a broken --config or --schema file: exit 3 and one line on stderr."""
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,15 +35,17 @@ def linear_setup(n=120, coef=(1.0, 0.0), censoring=0.0, seed=0):
     return spec, dataset, risk, oracle
 
 
-class ConstantBlackBox:
-    """Ignores features: always returns the baseline CHF."""
+def constant_box(grid, values):
+    """A batch box that gives every row the same CHF values on grid."""
+    return SimpleNamespace(
+        grid=grid,
+        predict_chf_matrix=lambda x: np.tile(values, (len(np.atleast_2d(x)), 1)))
 
-    def __init__(self, dataset):
-        self.grid = build_time_grid(dataset)
-        self._chf = nelson_aalen(dataset, self.grid)
 
-    def predict_chf(self, x):
-        return PiecewiseChf(self.grid, self._chf.values.copy())
+def baseline_box(dataset):
+    """Ignores features: always returns the dataset's Nelson-Aalen CHF."""
+    grid = build_time_grid(dataset)
+    return constant_box(grid, nelson_aalen(dataset, grid).values)
 
 
 def fast_config(variant="base", **kw):
@@ -163,7 +167,7 @@ class TestNeighborhoodWeights:
 class TestBuildTargets:
     def test_constant_black_box_zero_targets(self):
         _, dataset, _, _ = linear_setup()
-        bb = ConstantBlackBox(dataset)
+        bb = baseline_box(dataset)
         baseline = nelson_aalen(dataset, bb.grid)
         pts = dataset.features[:5]
         batch = build_targets(bb, baseline, pts, np.ones(5))
@@ -173,20 +177,14 @@ class TestBuildTargets:
         _, dataset, _, _ = linear_setup()
         grid = build_time_grid(dataset)
         baseline = nelson_aalen(dataset, grid)
-
-        def bb(x):
-            return PiecewiseChf(grid, baseline.values * np.exp(2.0))
-
+        bb = constant_box(grid, baseline.values * np.exp(2.0))
         batch = build_targets(bb, baseline, dataset.features[:4], np.ones(4))
         assert np.allclose(batch.log_ratios, 2.0)
 
     def test_floor_applies_to_both_sides(self):
         grid = TimeGrid(np.array([1.0, 2.0]), 0.1)
         baseline = PiecewiseChf(grid, np.array([1e-5, 1e-5]))
-
-        def bb(x):
-            return PiecewiseChf(grid, np.zeros(2))
-
+        bb = constant_box(grid, np.zeros(2))
         batch = build_targets(bb, baseline, np.zeros((1, 1)), np.ones(1), epsilon=1e-5)
         assert np.allclose(batch.log_ratios, 0.0)
 
@@ -194,10 +192,7 @@ class TestBuildTargets:
         grid_a = TimeGrid(np.array([1.0, 2.0]), 0.1)
         grid_b = TimeGrid(np.array([1.0, 3.0]), 0.1)
         baseline = PiecewiseChf(grid_a, np.array([0.1, 0.2]))
-
-        def bb(x):
-            return PiecewiseChf(grid_b, np.array([0.1, 0.2]))
-
+        bb = constant_box(grid_b, np.array([0.1, 0.2]))
         with pytest.raises(AlignmentError):
             build_targets(bb, baseline, np.zeros((1, 1)), np.ones(1))
 
@@ -205,7 +200,7 @@ class TestBuildTargets:
 class TestExplainLocal:
     def test_constant_black_box_flat_curves(self):
         _, dataset, _, _ = linear_setup()
-        bb = ConstantBlackBox(dataset)
+        bb = baseline_box(dataset)
         expl = explain_local(bb, dataset, dataset.features[0], fast_config(), seed=4)
         for curve in expl.curves:
             assert np.max(np.abs(curve.values)) < 0.05
@@ -266,7 +261,7 @@ class TestExplainLocal:
 class TestExplainGlobal:
     def test_constant_black_box_flat(self):
         _, dataset, _, _ = linear_setup()
-        bb = ConstantBlackBox(dataset)
+        bb = baseline_box(dataset)
         expl = explain_global(bb, dataset, fast_config())
         for curve in expl.curves:
             assert np.max(np.abs(curve.values)) < 0.05
@@ -297,7 +292,7 @@ class TestExplainGlobal:
         spec, dataset, _, oracle = linear_setup(n=80, seed=9)
         cfg = fast_config(epochs=500)
         grid = oracle.grid
-        baseline = oracle.baseline()
+        baseline = PiecewiseChf(grid, spec.baseline_chf(grid.times))
 
         # Rescale the baseline by hand through build_targets + train
         from survshape.nam import init_model, train
@@ -343,25 +338,6 @@ class TestSurrogateCIndex:
         assert c_bb == 1.0
 
 
-class PerRowBox:
-    """Only the per-row protocol of another box: its grid and predict_chf."""
-
-    def __init__(self, box):
-        self.grid = box.grid
-        self.predict_chf = box.predict_chf
-
-
-class BatchOnlyBox:
-    """The batch protocol of another box; asking it for a single row fails."""
-
-    def __init__(self, box):
-        self.grid = box.grid
-        self.predict_chf_matrix = box.predict_chf_matrix
-
-    def predict_chf(self, x):
-        raise AssertionError("the batch protocol must not fall back to rows")
-
-
 class TestBlackBoxProtocol:
     def assert_same_explanation(self, a, b):
         assert np.array_equal(a.model.flatten(), b.model.flatten())
@@ -370,9 +346,8 @@ class TestBlackBoxProtocol:
         assert a.diagnostics == b.diagnostics
 
     @pytest.mark.parametrize("make_box", ["oracle", "forest"])
-    def test_per_row_and_batch_boxes_explain_identically(self, make_box):
-        # An additive law: a linear one's x @ coef can round differently for
-        # one row than for many, which would change the rows, not the pipeline.
+    def test_two_attribute_box_explains_identically(self, make_box):
+        # A box is read through grid and predict_chf_matrix and nothing else.
         spec = SyntheticSpec(n=80, m=4, shapes=("linear", "square", "sin3", "zero"),
                              censoring_rate=0.2, seed=13)
         dataset, _ = generate_cox_data(spec)
@@ -380,19 +355,14 @@ class TestBlackBoxProtocol:
         if make_box == "forest":
             from survshape.forest import ForestConfig, fit_forest
             box = fit_forest(dataset, ForestConfig(n_trees=5, min_leaf_events=3, seed=2))
+        bare = SimpleNamespace(grid=box.grid, predict_chf_matrix=box.predict_chf_matrix)
         cfg = fast_config(epochs=40)
-        self.assert_same_explanation(explain_global(PerRowBox(box), dataset, cfg),
-                                     explain_global(box, dataset, cfg))
+        expl = explain_global(bare, dataset, cfg)
+        self.assert_same_explanation(expl, explain_global(box, dataset, cfg))
         x = dataset.features[4]
         self.assert_same_explanation(
-            explain_local(PerRowBox(box), dataset, x, cfg, n_points=30, seed=3),
+            explain_local(bare, dataset, x, cfg, n_points=30, seed=3),
             explain_local(box, dataset, x, cfg, n_points=30, seed=3))
-
-    def test_batch_box_never_asks_for_rows(self):
-        _, dataset, _, oracle = linear_setup(n=60, seed=14)
-        box = BatchOnlyBox(oracle)
-        cfg = fast_config(epochs=20)
-        expl = explain_global(box, dataset, cfg)
-        explain_local(box, dataset, dataset.features[0], cfg, n_points=20, seed=1)
-        c_bb, _ = surrogate_c_index(expl, box, dataset)
-        assert c_bb == expl.diagnostics.c_index_blackbox
+        c_bare = surrogate_c_index(expl, bare, dataset)
+        assert c_bare == surrogate_c_index(expl, box, dataset)
+        assert c_bare[0] == expl.diagnostics.c_index_blackbox

@@ -7,7 +7,6 @@ from survshape.forest import (
     fit_forest,
     load_forest,
     permutation_importance,
-    predict_chf,
     predict_chf_matrix,
     risk_scores,
     save_forest,
@@ -152,9 +151,9 @@ class TestFitAndPredict:
         forest = fit_forest(ds, config)
         x = ds.features[0]
         members = [i for i in range(ds.n) if _same_leaf(forest.trees[0], ds.features[i], x)]
-        chf = predict_chf(forest, x)
+        chf = predict_chf_matrix(forest, x[None])[0]
         expected = hand_nelson_aalen(ds.times[members], ds.events[members], forest.grid.times)
-        assert chf.values == pytest.approx(expected, abs=1e-12)
+        assert chf == pytest.approx(expected, abs=1e-12)
 
     def test_every_leaf_is_local_nelson_aalen(self):
         # brute-force oracle on n <= 30 with bootstrap disabled
@@ -171,8 +170,8 @@ class TestFitAndPredict:
             assert i in members
             expected = hand_nelson_aalen(ds.times[members], ds.events[members],
                                          forest.grid.times)
-            got = predict_chf(forest, ds.features[i])
-            assert got.values == pytest.approx(expected, abs=1e-12)
+            got = predict_chf_matrix(forest, ds.features[i][None])[0]
+            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_forest(self, tmp_path):
         ds = separable_dataset()
@@ -195,24 +194,23 @@ class TestFitAndPredict:
         )
         doctored = type(forest)(trees, forest.grid, forest.feature_names,
                                 forest.feature_kinds, forest.config)
-        chf = predict_chf(doctored, ds.features[0])
-        assert np.allclose(chf.values, 0.3)
+        chf = predict_chf_matrix(doctored, ds.features[0][None])[0]
+        assert np.allclose(chf, 0.3)
 
     def test_batch_path_matches_single_path_exactly(self):
         ds = separable_dataset()
         forest = fit_forest(ds, ForestConfig(n_trees=6, min_leaf_events=2, seed=8))
         batch = predict_chf_matrix(forest, ds.features)
         for i in range(ds.n):
-            assert np.array_equal(batch[i], predict_chf(forest, ds.features[i]).values)
+            row = predict_chf_matrix(forest, ds.features[i][None])[0]
+            assert np.array_equal(batch[i], row)
         # Rows off the training data, through the forest's own method.
         spec = SyntheticSpec(n=120, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.3, seed=2)
         forest = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=10, seed=3))
         x = np.random.default_rng(4).uniform(-1, 1, (50, 3))
-        batch = predict_chf_matrix(forest, x)
+        batch = forest.predict_chf_matrix(x)
         for i in range(len(x)):
-            single = forest.predict_chf(x[i]).values
-            assert np.array_equal(single, predict_chf_matrix(forest, x[i][None])[0])
-            assert np.array_equal(single, batch[i])
+            assert np.array_equal(forest.predict_chf_matrix(x[i][None])[0], batch[i])
 
     def test_prediction_monotone(self):
         spec = SyntheticSpec(n=80, m=3, coef=(1.0, -0.5, 0.0), censoring_rate=0.25, seed=4)
@@ -220,8 +218,8 @@ class TestFitAndPredict:
         forest = fit_forest(ds, ForestConfig(n_trees=12, seed=5))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            chf = predict_chf(forest, rng.uniform(-1, 1, 3))
-            assert np.all(np.diff(chf.values) >= -1e-12)
+            chf = predict_chf_matrix(forest, rng.uniform(-1, 1, 3)[None])[0]
+            assert np.all(np.diff(chf) >= -1e-12)
 
     def test_grid_independent_of_tree_count(self):
         ds = separable_dataset()
@@ -233,9 +231,9 @@ class TestFitAndPredict:
         ds = separable_dataset()
         forest = fit_forest(ds, ForestConfig(n_trees=2, seed=0))
         with pytest.raises(DataError):
-            predict_chf(forest, np.array([1.0, 2.0, 3.0]))
+            predict_chf_matrix(forest, np.array([1.0, 2.0, 3.0])[None])
         with pytest.raises(DataError):
-            predict_chf(forest, np.array([np.nan, 0.0]))
+            predict_chf_matrix(forest, np.array([np.nan, 0.0])[None])
 
     def test_tiny_dataset_single_leaf_with_warning(self):
         # 3 events satisfies the precondition but no split can give each

@@ -6,6 +6,7 @@ from survshape.nam import (
     NamConfig,
     NamModel,
     TargetBatch,
+    feature_contribution,
     init_model,
     load_model,
     loss_and_gradient,
@@ -13,7 +14,6 @@ from survshape.nam import (
     predict_log_risk,
     save_model,
     shape_curve,
-    subnet_outputs,
     train,
 )
 from survshape.synthetic import finite_difference_gradient, oracle_psi_star
@@ -62,7 +62,8 @@ class TestInitAndForward:
         model = init_model(4, small_config())
         x = np.array([[0.3, -1.0, 2.0, 0.0]])
         assert np.all(np.isfinite(predict_log_risk(model, x)))
-        assert np.all(np.isfinite(subnet_outputs(model, x)))
+        for k in range(4):
+            assert np.all(np.isfinite(feature_contribution(model, k, x[:, k])))
 
     def test_head_initial_values(self):
         lasso = init_model(2, small_config("lasso"))
@@ -87,22 +88,23 @@ class TestInitAndForward:
         assert log_risk == pytest.approx(2.5 * x.sum() + model.bias[0])
 
     def test_additivity_single_coordinate(self):
+        # Moving x_j moves the log-risk by feature j's contribution change alone.
         rng = np.random.default_rng(3)
-        model = init_model(4, small_config())
-        randomize_params(model, rng)
-        x = rng.uniform(-1, 1, 4)
-        base_g = subnet_outputs(model, x[None, :])[:, 0]
-        for j in range(4):
-            x2 = x.copy()
-            x2[j] += 0.5
-            g2 = subnet_outputs(model, x2[None, :])[:, 0]
-            changed = ~np.isclose(g2, base_g)
-            assert not changed[np.arange(4) != j].any()
+        for variant in ("base", "lasso", "shortcut"):
+            model = init_model(4, small_config(variant))
+            randomize_params(model, rng)
+            x = rng.uniform(-1, 1, 4)
+            base = predict_log_risk(model, x[None, :])[0]
+            for j in range(4):
+                x2 = x.copy()
+                x2[j] += 0.5
+                moved = predict_log_risk(model, x2[None, :])[0] - base
+                change = (feature_contribution(model, j, x2[j])[0]
+                          - feature_contribution(model, j, x[j])[0])
+                assert moved == pytest.approx(change, abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = init_model(3, small_config())
-        with pytest.raises(DataError):
-            subnet_outputs(model, np.array([[1.0, 2.0]]))
         with pytest.raises(DataError):
             predict_log_risk(model, np.array([[1.0, 2.0]]))
 
@@ -111,16 +113,11 @@ class TestInitAndForward:
         rng = np.random.default_rng(17)
         model = init_model(3, small_config(variant))
         randomize_params(model, rng)
-        x = rng.uniform(-1, 1, 3)
-        g = subnet_outputs(model, x[None, :])[:, 0]
-        if variant == "base":
-            expected = g.sum() + model.bias[0]
-        elif variant == "lasso":
-            expected = model.beta @ g + model.bias[0]
-        else:
-            expected = (model.alpha @ g
-                        + ((1 - model.alpha) * model.omega) @ x + model.bias[0])
-        assert predict_log_risk(model, x[None, :])[0] == pytest.approx(expected, abs=1e-12)
+        # The log-risk is the sum of the per-feature contributions plus the bias.
+        x = rng.uniform(-1, 1, (6, 3))
+        expected = sum(feature_contribution(model, k, x[:, k]) for k in range(3))
+        expected = expected + model.bias[0]
+        assert np.allclose(predict_log_risk(model, x), expected, rtol=0, atol=1e-12)
 
 
 class TestLossAndGradient:

@@ -75,15 +75,9 @@ class TestExactCoxPredictor:
         dataset, risk = generate_cox_data(spec)
         oracle = ExactCoxPredictor.for_dataset(spec, dataset)
         x = dataset.features[4]
-        chf = oracle.predict_chf(x)
+        chf = oracle.predict_chf_matrix(x[None])[0]
         expected = (oracle.grid.times / 2.0) ** 1.5 * np.exp(risk[4])
-        assert chf.values == pytest.approx(expected, rel=1e-12)
-
-    def test_shares_grid_with_baseline(self):
-        spec = SyntheticSpec(n=30, m=1, coef=(1.0,), seed=8)
-        dataset, _ = generate_cox_data(spec)
-        oracle = ExactCoxPredictor.for_dataset(spec, dataset)
-        assert oracle.baseline().grid == oracle.grid
+        assert chf == pytest.approx(expected, rel=1e-12)
 
 
 class TestOraclePsiStar:
