@@ -29,7 +29,7 @@ from .data import (
     load_prepared_csv,
     read_csv_rows,
 )
-from .errors import DataError, NumericError, SurvShapeError, _read_json
+from .errors import DataError, NumericError, SurvShapeError, _atomic_open, _read_json
 from .explain import explain_global, explain_local, surrogate_c_index
 from .forest import (
     ForestConfig,
@@ -76,8 +76,7 @@ def _parse_list(args, dest: str, kind):
 
 
 def _write_report(out_dir: str, banner: str, body_lines: list[str]) -> None:
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with _atomic_open(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(banner + "\n\n" + "\n".join(body_lines) + "\n")
 
 
@@ -95,7 +94,6 @@ def _load_dataset_for(forest_extra: Optional[dict], path: str):
 
 
 def cmd_fit(args) -> int:
-    out = _ensure_out(args.out)
     banner = _banner(args)
     print(banner)
 
@@ -116,6 +114,7 @@ def cmd_fit(args) -> int:
         seed=args.seed, gamma_fraction=args.gamma_fraction,
     )
     forest = fit_forest(train, config)
+    out = _ensure_out(args.out)
     c_train = concordance_index(risk_scores(forest, train.features), train)
     c_test = concordance_index(risk_scores(forest, test.features), test)
     save_forest(forest, os.path.join(out, "forest.bin"),
@@ -200,8 +199,7 @@ def cmd_synth(args) -> int:
                          feature_distribution=args.dist, seed=args.seed)
     dataset, risk = generate_cox_data(spec)
     export_csv(dataset, os.path.join(out, "dataset.csv"))
-    with open(os.path.join(out, "log_risk.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with _atomic_open(os.path.join(out, "log_risk.csv")) as fh:
         fh.write("row,log_risk\n")
         for i, value in enumerate(risk):
             fh.write(f"{i},{float(value)!r}\n")
@@ -217,13 +215,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _ensure_out(args.out)
     banner = _banner(args)
     print(banner)
 
     forest, extra = load_forest(args.forest)
     model = load_model(args.model)
     test = _load_dataset_for(extra, args.data)
+    out = _ensure_out(args.out)
     c_blackbox, c_surrogate = surrogate_c_index(model, forest, test)
     body = [
         f"test_samples = {test.n}",

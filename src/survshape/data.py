@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, _field, _read_json
+from .errors import DataError, SchemaError, _atomic_open, _field, _read_json
 from .survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 
 _TRUE_WORDS = {"1", "1.0", "true", "yes", "y"}
@@ -257,7 +257,7 @@ def train_test_split(dataset: SurvivalDataset, test_fraction: float, seed: int =
 
 def export_csv(dataset: SurvivalDataset, path) -> None:
     """Write the prepared matrix as CSV; floats use repr so reload is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [_TIME, _EVENT])
         for i in range(dataset.n):

@@ -4,10 +4,13 @@ DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The
 JSON readers share `_read_json`, which turns an unreadable or unparsable
 file into a DataError, and `_field`, which does the same for a missing
-or ill-typed key.
+or ill-typed key. Every artifact writer goes through `_atomic_open`, so
+a failed or interrupted write never leaves a partial file.
 """
 
 import json
+import os
+from contextlib import contextmanager, suppress
 
 
 class SurvShapeError(Exception):
@@ -82,3 +85,23 @@ def _read_json(path, kind: str):
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a valid {kind} file: {exc}") from exc
+
+
+@contextmanager
+def _atomic_open(path, newline="\n"):
+    """A UTF-8 text handle on a temp file beside `path` that replaces it on success.
+
+    The temp file is in the same directory, so `os.replace` swaps it in
+    whole; when the block raises, the temp file is removed and `path`
+    keeps whatever it held before.
+    """
+    path = os.fspath(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise

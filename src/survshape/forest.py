@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _field, _read_json
+from .errors import DataError, _atomic_open, _field, _read_json
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -29,6 +29,8 @@ from .survival import (
     concordance_index,
     risk_scores,
 )
+
+FORMAT_VERSION = 2  # of the forest file; save_forest writes it, load_forest reads only it
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class ForestConfig:
     max_depth: Optional[int] = None
     features_per_split: Optional[int] = None  # default: ceil(sqrt(m))
     seed: int = 0
-    bootstrap: bool = True  # test hook; disable to fit on the exact sample
     gamma_fraction: float = 0.01
 
     def __post_init__(self):
@@ -178,10 +179,7 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     trees = []
     for tree_idx in range(config.n_trees):
         rng = np.random.default_rng([config.seed, tree_idx])
-        if config.bootstrap:
-            idx = rng.integers(0, dataset.n, dataset.n)
-        else:
-            idx = np.arange(dataset.n)
+        idx = rng.integers(0, dataset.n, dataset.n)
         trees.append(_grow_tree(dataset.features[idx], dataset.times[idx],
                                 dataset.events[idx], 0, grid, config, n_try, rng))
     if all("values" in t for t in trees):
@@ -234,47 +232,134 @@ def permutation_importance(forest: SurvivalForest, dataset: SurvivalDataset,
     return scores
 
 
-def _node_to_jsonable(node: dict):
-    if "values" in node:
-        return {"values": np.asarray(node["values"]).tolist()}
-    return {
-        "feature": int(node["feature"]),
-        "threshold": float(node["threshold"]),
-        "left": _node_to_jsonable(node["left"]),
-        "right": _node_to_jsonable(node["right"]),
-    }
+def _flatten(tree: dict) -> dict:
+    """One tree as parallel preorder node arrays plus run-length encoded leaf CHFs.
 
-
-def _node_from_jsonable(node: dict, m: int, s: int):
-    """Inverse of _node_to_jsonable; DataError for a node the forest cannot use."""
-    if not isinstance(node, dict):
-        raise DataError("tree node is not a JSON object")
-    if "values" in node:
-        values = np.asarray(node["values"], dtype=float)
-        if values.shape != (s,):
-            raise DataError(f"leaf holds {values.size} values, the grid has {s}")
-        return {"values": values}
-    feature = int(node["feature"])
-    if not 0 <= feature < m:
-        raise DataError(f"split feature {feature} outside 0..{m - 1}")
+    A node's left child is the next node, so only `right` is stored;
+    leaves have feature -1, threshold 0.0 and right -1, and `leaf` gives
+    each leaf's row of the run lists (-1 at a split). Runs are cut where
+    the bit pattern changes, so np.repeat gives back the same floats.
+    """
+    feature, threshold, right, leaf, leaves = [], [], [], [], []
+    stack = [(tree, -1)]  # (node, index of the split whose right child it is)
+    while stack:
+        node, parent = stack.pop()
+        index = len(feature)
+        if parent >= 0:
+            right[parent] = index
+        if "values" in node:
+            feature.append(-1)
+            threshold.append(0.0)
+            leaf.append(len(leaves))
+            leaves.append(np.asarray(node["values"], dtype=float))
+        else:
+            feature.append(int(node["feature"]))
+            threshold.append(float(node["threshold"]))
+            leaf.append(-1)
+            stack.append((node["right"], index))
+            stack.append((node["left"], -1))
+        right.append(-1)
+    values = np.stack(leaves)
+    bits = values.view(np.int64)
+    new_run = np.ones(values.shape, dtype=bool)
+    new_run[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    offsets = np.concatenate([[0], np.cumsum(new_run.sum(axis=1))])
     return {
         "feature": feature,
-        "threshold": float(node["threshold"]),
-        "left": _node_from_jsonable(node["left"], m, s),
-        "right": _node_from_jsonable(node["right"], m, s),
+        "threshold": threshold,
+        "right": right,
+        "leaf": leaf,
+        "run_offsets": offsets.tolist(),
+        "run_starts": np.nonzero(new_run)[1].tolist(),
+        "run_values": values[new_run].tolist(),
     }
+
+
+def _array(blob: dict, key: str, kinds: str, where: str) -> np.ndarray:
+    """blob[key] as a flat array whose dtype kind is one of `kinds` ("i" or "if")."""
+    values = np.asarray(_field(blob, key, list, where))
+    if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+        raise DataError(f"{where}'s {key!r} must be a flat list of "
+                        + ("integers" if kinds == "i" else "numbers"))
+    return values.astype(np.int64 if kinds == "i" else float)
+
+
+def _unflatten(blob, m: int, s: int, where: str) -> dict:
+    """Inverse of _flatten; DataError for a tree the forest cannot use."""
+    if not isinstance(blob, dict):
+        raise DataError(f"{where} is not a JSON object")
+    feature = _array(blob, "feature", "i", where)
+    threshold = _array(blob, "threshold", "if", where)
+    right = _array(blob, "right", "i", where)
+    leaf = _array(blob, "leaf", "i", where)
+    offsets = _array(blob, "run_offsets", "i", where)
+    starts = _array(blob, "run_starts", "i", where)
+    run_values = _array(blob, "run_values", "if", where)
+    n = len(feature)
+    if not n or not len(threshold) == len(right) == len(leaf) == n:
+        raise DataError(f"{where}: node arrays must be nonempty and of one length")
+    bad = feature[(feature < -1) | (feature >= m)]
+    if bad.size:
+        raise DataError(f"{where}: split feature {bad[0]} outside 0..{m - 1}")
+    if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(run_values))):
+        raise DataError(f"{where} holds a non-finite threshold or CHF value")
+    is_leaf = feature == -1
+    n_leaves = len(offsets) - 1
+    if (n_leaves != is_leaf.sum() or np.any(leaf[~is_leaf] != -1)
+            or not np.array_equal(np.sort(leaf[is_leaf]), np.arange(n_leaves))):
+        raise DataError(f"{where}: 'leaf' must number the leaves 0..{n_leaves - 1} "
+                        "once each, one row of 'run_offsets' per leaf")
+    if (offsets[0] != 0 or np.any(np.diff(offsets) < 1)
+            or not offsets[-1] == len(starts) == len(run_values)):
+        raise DataError(f"{where}: 'run_offsets' must rise from 0 to the run count, "
+                        "at least one run per leaf")
+    bad = starts[(starts < 0) | (starts >= s)]
+    if bad.size:
+        raise DataError(f"{where}: run start {bad[0]} outside 0..{s - 1}")
+    first = np.zeros(len(starts), dtype=bool)
+    first[offsets[:-1]] = True
+    bad = starts[first & (starts != 0)]
+    if bad.size:
+        raise DataError(f"{where}: a leaf's first run starts at {bad[0]}, not 0")
+    if np.any(np.diff(starts)[~first[1:]] <= 0):
+        raise DataError(f"{where}: run starts within a leaf must increase strictly")
+    ends = np.append(starts[1:], s)
+    ends[offsets[1:-1] - 1] = s
+    dense = np.repeat(run_values, ends - starts).reshape(n_leaves, s)
+
+    feature, threshold, right, leaf = (a.tolist() for a in (feature, threshold, right, leaf))
+    nodes = [None] * n
+    end = [0] * n  # one past the last node of each node's subtree
+    for i in range(n - 1, -1, -1):
+        if feature[i] < 0:
+            nodes[i] = {"values": dense[leaf[i]]}
+            end[i] = i + 1
+            continue
+        r = right[i]
+        if not i + 1 < r < n:
+            raise DataError(f"{where}: node {i}'s right child {r} outside {i + 2}..{n - 1}")
+        if r != end[i + 1]:
+            raise DataError(f"{where}: node {i}'s right child {r} is not node "
+                            f"{end[i + 1]}, the first after its left subtree")
+        nodes[i] = {"feature": feature[i], "threshold": threshold[i],
+                    "left": nodes[i + 1], "right": nodes[r]}
+        end[i] = end[r]
+    if end[0] != n:
+        raise DataError(f"{where}: nodes {end[0]}..{n - 1} are not reachable from the root")
+    return nodes[0]
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
-    """Versioned JSON serialization; floats survive the round trip exactly.
+    """Versioned JSON serialization (format 2); floats survive the round trip exactly.
 
-    `extra` is an arbitrary JSON-compatible blob stored verbatim (the CLI
-    keeps the fitted data schema there so one file carries the whole model).
+    Each tree is stored by _flatten. `extra` is an arbitrary
+    JSON-compatible blob stored verbatim (the CLI keeps the fitted data
+    schema there so one file carries the whole model).
     """
     cfg = forest.config
     payload = {
         "format": "survshape-forest",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "grid": {"times": forest.grid.times.tolist(), "gamma": forest.grid.gamma},
         "feature_names": list(forest.feature_names),
         "feature_kinds": list(forest.feature_kinds),
@@ -284,28 +369,30 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
             "max_depth": cfg.max_depth,
             "features_per_split": cfg.features_per_split,
             "seed": cfg.seed,
-            "bootstrap": cfg.bootstrap,
             "gamma_fraction": cfg.gamma_fraction,
         },
         "extra": extra,
-        "trees": [_node_to_jsonable(t) for t in forest.trees],
+        "trees": [_flatten(t) for t in forest.trees],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def load_forest(path):
     """Read a forest written by save_forest; returns (forest, extra).
 
-    An unreadable file, invalid JSON, a missing or ill-typed key, an
-    `extra` that is neither an object nor null, an unknown config key or
-    a tree that does not fit the grid and features raises DataError.
+    An unreadable file, invalid JSON, another format version, a missing
+    or ill-typed key, an `extra` that is neither an object nor null, an
+    unknown config key or a tree that does not fit the grid and features
+    raises DataError.
     """
     payload = _read_json(path, "forest")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-forest":
         raise DataError(f"{path}: not a survshape forest file")
-    if payload.get("version") != 1:
-        raise DataError(f"{path}: unsupported forest file version")
+    if payload.get("version") != FORMAT_VERSION:
+        raise DataError(f"{path}: forest file version {payload.get('version')!r} is not "
+                        f"supported (this release reads version {FORMAT_VERSION}); "
+                        "refit the forest")
     where = f"{path}: forest file"
     grid_blob = _field(payload, "grid", dict, where)
     names = _field(payload, "feature_names", list, where)
@@ -326,13 +413,15 @@ def load_forest(path):
         raise DataError(f"{path}: forest file holds no trees")
     try:
         grid = TimeGrid(np.asarray(times, dtype=float), gamma)
-        cfg = ForestConfig(**config)
+        if not (np.all(np.isfinite(grid.times)) and math.isfinite(grid.gamma)):
+            raise DataError("grid times and gamma must be finite")
         forest = SurvivalForest(
-            tuple(_node_from_jsonable(t, len(names), grid.n_intervals) for t in trees),
+            tuple(_unflatten(t, len(names), grid.n_intervals, f"tree {k}")
+                  for k, t in enumerate(trees)),
             grid,
             tuple(names),
             tuple(kinds),
-            cfg,
+            ForestConfig(**config),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed forest file: {exc!r}") from exc

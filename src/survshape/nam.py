@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDivergedError, _field, _read_json
+from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_open, _field,
+                     _read_json)
 
 VARIANTS = ("base", "lasso", "shortcut")
 
@@ -473,8 +474,8 @@ def save_model(model: NamModel, path) -> None:
         "alpha": None if model.alpha is None else model.alpha.tolist(),
         "omega": None if model.omega is None else model.omega.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def _fill(target: np.ndarray, blob, key: str, where: str) -> None:

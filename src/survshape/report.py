@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import _atomic_open
 from .explain import Explanation
 
 
@@ -61,7 +62,7 @@ def write_explanation_csv(expl: Explanation, path) -> None:
     for name, curve in zip(expl.feature_names, expl.curves):
         for x, y in zip(curve.xs, curve.values):
             lines.append(f"{name},{_fmt(float(x))},{_fmt(float(y))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -157,5 +158,5 @@ def write_shapes_svg(expl: Explanation, path) -> None:
         y0 = _GAP + r * (_PANEL_H + _GAP)
         parts.extend(_panel_svg(name, curve, expl.reference_points[:, k], x0, y0))
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(parts) + "\n")

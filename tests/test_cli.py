@@ -283,8 +283,40 @@ def _forest_with_unknown_config_key(payload):
     payload["config"]["n_estimators"] = 10
 
 
-def _forest_with_short_leaf(payload):
-    payload["trees"] = [{"values": [0.0]}]
+def _forest_with_run_past_grid(payload):
+    payload["trees"][0]["run_starts"][-1] = len(payload["grid"]["times"])
+
+
+def _forest_of_version_1(payload):
+    payload["version"] = 1
+
+
+def _forest_with_first_run_at_1(payload):
+    payload["trees"][0]["run_starts"][0] = 1
+
+
+def _forest_with_runs_not_increasing(payload):
+    tree = payload["trees"][0]
+    offsets = tree["run_offsets"]
+    leaf = next(k for k in range(len(offsets) - 1) if offsets[k + 1] - offsets[k] >= 2)
+    tree["run_starts"][offsets[leaf] + 1] = 0
+
+
+def _forest_with_right_past_end(payload):
+    tree = payload["trees"][0]
+    tree["right"][0] = len(tree["feature"])
+
+
+def _forest_with_right_into_left_subtree(payload):
+    payload["trees"][0]["right"][0] -= 1
+
+
+def _forest_with_feature_out_of_range(payload):
+    payload["trees"][0]["feature"][0] = len(payload["feature_names"])
+
+
+def _forest_with_nan_chf(payload):
+    payload["trees"][0]["run_values"][0] = float("nan")
 
 
 class TestMalformedForestFile:
@@ -311,7 +343,14 @@ class TestMalformedForestFile:
         (_forest_without_grid, "has no 'grid'"),
         (_forest_with_text_times, "'times' has the wrong type"),
         (_forest_with_unknown_config_key, "unknown forest config key(s): n_estimators"),
-        (_forest_with_short_leaf, "leaf holds 1 values"),
+        (_forest_with_run_past_grid, "outside 0.."),
+        (_forest_of_version_1, "forest file version 1 is not supported"),
+        (_forest_with_first_run_at_1, "a leaf's first run starts at 1, not 0"),
+        (_forest_with_runs_not_increasing, "run starts within a leaf must increase strictly"),
+        (_forest_with_right_past_end, "node 0's right child"),
+        (_forest_with_right_into_left_subtree, "the first after its left subtree"),
+        (_forest_with_feature_out_of_range, "split feature 2 outside 0..1"),
+        (_forest_with_nan_chf, "non-finite threshold or CHF value"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys):
         payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
@@ -490,6 +529,26 @@ class TestCommaListFlags:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestDataErrorLeavesNoOut:
+    """fit and eval read every input before they create --out."""
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_missing_input_exits_3_without_out_dir(self, command, synth_dir, model_dir,
+                                                   tmp_path, capsys):
+        out = tmp_path / "out"
+        if command == "fit":
+            argv = ["fit", "--data", str(tmp_path / "missing.csv")]
+        else:
+            argv = ["eval", "--forest", str(tmp_path / "missing.bin"),
+                    "--model", str(model_dir / "nam.json"),
+                    "--data", str(synth_dir / "dataset.csv")]
+        code = run(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestUsageErrorLeavesNoOut:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,28 @@ class TestExportRoundtrip:
         export_csv(ds, path)
         back = load_prepared_csv(path)
         assert back.feature_kinds == (KIND_NUMERIC, KIND_ONE_HOT)
+
+    def test_write_failing_midway_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
+        ds, _ = generate_cox_data(SyntheticSpec(n=30, m=2, coef=(1.0, 0.5), seed=4))
+        real_writer = csv.writer
+
+        class FailsOnThirdRow:
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise RuntimeError("write failed")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsOnThirdRow)
+        fresh, old = tmp_path / "fresh.csv", write(tmp_path / "old.csv", "old\n")
+        for path in (fresh, old):
+            with pytest.raises(RuntimeError, match="write failed"):
+                export_csv(ds, path)
+        assert old.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
 
 
 class TestLoadAndSplit:

@@ -1,5 +1,11 @@
+import json
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survshape.errors import DataError
 from survshape.forest import (
@@ -147,27 +153,29 @@ class TestFitAndPredict:
 
     def test_single_tree_pure_leaf_matches_nelson_aalen(self):
         ds = separable_dataset()
-        config = ForestConfig(n_trees=1, min_leaf_events=1, bootstrap=False, seed=1)
+        config = ForestConfig(n_trees=1, min_leaf_events=1, seed=1)
         forest = fit_forest(ds, config)
         x = ds.features[0]
-        members = [i for i in range(ds.n) if _same_leaf(forest.trees[0], ds.features[i], x)]
+        members = [i for i in _bootstrap_rows(config.seed, ds.n)
+                   if _same_leaf(forest.trees[0], ds.features[i], x)]
         chf = predict_chf_matrix(forest, x[None])[0]
         expected = hand_nelson_aalen(ds.times[members], ds.events[members], forest.grid.times)
         assert chf == pytest.approx(expected, abs=1e-12)
 
     def test_every_leaf_is_local_nelson_aalen(self):
-        # brute-force oracle on n <= 30 with bootstrap disabled
+        # brute-force oracle on n <= 30 over the tree's own bootstrap sample
         rng = np.random.default_rng(5)
         n = 24
         x = rng.normal(size=(n, 2))
         times = np.round(rng.uniform(1, 10, n), 2)
         ds = SurvivalDataset.from_arrays(x, times, np.ones(n, dtype=int))
-        config = ForestConfig(n_trees=1, min_leaf_events=1, bootstrap=False, seed=2)
+        config = ForestConfig(n_trees=1, min_leaf_events=1, seed=2)
         forest = fit_forest(ds, config)
+        sample = _bootstrap_rows(config.seed, n)
         for i in range(n):
-            members = [j for j in range(n) if _same_leaf(forest.trees[0], ds.features[j],
-                                                         ds.features[i])]
-            assert i in members
+            members = [j for j in sample if _same_leaf(forest.trees[0], ds.features[j],
+                                                       ds.features[i])]
+            assert members
             expected = hand_nelson_aalen(ds.times[members], ds.events[members],
                                          forest.grid.times)
             got = predict_chf_matrix(forest, ds.features[i][None])[0]
@@ -313,6 +321,71 @@ class TestSerialization:
         path.write_text('{"format": "other"}')
         with pytest.raises(DataError):
             load_forest(path)
+
+    def test_trees_are_flat_preorder_arrays(self, tmp_path):
+        ds = separable_dataset()
+        forest = fit_forest(ds, ForestConfig(n_trees=2, min_leaf_events=2, seed=12))
+        path = tmp_path / "forest.bin"
+        save_forest(forest, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2 and "bootstrap" not in payload["config"]
+        for tree, blob in zip(forest.trees, payload["trees"]):
+            leaves = []
+            stack = [tree]
+            while stack:  # preorder: a split, its left subtree, then its right one
+                node = stack.pop()
+                if "values" in node:
+                    leaves.append(node["values"])
+                else:
+                    stack += [node["right"], node["left"]]
+            assert blob["feature"].count(-1) == len(leaves) == len(blob["run_offsets"]) - 1
+            for k, values in enumerate(leaves):
+                runs = slice(blob["run_offsets"][k], blob["run_offsets"][k + 1])
+                # one run per maximal stretch of equal values
+                starts = [0] + (np.flatnonzero(np.diff(values)) + 1).tolist()
+                assert blob["run_starts"][runs] == starts
+                assert blob["run_values"][runs] == values[starts].tolist()
+
+    def test_signed_zero_leaf_survives(self, tmp_path):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
+        values = np.zeros(forest.grid.n_intervals)
+        values[1::2] = -0.0
+        values[-1] = 2.5
+        doctored = type(forest)(({"values": values},), forest.grid, forest.feature_names,
+                                forest.feature_kinds, forest.config)
+        save_forest(doctored, tmp_path / "f.bin")
+        loaded, _ = load_forest(tmp_path / "f.bin")
+        assert loaded.trees[0]["values"].tobytes() == values.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 40), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_is_exact(self, seed, n, m, n_trees, min_leaf_events):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, m)), 1)
+        times = np.round(rng.uniform(1, 6, n), 1)  # coarse, so times tie
+        events = rng.integers(0, 2, n)
+        assume(events.sum() >= min_leaf_events and len(np.unique(times)) > 1)
+        ds = SurvivalDataset.from_arrays(x, times, events)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # single-leaf forests
+            forest = fit_forest(ds, ForestConfig(n_trees=n_trees,
+                                                 min_leaf_events=min_leaf_events, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = f"{tmp}/a.bin", f"{tmp}/b.bin"
+            save_forest(forest, first, extra={"seed": seed})
+            loaded, extra = load_forest(first)
+            save_forest(loaded, second, extra=extra)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        probe = np.vstack([x, rng.normal(size=(5, m))])
+        assert (predict_chf_matrix(loaded, probe).tobytes()
+                == predict_chf_matrix(forest, probe).tobytes())
+
+
+def _bootstrap_rows(seed, n):
+    """The rows (with repeats) that tree 0 of a forest with this seed is grown on."""
+    return np.random.default_rng([seed, 0]).integers(0, n, n)
 
 
 def _same_leaf(tree, a, b):
