@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,12 @@ from .survival import (
 )
 
 FORMAT_VERSION = 2  # of the forest file; save_forest writes it, load_forest reads only it
+
+# The forest file's config keys, in the order save_forest writes them, and the
+# JSON types load_forest accepts for each.
+_CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
+                 "features_per_split": (int, type(None)), "seed": int,
+                 "gamma_fraction": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -356,21 +362,13 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
     JSON-compatible blob stored verbatim (the CLI keeps the fitted data
     schema there so one file carries the whole model).
     """
-    cfg = forest.config
     payload = {
         "format": "survshape-forest",
         "version": FORMAT_VERSION,
         "grid": {"times": forest.grid.times.tolist(), "gamma": forest.grid.gamma},
         "feature_names": list(forest.feature_names),
         "feature_kinds": list(forest.feature_kinds),
-        "config": {
-            "n_trees": cfg.n_trees,
-            "min_leaf_events": cfg.min_leaf_events,
-            "max_depth": cfg.max_depth,
-            "features_per_split": cfg.features_per_split,
-            "seed": cfg.seed,
-            "gamma_fraction": cfg.gamma_fraction,
-        },
+        "config": {key: getattr(forest.config, key) for key in _CONFIG_KINDS},
         "extra": extra,
         "trees": [_flatten(t) for t in forest.trees],
     }
@@ -382,9 +380,10 @@ def load_forest(path):
     """Read a forest written by save_forest; returns (forest, extra).
 
     An unreadable file, invalid JSON, another format version, a missing
-    or ill-typed key, an `extra` that is neither an object nor null, an
-    unknown config key or a tree that does not fit the grid and features
-    raises DataError.
+    or ill-typed key (config keys included; a bool is never a number), an
+    `extra` that is neither an object nor null, an unknown config key, an
+    `n_trees` other than the number of trees or a tree that does not fit
+    the grid and features raises DataError.
     """
     payload = _read_json(path, "forest")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-forest":
@@ -406,11 +405,16 @@ def load_forest(path):
         raise DataError(f"{where}'s 'extra' must be an object or null")
     if len(names) != len(kinds) or not all(isinstance(v, str) for v in names + kinds):
         raise DataError(f"{path}: feature names and kinds must be matching lists of strings")
-    unknown = sorted(set(config) - {f.name for f in fields(ForestConfig)})
+    unknown = sorted(set(config) - set(_CONFIG_KINDS))
     if unknown:
         raise DataError(f"{path}: unknown forest config key(s): {', '.join(unknown)}")
+    settings = {key: _field(config, key, kind, f"{path}: forest config")
+                for key, kind in _CONFIG_KINDS.items()}
     if not trees:
         raise DataError(f"{path}: forest file holds no trees")
+    if settings["n_trees"] != len(trees):
+        raise DataError(f"{path}: forest config says n_trees = {settings['n_trees']}, "
+                        f"but the file holds {len(trees)} trees")
     try:
         grid = TimeGrid(np.asarray(times, dtype=float), gamma)
         if not (np.all(np.isfinite(grid.times)) and math.isfinite(grid.gamma)):
@@ -421,7 +425,7 @@ def load_forest(path):
             grid,
             tuple(names),
             tuple(kinds),
-            ForestConfig(**config),
+            ForestConfig(**settings),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed forest file: {exc!r}") from exc

@@ -295,15 +295,14 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
     return loss, g, log_risk, cache
 
 
-def loss_and_gradient(model: NamModel, targets: TargetBatch,
-                      lam: float = 0.0, mu: float = 0.0):
-    """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
+def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
+              g: np.ndarray, log_risk: np.ndarray, cache) -> list[np.ndarray]:
+    """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
 
     At the |.| kink the subgradient 0 is used. Gradients come back in
     param_arrays() order.
     """
-    loss, g, log_risk, (inputs, preacts) = _penalized_loss(model, targets, lam, mu,
-                                                           keep_cache=True)
+    inputs, preacts = cache
     x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
     _, act_grad = ACTIVATIONS[model.config.activation]
 
@@ -342,16 +341,46 @@ def loss_and_gradient(model: NamModel, targets: TargetBatch,
         for idx in range(0, len(layer_grads), 2):
             layer_grads[idx] = layer_grads[idx] + 2.0 * mu * model.layer_weights[idx // 2]
             layer_grads[idx + 1] = layer_grads[idx + 1] + 2.0 * mu * model.layer_biases[idx // 2]
+    return layer_grads + [d_bias] + head_grads
 
+
+def loss_and_gradient(model: NamModel, targets: TargetBatch,
+                      lam: float = 0.0, mu: float = 0.0):
+    """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
+
+    At the |.| kink the subgradient 0 is used. Gradients come back in
+    param_arrays() order. A non-finite loss raises NumericError.
+    """
+    loss, g, log_risk, cache = _penalized_loss(model, targets, lam, mu, keep_cache=True)
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
-    return loss, layer_grads + [d_bias] + head_grads
+    return loss, _backward(model, targets, lam, mu, g, log_risk, cache)
 
 
 def loss_only(model: NamModel, targets: TargetBatch,
               lam: float = 0.0, mu: float = 0.0) -> float:
-    """Loss without gradients (used for traces and finite-difference oracles)."""
+    """Loss without gradients.
+
+    train uses it for the trace entry after its last full-batch update and
+    for every mini-batch trace entry; the finite-difference oracles use it
+    too.
+    """
     return _penalized_loss(model, targets, lam, mu)[0]
+
+
+def _adam_step(model: NamModel, grads, moment1, moment2, step: int, lr: float) -> None:
+    """One in-place Adam update (step counts from 1); alpha is then clipped to [0, 1]."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    scale1 = 1.0 - b1 ** step
+    scale2 = 1.0 - b2 ** step
+    for p, grad, m1, m2 in zip(model.param_arrays(), grads, moment1, moment2):
+        m1 *= b1
+        m1 += (1.0 - b1) * grad
+        m2 *= b2
+        m2 += (1.0 - b2) * grad * grad
+        p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
+    if model.alpha is not None:
+        np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
 
 
 def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
@@ -359,10 +388,14 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     """Adam optimization for config.epochs; returns (trained model, loss trace).
 
     Deterministic for fixed seeds. The trace holds the full-batch loss
-    after each epoch, starting with the initial loss. If the last epoch is
-    not the best one seen, the best parameters are restored, so the final
-    loss never exceeds the initial loss. Raises TrainingDivergedError when
-    the loss stops being finite.
+    after each epoch, starting with the initial loss. In full-batch mode
+    each entry but the last comes from the forward pass that also feeds
+    the next epoch's gradient, so the network runs once per epoch; only
+    the entry after the last update (and, with mini-batches, every entry)
+    takes a separate loss_only pass. If the last epoch is not the best one
+    seen, the best parameters are restored, so the final loss never
+    exceeds the initial loss. Raises TrainingDivergedError when the loss
+    stops being finite, before any gradient is taken from it.
     """
     if targets.n == 0:
         raise DataError("cannot train on an empty target batch")
@@ -371,48 +404,46 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     params = model.param_arrays()
     moment1 = [np.zeros_like(p) for p in params]
     moment2 = [np.zeros_like(p) for p in params]
-    b1, b2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
+    full_batch = cfg.batch is None or cfg.batch >= targets.n
     batch_rng = np.random.default_rng(cfg.seed + 1)
 
-    trace = [loss_only(model, targets, lam, mu)]
-    if not np.isfinite(trace[0]):
+    loss, *forward = _penalized_loss(model, targets, lam, mu, keep_cache=full_batch)
+    trace = [loss]
+    if not np.isfinite(loss):
         raise TrainingDivergedError("initial loss is not finite", trace)
-    best_loss = trace[0]
+    best_loss = loss
     best_params = [p.copy() for p in params]
 
     step = 0
     for epoch in range(cfg.epochs):
-        if cfg.batch is None or cfg.batch >= targets.n:
-            batches = [targets]
-        else:
-            order = batch_rng.permutation(targets.n)
-            batches = [targets.rows(order[i:i + cfg.batch])
-                       for i in range(0, targets.n, cfg.batch)]
         try:
-            for batch in batches:
-                _, grads = loss_and_gradient(model, batch, lam, mu)
+            if full_batch:
+                grads = _backward(model, targets, lam, mu, *forward)
+                del forward  # free the cache before the next forward pass builds one
                 step += 1
-                scale1 = 1.0 - b1 ** step
-                scale2 = 1.0 - b2 ** step
-                for p, grad, m1, m2 in zip(params, grads, moment1, moment2):
-                    m1 *= b1
-                    m1 += (1.0 - b1) * grad
-                    m2 *= b2
-                    m2 += (1.0 - b2) * grad * grad
-                    p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
-                if model.alpha is not None:
-                    np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
-            epoch_loss = loss_only(model, targets, lam, mu)
+                _adam_step(model, grads, moment1, moment2, step, lr)
+                if epoch + 1 < cfg.epochs:
+                    loss, *forward = _penalized_loss(model, targets, lam, mu, keep_cache=True)
+                else:
+                    loss = loss_only(model, targets, lam, mu)
+            else:
+                order = batch_rng.permutation(targets.n)
+                for i in range(0, targets.n, cfg.batch):
+                    _, grads = loss_and_gradient(model, targets.rows(order[i:i + cfg.batch]),
+                                                 lam, mu)
+                    step += 1
+                    _adam_step(model, grads, moment1, moment2, step, lr)
+                loss = loss_only(model, targets, lam, mu)
         except NumericError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", trace) from exc
-        if not np.isfinite(epoch_loss):
+        if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}", trace)
-        trace.append(epoch_loss)
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
+        trace.append(loss)
+        if loss < best_loss:
+            best_loss = loss
             best_params = [p.copy() for p in params]
 
     if trace[-1] > best_loss:

@@ -319,6 +319,42 @@ def _forest_with_nan_chf(payload):
     payload["trees"][0]["run_values"][0] = float("nan")
 
 
+def _forest_with_fractional_n_trees(payload):
+    payload["config"]["n_trees"] = 2.7
+
+
+def _forest_with_bool_n_trees(payload):
+    payload["config"]["n_trees"] = True
+
+
+def _forest_with_text_min_leaf_events(payload):
+    payload["config"]["min_leaf_events"] = "4"
+
+
+def _forest_with_text_gamma_fraction(payload):
+    payload["config"]["gamma_fraction"] = "0.5"
+
+
+def _forest_with_fractional_max_depth(payload):
+    payload["config"]["max_depth"] = 2.5
+
+
+def _forest_with_text_features_per_split(payload):
+    payload["config"]["features_per_split"] = "2"
+
+
+def _forest_with_null_seed(payload):
+    payload["config"]["seed"] = None
+
+
+def _forest_without_config_seed(payload):
+    del payload["config"]["seed"]
+
+
+def _forest_with_n_trees_off_by_one(payload):
+    payload["config"]["n_trees"] = len(payload["trees"]) - 1
+
+
 class TestMalformedForestFile:
     """explain --forest on a broken forest.bin: exit 3 and one line on stderr."""
 
@@ -351,6 +387,17 @@ class TestMalformedForestFile:
         (_forest_with_right_into_left_subtree, "the first after its left subtree"),
         (_forest_with_feature_out_of_range, "split feature 2 outside 0..1"),
         (_forest_with_nan_chf, "non-finite threshold or CHF value"),
+        (_forest_with_fractional_n_trees, "forest config's 'n_trees' has the wrong type"),
+        (_forest_with_bool_n_trees, "forest config's 'n_trees' has the wrong type"),
+        (_forest_with_text_min_leaf_events,
+         "forest config's 'min_leaf_events' has the wrong type"),
+        (_forest_with_text_gamma_fraction, "forest config's 'gamma_fraction' has the wrong type"),
+        (_forest_with_fractional_max_depth, "forest config's 'max_depth' has the wrong type"),
+        (_forest_with_text_features_per_split,
+         "forest config's 'features_per_split' has the wrong type"),
+        (_forest_with_null_seed, "forest config's 'seed' has the wrong type"),
+        (_forest_without_config_seed, "forest config has no 'seed'"),
+        (_forest_with_n_trees_off_by_one, "n_trees = 49, but the file holds 50 trees"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys):
         payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))

@@ -1,6 +1,9 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
+from survshape import nam
 from survshape.errors import DataError, NumericError, TrainingDivergedError
 from survshape.nam import (
     NamConfig,
@@ -44,6 +47,77 @@ def randomize_params(model, rng):
     if model.alpha is not None:
         model.alpha[...] = rng.uniform(0.2, 0.9, model.m)
         model.omega[...] = rng.normal(size=model.m)
+
+
+def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
+                    lam: float = 0.0, mu: float = 0.0):
+    """Reference Adam loop: a separate loss_only pass after every epoch's update.
+
+    This is train as it was before full-batch epochs took their trace
+    loss from the next gradient pass, kept as the oracle for that loop.
+
+    Deterministic for fixed seeds. The trace holds the full-batch loss
+    after each epoch, starting with the initial loss. If the last epoch is
+    not the best one seen, the best parameters are restored, so the final
+    loss never exceeds the initial loss. Raises TrainingDivergedError when
+    the loss stops being finite.
+    """
+    if targets.n == 0:
+        raise DataError("cannot train on an empty target batch")
+    cfg = config if config is not None else model.config
+    model = model.copy()
+    params = model.param_arrays()
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    lr = cfg.learning_rate
+    batch_rng = np.random.default_rng(cfg.seed + 1)
+
+    trace = [loss_only(model, targets, lam, mu)]
+    if not np.isfinite(trace[0]):
+        raise TrainingDivergedError("initial loss is not finite", trace)
+    best_loss = trace[0]
+    best_params = [p.copy() for p in params]
+
+    step = 0
+    for epoch in range(cfg.epochs):
+        if cfg.batch is None or cfg.batch >= targets.n:
+            batches = [targets]
+        else:
+            order = batch_rng.permutation(targets.n)
+            batches = [targets.rows(order[i:i + cfg.batch])
+                       for i in range(0, targets.n, cfg.batch)]
+        try:
+            for batch in batches:
+                _, grads = loss_and_gradient(model, batch, lam, mu)
+                step += 1
+                scale1 = 1.0 - b1 ** step
+                scale2 = 1.0 - b2 ** step
+                for p, grad, m1, m2 in zip(params, grads, moment1, moment2):
+                    m1 *= b1
+                    m1 += (1.0 - b1) * grad
+                    m2 *= b2
+                    m2 += (1.0 - b2) * grad * grad
+                    p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
+                if model.alpha is not None:
+                    np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
+            epoch_loss = loss_only(model, targets, lam, mu)
+        except NumericError as exc:
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: {exc}", trace) from exc
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}", trace)
+        trace.append(epoch_loss)
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best_params = [p.copy() for p in params]
+
+    if trace[-1] > best_loss:
+        for p, best in zip(params, best_params):
+            p[...] = best
+        trace.append(best_loss)
+    return model, trace
 
 
 class TestInitAndForward:
@@ -270,6 +344,112 @@ class TestTrain:
             model, _ = train(init_model(3, cfg), targets, cfg, lam=lam)
             counts.append(int(np.sum(np.abs(model.beta) < 1e-2)))
         assert counts == sorted(counts)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap survshape.nam.<name> so each call is counted; returns the count list."""
+    calls = []
+    original = getattr(nam, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nam, name, counted)
+    return calls
+
+
+class TestFusedTrainingLoop:
+    """train against reference_train, the loop with one loss_only pass per epoch."""
+
+    @pytest.mark.parametrize("variant, activation, lam, mu, batch", [
+        ("base", "relu", 0.0, 0.0, None),
+        ("base", "tanh", 0.0, 0.0, 9),
+        ("lasso", "relu", 0.3, 0.0, None),
+        ("lasso", "tanh", 0.3, 0.0, 12),
+        ("shortcut", "relu", 0.2, 0.05, 9),
+        ("shortcut", "tanh", 0.2, 0.05, None),
+        ("shortcut", "relu", 0.0, 0.0, None),
+        ("shortcut", "tanh", 0.1, 0.01, 4),  # mini-batches
+    ])
+    def test_matches_reference_bit_for_bit(self, variant, activation, lam, mu, batch):
+        rng = np.random.default_rng(31)
+        targets = random_batch(rng, 9, 3)
+        cfg = small_config(variant, activation=activation, epochs=40,
+                           learning_rate=1e-2, batch=batch)
+        model = init_model(3, cfg)
+        got, trace = train(model, targets, cfg, lam, mu)
+        expected, expected_trace = reference_train(model, targets, cfg, lam, mu)
+        assert got.flatten().tobytes() == expected.flatten().tobytes()
+        assert trace == expected_trace
+        assert len(trace) in (41, 42)
+
+    def test_restored_best_loss_matches_reference(self):
+        # A learning rate this large overshoots, so the last epoch is not the
+        # best and the restored best loss is appended to the trace.
+        rng = np.random.default_rng(12)
+        targets = random_batch(rng, 8, 2)
+        cfg = small_config(epochs=25, learning_rate=0.2)
+        model = init_model(2, cfg)
+        got, trace = train(model, targets, cfg)
+        expected, expected_trace = reference_train(model, targets, cfg)
+        assert len(trace) == 27 and trace[-2] > trace[-1] == min(trace)
+        assert got.flatten().tobytes() == expected.flatten().tobytes()
+        assert trace == expected_trace
+
+    def test_one_forward_pass_per_full_batch_epoch(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        targets = random_batch(rng, 7, 2)
+        epochs = 12
+        cfg = small_config("lasso", epochs=epochs)
+        forward = count_calls(monkeypatch, "_penalized_loss")
+        trace_passes = count_calls(monkeypatch, "loss_only")
+        _, trace = train(init_model(2, cfg), targets, cfg, lam=0.1)
+        assert len(forward) == epochs + 1
+        assert len(trace_passes) <= 1
+        assert len(trace) >= epochs + 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_initial_loss_same_error(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        targets = random_batch(rng, 6, 1)
+        cfg = small_config(epochs=20)
+        model = init_model(1, cfg)
+        model.layer_weights[0][...] = 1e300
+        model.layer_weights[-1][...] = 1e300
+        with pytest.raises(TrainingDivergedError) as expected:
+            reference_train(model, targets, cfg)
+        backward = count_calls(monkeypatch, "_backward")
+        with pytest.raises(TrainingDivergedError) as got:
+            train(model, targets, cfg)
+        assert str(got.value) == str(expected.value) == "initial loss is not finite"
+        assert len(got.value.trace) == 1 and not np.isfinite(got.value.trace[0])
+        assert repr(got.value.trace) == repr(expected.value.trace)
+        assert backward == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("variant, learning_rate, epoch", [
+        ("base", 1e55, 0),
+        ("shortcut", 1e44, 1),
+    ])
+    def test_divergence_mid_training_same_error(self, monkeypatch, variant,
+                                                learning_rate, epoch):
+        rng = np.random.default_rng(3)
+        targets = random_batch(rng, 6, 2)
+        cfg = small_config(variant, epochs=30, learning_rate=learning_rate)
+        model = init_model(2, cfg)
+        with pytest.raises(TrainingDivergedError) as expected:
+            reference_train(model, targets, cfg)
+        backward = count_calls(monkeypatch, "_backward")
+        with pytest.raises(TrainingDivergedError) as got:
+            train(model, targets, cfg)
+        assert str(got.value) == str(expected.value) == f"training diverged at epoch {epoch}"
+        assert got.value.trace == expected.value.trace
+        assert len(got.value.trace) == epoch + 1
+        # One backward pass per update; none on the non-finite loss.
+        assert len(backward) == epoch + 1
 
 
 class TestShapeCurve:
