@@ -4,11 +4,13 @@ DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The
 JSON readers share `_read_json`, which turns an unreadable or unparsable
 file into a DataError, and `_field`, which does the same for a missing
-or ill-typed key. Every artifact writer goes through `_atomic_open`, so
+or ill-typed key; the config classes check their integer fields with
+`_integer`. Every artifact writer goes through `_atomic_open`, so
 a failed or interrupted write never leaves a partial file.
 """
 
 import json
+import operator
 import os
 from contextlib import contextmanager, suppress
 
@@ -69,6 +71,19 @@ def _field(obj: dict, key: str, kind, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DataError(f"{where}'s {key!r} has the wrong type")
     return value
+
+
+def _integer(value, name: str, optional: bool = False):
+    """value as a Python int (None too, when optional); DataError otherwise.
+
+    Numpy integers pass; a bool, a float (even 2.0) and a string do not.
+    """
+    if optional and value is None:
+        return None
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise DataError(f"{name} must be an int, got {value!r}")
 
 
 def _read_json(path, kind: str):

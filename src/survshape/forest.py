@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _atomic_open, _field, _read_json
+from .errors import DataError, _atomic_open, _field, _integer, _read_json
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -51,13 +51,10 @@ class ForestConfig:
     gamma_fraction: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "n_trees", int(self.n_trees))
-        object.__setattr__(self, "min_leaf_events", int(self.min_leaf_events))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.max_depth is not None:
-            object.__setattr__(self, "max_depth", int(self.max_depth))
-        if self.features_per_split is not None:
-            object.__setattr__(self, "features_per_split", int(self.features_per_split))
+        for name in ("n_trees", "min_leaf_events", "max_depth", "features_per_split", "seed"):
+            value = _integer(getattr(self, name), name,
+                             optional=name in ("max_depth", "features_per_split"))
+            object.__setattr__(self, name, value)
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
         if self.min_leaf_events < 1:

@@ -17,32 +17,38 @@ for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_open, _field,
-                     _read_json)
+                     _integer, _read_json)
 
 VARIANTS = ("base", "lasso", "shortcut")
 
 
 def _relu(z):
-    return np.maximum(z, 0.0)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _relu_grad(z):
-    return (z > 0.0).astype(float)
+def _tanh(z):
+    return np.tanh(z, out=z)
 
 
-def _tanh_grad(z):
-    return 1.0 - np.tanh(z) ** 2
+def _relu_grad(a):
+    return a > 0.0
 
 
+def _tanh_grad(a):
+    return 1.0 - a ** 2
+
+
+# name -> (activation applied in place to a fresh pre-activation,
+#          derivative taken from the activation's output)
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
-    "tanh": (np.tanh, _tanh_grad),
+    "tanh": (_tanh, _tanh_grad),
 }
 
 
@@ -59,9 +65,16 @@ class NamConfig:
     variant: str = "base"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
+        try:
+            hidden = tuple(_integer(h, "hidden_sizes") for h in self.hidden_sizes)
+        except DataError:
+            hidden = ()
+        if len(hidden) == 0 or any(h < 1 for h in hidden):
             raise DataError("hidden_sizes must be a nonempty list of positive ints")
+        object.__setattr__(self, "hidden_sizes", hidden)
+        for name in ("epochs", "batch", "seed"):
+            value = _integer(getattr(self, name), name, optional=name == "batch")
+            object.__setattr__(self, name, value)
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation {self.activation!r}")
         if not self.learning_rate > 0:
@@ -118,9 +131,13 @@ class TargetBatch:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def rows(self, idx) -> "TargetBatch":
-        return TargetBatch(self.x[idx], self.log_ratios[idx], self.widths,
-                           self.weights[idx])
+
+def _rows(targets: TargetBatch, idx) -> TargetBatch:
+    """Rows idx of a batch that has been validated, taken without validating them again."""
+    batch = object.__new__(TargetBatch)
+    batch.__dict__.update(x=targets.x[idx], log_ratios=targets.log_ratios[idx],
+                          widths=targets.widths, weights=targets.weights[idx])
+    return batch
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,12 @@ class NamModel:
     Layer parameters are stored with a leading subnetwork axis:
     layer_weights[l] has shape (m, fan_in, fan_out) and layer_biases[l]
     (m, fan_out), so one batched matmul runs all m subnetworks at once.
+
+    Construction copies every array into one contiguous float64 vector, in
+    param_arrays() order, and rebinds the fields to views of it. Writing
+    through a field writes the vector, so training updates all parameters
+    in a handful of whole-vector operations. Write the arrays in place;
+    rebinding a field would detach it from the vector.
     """
 
     layer_weights: list[np.ndarray]
@@ -149,6 +172,19 @@ class NamModel:
     omega: Optional[np.ndarray]
     config: NamConfig
     feature_names: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        self._theta = np.concatenate([np.asarray(p, dtype=float).ravel()
+                                      for p in self.param_arrays()])
+        views = self._views(self._theta)
+        depth = len(self.layer_weights)
+        self.layer_weights = views[0:2 * depth:2]
+        self.layer_biases = views[1:2 * depth:2]
+        self.bias = views[2 * depth]
+        heads = iter(views[2 * depth + 1:])
+        for name in ("beta", "alpha", "omega"):
+            if getattr(self, name) is not None:
+                setattr(self, name, next(heads))
 
     @property
     def m(self) -> int:
@@ -173,29 +209,26 @@ class NamModel:
             params.append(self.omega)
         return params
 
+    def _views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Consecutive slices of vec shaped like param_arrays(), as views."""
+        views, offset = [], 0
+        for p in self.param_arrays():
+            views.append(vec[offset:offset + p.size].reshape(p.shape))
+            offset += p.size
+        return views
+
     def flatten(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.param_arrays()])
+        return self._theta.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=float)
-        offset = 0
-        for p in self.param_arrays():
-            p[...] = vec[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != vec.size:
+        if vec.shape != self._theta.shape:
             raise DataError("flat parameter vector has the wrong length")
+        self._theta[...] = vec
 
     def copy(self) -> "NamModel":
-        return NamModel(
-            [w.copy() for w in self.layer_weights],
-            [b.copy() for b in self.layer_biases],
-            self.bias.copy(),
-            None if self.beta is None else self.beta.copy(),
-            None if self.alpha is None else self.alpha.copy(),
-            None if self.omega is None else self.omega.copy(),
-            self.config,
-            self.feature_names,
-        )
+        """A copy sharing no memory: construction packs the arrays into a new vector."""
+        return replace(self)
 
 
 def init_model(m: int, config: NamConfig,
@@ -226,25 +259,24 @@ def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
                     k: Optional[int] = None):
     """Run the subnetworks on x (n, m); returns g (m, n) and the backprop cache.
 
-    With k given, only subnetwork k runs, on x of shape (n, 1), and g is (1, n).
+    The cache lists each layer's input: x as (m, n, 1) for the first layer,
+    then each hidden layer's activation output, from which the backward
+    pass takes the activation derivative. With k given, only subnetwork k
+    runs, on x of shape (n, 1), and g is (1, n).
     """
     act, _ = ACTIVATIONS[model.config.activation]
     nets = slice(None) if k is None else slice(k, k + 1)
     a = x.T[:, :, None]  # (m, n, 1)
-    inputs, preacts = [], []
+    inputs = []
     last = len(model.layer_weights) - 1
     for l, (w, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
         if keep_cache:
             inputs.append(a)
-        z = np.matmul(a, w[nets]) + b[nets, None, :]
-        if l < last:
-            if keep_cache:
-                preacts.append(z)
-            a = act(z)
-        else:
-            a = z
+        # The first layer has fan-in 1: its matmul is a broadcast product.
+        z = (a * w[nets] if l == 0 else np.matmul(a, w[nets])) + b[nets, None, :]
+        a = act(z) if l < last else z
     g = a[:, :, 0]  # (m, n)
-    return g, (inputs, preacts)
+    return g, inputs
 
 
 def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -296,13 +328,12 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
 
 
 def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
-              g: np.ndarray, log_risk: np.ndarray, cache) -> list[np.ndarray]:
+              g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray) -> np.ndarray:
     """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
 
-    At the |.| kink the subgradient 0 is used. Gradients come back in
-    param_arrays() order.
+    At the |.| kink the subgradient 0 is used. The gradient is written into
+    the flat vector out, in param_arrays() order, and out is returned.
     """
-    inputs, preacts = cache
     x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
     _, act_grad = ACTIVATIONS[model.config.activation]
 
@@ -334,27 +365,32 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
         layer_grads.append(db)
         layer_grads.append(dw)
         if l > 0:
-            delta = np.matmul(delta, w.transpose(0, 2, 1)) * act_grad(preacts[l - 1])
+            delta = np.matmul(delta, w.transpose(0, 2, 1))
+            delta *= act_grad(inputs[l])
     layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
 
+    np.concatenate([grad.ravel() for grad in layer_grads + [d_bias] + head_grads], out=out)
     if model.variant == "shortcut" and mu > 0.0:
-        for idx in range(0, len(layer_grads), 2):
-            layer_grads[idx] = layer_grads[idx] + 2.0 * mu * model.layer_weights[idx // 2]
-            layer_grads[idx + 1] = layer_grads[idx + 1] + 2.0 * mu * model.layer_biases[idx // 2]
-    return layer_grads + [d_bias] + head_grads
+        size = sum(grad.size for grad in layer_grads)
+        out[:size] += 2.0 * mu * model._theta[:size]
+    return out
 
 
 def loss_and_gradient(model: NamModel, targets: TargetBatch,
-                      lam: float = 0.0, mu: float = 0.0):
+                      lam: float = 0.0, mu: float = 0.0, out: Optional[np.ndarray] = None):
     """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
 
     At the |.| kink the subgradient 0 is used. Gradients come back in
-    param_arrays() order. A non-finite loss raises NumericError.
+    param_arrays() order, as views of one flat vector: out when given (it
+    must have model.flatten()'s shape), a new one otherwise. A non-finite
+    loss raises NumericError before any gradient is taken.
     """
-    loss, g, log_risk, cache = _penalized_loss(model, targets, lam, mu, keep_cache=True)
+    loss, g, log_risk, inputs = _penalized_loss(model, targets, lam, mu, keep_cache=True)
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
-    return loss, _backward(model, targets, lam, mu, g, log_risk, cache)
+    if out is None:
+        out = np.empty_like(model._theta)
+    return loss, model._views(_backward(model, targets, lam, mu, g, log_risk, inputs, out))
 
 
 def loss_only(model: NamModel, targets: TargetBatch,
@@ -368,17 +404,33 @@ def loss_only(model: NamModel, targets: TargetBatch,
     return _penalized_loss(model, targets, lam, mu)[0]
 
 
-def _adam_step(model: NamModel, grads, moment1, moment2, step: int, lr: float) -> None:
-    """One in-place Adam update (step counts from 1); alpha is then clipped to [0, 1]."""
+def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
+               lr: float) -> None:
+    """One in-place Adam update of the model's flat parameter vector (step counts from 1).
+
+    state is (4, P): the two moments, then two scratch rows. Per element,
+    m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g and
+    theta -= (lr*(m1/scale1)) / (sqrt(m2/scale2) + eps), each a whole-vector
+    operation; alpha is then clipped to [0, 1] through its view.
+    """
     b1, b2, eps = 0.9, 0.999, 1e-8
     scale1 = 1.0 - b1 ** step
     scale2 = 1.0 - b2 ** step
-    for p, grad, m1, m2 in zip(model.param_arrays(), grads, moment1, moment2):
-        m1 *= b1
-        m1 += (1.0 - b1) * grad
-        m2 *= b2
-        m2 += (1.0 - b2) * grad * grad
-        p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
+    moment1, moment2, num, den = state
+    moment1 *= b1
+    np.multiply(grad, 1.0 - b1, out=num)
+    moment1 += num
+    moment2 *= b2
+    np.multiply(grad, 1.0 - b2, out=num)
+    num *= grad
+    moment2 += num
+    np.divide(moment1, scale1, out=num)
+    num *= lr
+    np.divide(moment2, scale2, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    num /= den
+    model._theta -= num
     if model.alpha is not None:
         np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
 
@@ -387,53 +439,61 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
           lam: float = 0.0, mu: float = 0.0):
     """Adam optimization for config.epochs; returns (trained model, loss trace).
 
-    Deterministic for fixed seeds. The trace holds the full-batch loss
-    after each epoch, starting with the initial loss. In full-batch mode
-    each entry but the last comes from the forward pass that also feeds
-    the next epoch's gradient, so the network runs once per epoch; only
-    the entry after the last update (and, with mini-batches, every entry)
-    takes a separate loss_only pass. If the last epoch is not the best one
-    seen, the best parameters are restored, so the final loss never
-    exceeds the initial loss. Raises TrainingDivergedError when the loss
-    stops being finite, before any gradient is taken from it.
+    Deterministic for fixed seeds. Every step takes its gradient from
+    loss_and_gradient into one flat vector and updates the flat parameter
+    vector with _adam_step; mini-batches are row slices of targets. The
+    trace holds the full-batch loss after each epoch, starting with the
+    initial loss. In full-batch mode each entry but the last is the loss
+    that loss_and_gradient returns for the next epoch's gradient, so the
+    network runs once per epoch; only the entry after the last update
+    (and, with mini-batches, every entry) takes a separate loss_only pass.
+    If the last epoch is not the best one seen, the best parameters are
+    restored, so the final loss never exceeds the initial loss. Raises
+    TrainingDivergedError when the loss stops being finite, before any
+    gradient is taken from it. The input model is left unchanged.
     """
     if targets.n == 0:
         raise DataError("cannot train on an empty target batch")
     cfg = config if config is not None else model.config
     model = model.copy()
-    params = model.param_arrays()
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
+    theta = model._theta
+    grad = np.empty_like(theta)
+    state = np.zeros((4, theta.size))
     lr = cfg.learning_rate
     full_batch = cfg.batch is None or cfg.batch >= targets.n
     batch_rng = np.random.default_rng(cfg.seed + 1)
 
-    loss, *forward = _penalized_loss(model, targets, lam, mu, keep_cache=full_batch)
+    def full_batch_pass() -> float:
+        """The full-batch loss, with its gradient in grad when the loss is finite."""
+        try:
+            return loss_and_gradient(model, targets, lam, mu, out=grad)[0]
+        except NumericError:
+            return loss_only(model, targets, lam, mu)  # the non-finite value, for the trace
+
+    loss = full_batch_pass() if full_batch else loss_only(model, targets, lam, mu)
     trace = [loss]
     if not np.isfinite(loss):
         raise TrainingDivergedError("initial loss is not finite", trace)
     best_loss = loss
-    best_params = [p.copy() for p in params]
+    best_theta = theta.copy()
 
     step = 0
     for epoch in range(cfg.epochs):
         try:
             if full_batch:
-                grads = _backward(model, targets, lam, mu, *forward)
-                del forward  # free the cache before the next forward pass builds one
                 step += 1
-                _adam_step(model, grads, moment1, moment2, step, lr)
+                _adam_step(model, grad, state, step, lr)
                 if epoch + 1 < cfg.epochs:
-                    loss, *forward = _penalized_loss(model, targets, lam, mu, keep_cache=True)
+                    loss = full_batch_pass()
                 else:
                     loss = loss_only(model, targets, lam, mu)
             else:
                 order = batch_rng.permutation(targets.n)
                 for i in range(0, targets.n, cfg.batch):
-                    _, grads = loss_and_gradient(model, targets.rows(order[i:i + cfg.batch]),
-                                                 lam, mu)
+                    loss_and_gradient(model, _rows(targets, order[i:i + cfg.batch]),
+                                      lam, mu, out=grad)
                     step += 1
-                    _adam_step(model, grads, moment1, moment2, step, lr)
+                    _adam_step(model, grad, state, step, lr)
                 loss = loss_only(model, targets, lam, mu)
         except NumericError as exc:
             raise TrainingDivergedError(
@@ -444,11 +504,10 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
         trace.append(loss)
         if loss < best_loss:
             best_loss = loss
-            best_params = [p.copy() for p in params]
+            np.copyto(best_theta, theta)
 
     if trace[-1] > best_loss:
-        for p, best in zip(params, best_params):
-            p[...] = best
+        theta[...] = best_theta
         trace.append(best_loss)
     return model, trace
 

@@ -243,6 +243,22 @@ class TestFitAndPredict:
         with pytest.raises(DataError):
             predict_chf_matrix(forest, np.array([np.nan, 0.0])[None])
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 2.7), ("n_trees", 2.0), ("n_trees", "3"), ("n_trees", None),
+        ("min_leaf_events", "4"), ("min_leaf_events", True), ("max_depth", True),
+        ("max_depth", 2.5), ("features_per_split", "2"), ("seed", 1.0),
+    ])
+    def test_config_rejects_non_int_fields(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be an int, got "):
+            ForestConfig(**{field: value})
+
+    def test_config_keeps_int_fields(self):
+        config = ForestConfig(n_trees=np.int64(3), min_leaf_events=2, max_depth=None,
+                              features_per_split=np.int32(2), seed=4)
+        assert (config.n_trees, config.features_per_split) == (3, 2)
+        assert type(config.n_trees) is int and type(config.features_per_split) is int
+        assert config.max_depth is None
+
     def test_tiny_dataset_single_leaf_with_warning(self):
         # 3 events satisfies the precondition but no split can give each
         # child min_leaf_events = 3 events, so every tree stays a leaf.

@@ -85,8 +85,10 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
             batches = [targets]
         else:
             order = batch_rng.permutation(targets.n)
-            batches = [targets.rows(order[i:i + cfg.batch])
-                       for i in range(0, targets.n, cfg.batch)]
+            batches = [TargetBatch(targets.x[idx], targets.log_ratios[idx], targets.widths,
+                                   targets.weights[idx])
+                       for idx in (order[i:i + cfg.batch]
+                                   for i in range(0, targets.n, cfg.batch))]
         try:
             for batch in batches:
                 _, grads = loss_and_gradient(model, batch, lam, mu)
@@ -118,6 +120,29 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
             p[...] = best
         trace.append(best_loss)
     return model, trace
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(hidden_sizes=(2.9,)), "hidden_sizes must be a nonempty list of positive ints"),
+        (dict(hidden_sizes=(4, True)), "hidden_sizes must be a nonempty list of positive ints"),
+        (dict(hidden_sizes=("8",)), "hidden_sizes must be a nonempty list of positive ints"),
+        (dict(epochs=2.5), "epochs must be an int, got 2.5"),
+        (dict(epochs="100"), "epochs must be an int, got '100'"),
+        (dict(batch=True), "batch must be an int, got True"),
+        (dict(batch=64.0), "batch must be an int, got 64.0"),
+        (dict(seed="1"), "seed must be an int, got '1'"),
+    ])
+    def test_rejects_non_int_fields(self, kwargs, message):
+        with pytest.raises(DataError) as err:
+            NamConfig(**kwargs)
+        assert str(err.value) == message
+
+    def test_keeps_int_fields(self):
+        cfg = NamConfig(hidden_sizes=[np.int64(4), 2], epochs=np.int32(3), batch=None)
+        assert cfg.hidden_sizes == (4, 2) and cfg.epochs == 3 and cfg.batch is None
+        assert all(type(v) is int for v in cfg.hidden_sizes + (cfg.epochs, cfg.seed))
+        assert NamConfig(batch=np.int64(16)).batch == 16
 
 
 class TestInitAndForward:
@@ -371,6 +396,10 @@ class TestFusedTrainingLoop:
         ("shortcut", "tanh", 0.2, 0.05, None),
         ("shortcut", "relu", 0.0, 0.0, None),
         ("shortcut", "tanh", 0.1, 0.01, 4),  # mini-batches
+        ("lasso", "relu", 0.3, 0.0, 4),
+        ("shortcut", "relu", 0.2, 0.05, 3),
+        ("base", "tanh", 0.0, 0.0, 5),  # the last batch holds 4 rows
+        ("base", "relu", 0.0, 0.0, 1),
     ])
     def test_matches_reference_bit_for_bit(self, variant, activation, lam, mu, batch):
         rng = np.random.default_rng(31)
@@ -383,6 +412,58 @@ class TestFusedTrainingLoop:
         assert got.flatten().tobytes() == expected.flatten().tobytes()
         assert trace == expected_trace
         assert len(trace) in (41, 42)
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_input_model_unchanged(self, batch):
+        rng = np.random.default_rng(32)
+        targets = random_batch(rng, 9, 3)
+        cfg = small_config("shortcut", epochs=10, learning_rate=1e-2, batch=batch)
+        model = init_model(3, cfg)
+        before = model.flatten()
+        trained, _ = train(model, targets, cfg, 0.1, 0.01)
+        assert model.flatten().tobytes() == before.tobytes()
+        assert trained.flatten().tobytes() != before.tobytes()
+
+    def test_gradient_fills_out(self):
+        rng = np.random.default_rng(33)
+        model = init_model(2, small_config("lasso"))
+        randomize_params(model, rng)
+        targets = random_batch(rng, 5, 2)
+        out = np.full(model.flatten().size, np.nan)
+        _, grads = loss_and_gradient(model, targets, 0.1, 0.0, out=out)
+        _, fresh = loss_and_gradient(model, targets, 0.1, 0.0)
+        assert all(np.shares_memory(g, out) for g in grads)
+        assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+
+    def test_trained_model_copies_and_round_trips_exactly(self, tmp_path):
+        rng = np.random.default_rng(34)
+        targets = random_batch(rng, 9, 3)
+        cfg = small_config("shortcut", epochs=15, learning_rate=1e-2, batch=4)
+        model, _ = train(init_model(3, cfg), targets, cfg, 0.1, 0.01)
+        flat = model.flatten()
+        # The fields are views of one vector, laid out in param_arrays() order.
+        assert flat.tobytes() == np.concatenate(
+            [p.ravel() for p in model.param_arrays()]).tobytes()
+
+        twin = model.copy()
+        assert twin.flatten().tobytes() == flat.tobytes()
+        for mine in model.param_arrays() + [model.flatten()]:
+            for theirs in twin.param_arrays():
+                assert not np.shares_memory(mine, theirs)
+        twin.alpha[0] = 0.0
+        twin.layer_weights[0][...] = 7.0
+        assert model.flatten().tobytes() == flat.tobytes()
+
+        blank = init_model(3, cfg)
+        blank.set_flat(flat)
+        assert blank.flatten().tobytes() == flat.tobytes()
+        assert blank.alpha.tobytes() == model.alpha.tobytes()
+        with pytest.raises(DataError):
+            blank.set_flat(flat[:-1])
+
+        save_model(model, tmp_path / "nam.json")
+        loaded = load_model(tmp_path / "nam.json")
+        assert loaded.flatten().tobytes() == flat.tobytes()
 
     def test_restored_best_loss_matches_reference(self):
         # A learning rate this large overshoots, so the last epoch is not the
