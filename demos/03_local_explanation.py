@@ -37,8 +37,7 @@ print(f"neighborhood radius {nbhd.radius:.3f}, weights in "
       f"[{nbhd.weights.min():.2f}, {nbhd.weights.max():.2f}]")
 baseline = nelson_aalen(dataset, forest.grid)
 targets = build_targets(forest, baseline, nbhd.points, nbhd.weights)
-print(f"targets: {targets.log_ratios.shape[0]} points x "
-      f"{targets.log_ratios.shape[1]} intervals")
+print(f"targets: {nbhd.points.shape[0]} points x {forest.grid.n_intervals} intervals")
 
 # One call does all of the above plus surrogate training and centering.
 config = NamConfig(hidden_sizes=(32, 16), learning_rate=1e-2, epochs=800, seed=0)

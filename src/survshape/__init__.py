@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .data import (
     DatasetSchema,
     export_csv,
-    load_csv,
     load_prepared_csv,
     train_test_split,
 )

@@ -213,14 +213,6 @@ class DatasetSchema:
         return schema
 
 
-def load_csv(path, schema: DatasetSchema) -> SurvivalDataset:
-    """Read a CSV through the schema; fits it first when it is not fitted yet."""
-    rows = read_csv_rows(path)
-    if schema.fitted:
-        return schema.transform(rows)
-    return schema.fit_transform(rows)
-
-
 def _split_indices(n: int, test_fraction: float, seed: int):
     """Candidate (train, test) row indices of n rows, one seeded shuffle each.
 

@@ -4,12 +4,13 @@ DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The
 JSON readers share `_read_json`, which turns an unreadable or unparsable
 file into a DataError, and `_field`, which does the same for a missing
-or ill-typed key; the config classes check their integer fields with
-`_integer`. Every artifact writer goes through `_atomic_open`, so
+or ill-typed key; the config classes check their integer and real fields
+with `_integer` and `_real`. Every artifact writer goes through `_atomic_open`, so
 a failed or interrupted write never leaves a partial file.
 """
 
 import json
+import numbers
 import operator
 import os
 from contextlib import contextmanager, suppress
@@ -84,6 +85,13 @@ def _integer(value, name: str, optional: bool = False):
         with suppress(TypeError):
             return operator.index(value)
     raise DataError(f"{name} must be an int, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """value as a Python float; DataError unless it is a real number other than a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DataError(f"{name} must be a real number, got {value!r}")
 
 
 def _read_json(path, kind: str):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _atomic_open, _field, _integer, _read_json
+from .errors import DataError, _atomic_open, _field, _integer, _read_json, _real
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -55,6 +55,7 @@ class ForestConfig:
             value = _integer(getattr(self, name), name,
                              optional=name in ("max_depth", "features_per_split"))
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "gamma_fraction", _real(self.gamma_fraction, "gamma_fraction"))
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
         if self.min_leaf_events < 1:

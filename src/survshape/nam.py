@@ -9,21 +9,23 @@ into an additive log-risk. Three variants exist:
             L1 penalty on alpha plus an L2 penalty on the subnetwork parameters
 
 Training minimizes the interval-weighted squared distance between the
-log-ratio targets and the log-risk (see TargetBatch), which is convex in
-the network outputs. Everything is plain numpy and fully deterministic
-for a fixed seed.
+log-ratio targets and the log-risk, which is convex in the network
+outputs. It needs the (n, s+1) target matrix only through three numbers
+per row, which TargetBatch keeps in place of the matrix, so every epoch
+and mini-batch runs on O(n) arrays. Everything is plain numpy and fully
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_open, _field,
-                     _integer, _read_json)
+                     _integer, _read_json, _real)
 
 VARIANTS = ("base", "lasso", "shortcut")
 
@@ -75,6 +77,7 @@ class NamConfig:
         for name in ("epochs", "batch", "seed"):
             value = _integer(getattr(self, name), name, optional=name == "batch")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate"))
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation {self.activation!r}")
         if not self.learning_rate > 0:
@@ -89,25 +92,32 @@ class NamConfig:
 
 @dataclass(frozen=True)
 class TargetBatch:
-    """Training targets for the additive surrogate.
+    """Training targets for the additive surrogate, as per-row sufficient statistics.
 
-    Attributes
-    ----------
-    x : (n, m) inputs fed to the subnetworks
-    log_ratios : (n, s+1) targets, log H_j(x_i) - log H_0j (epsilon-floored)
-    widths : (s+1,) interval widths weighting each column's residual
-    weights : (n,) nonnegative per-example kernel weights
+    Built from x (n, m), the log-ratio targets phi (n, s+1) with
+    phi_ij = log H_j(x_i) - log H_0j (epsilon-floored), the interval
+    widths tau (s+1,) and nonnegative kernel weights v (n,). For any r,
+    sum_j tau_j (phi_ij - r)^2 = (r T - b_i)^2 / T + c_i, so the fit loss
+    needs phi only through these, and the matrix is dropped once checked:
+
+    b : (n,) b_i = sum_j tau_j phi_ij
+    T : float, sum_j tau_j
+    c : (n,) the floor c_i = sum_j tau_j (phi_ij - b_i / T)^2, row i's
+        loss at its minimizer r = b_i / T, which no surrogate can remove
     """
 
     x: np.ndarray
-    log_ratios: np.ndarray
-    widths: np.ndarray
+    log_ratios: InitVar[np.ndarray]
+    widths: InitVar[np.ndarray]
     weights: np.ndarray
+    b: np.ndarray = field(init=False)
+    T: float = field(init=False)
+    c: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, log_ratios, widths):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        lr = np.atleast_2d(np.asarray(self.log_ratios, dtype=float))
-        w = np.asarray(self.widths, dtype=float)
+        lr = np.atleast_2d(np.asarray(log_ratios, dtype=float))
+        w = np.asarray(widths, dtype=float)
         v = np.asarray(self.weights, dtype=float)
         if lr.shape[0] != x.shape[0]:
             raise DataError("log_ratios must have one row per input row")
@@ -122,10 +132,11 @@ class TargetBatch:
             raise DataError("weights must be nonnegative")
         if np.any(w <= 0):
             raise DataError("interval widths must be positive")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "log_ratios", lr)
-        object.__setattr__(self, "widths", w)
-        object.__setattr__(self, "weights", v)
+        b = lr @ w
+        total = float(w.sum())
+        spread = lr - (b / total)[:, None]
+        # Frozen: the fields are set through __dict__, as _rows does.
+        self.__dict__.update(x=x, weights=v, b=b, T=total, c=(spread * spread) @ w)
 
     @property
     def n(self) -> int:
@@ -135,8 +146,8 @@ class TargetBatch:
 def _rows(targets: TargetBatch, idx) -> TargetBatch:
     """Rows idx of a batch that has been validated, taken without validating them again."""
     batch = object.__new__(TargetBatch)
-    batch.__dict__.update(x=targets.x[idx], log_ratios=targets.log_ratios[idx],
-                          widths=targets.widths, weights=targets.weights[idx])
+    batch.__dict__.update(x=targets.x[idx], weights=targets.weights[idx],
+                          b=targets.b[idx], T=targets.T, c=targets.c[idx])
     return batch
 
 
@@ -196,18 +207,9 @@ class NamModel:
 
     def param_arrays(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed canonical order."""
-        params = []
-        for w, b in zip(self.layer_weights, self.layer_biases):
-            params.append(w)
-            params.append(b)
-        params.append(self.bias)
-        if self.beta is not None:
-            params.append(self.beta)
-        if self.alpha is not None:
-            params.append(self.alpha)
-        if self.omega is not None:
-            params.append(self.omega)
-        return params
+        layers = [p for pair in zip(self.layer_weights, self.layer_biases) for p in pair]
+        heads = (self.bias, self.beta, self.alpha, self.omega)
+        return layers + [p for p in heads if p is not None]
 
     def _views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Consecutive slices of vec shaped like param_arrays(), as views."""
@@ -300,30 +302,37 @@ def predict_log_risk(model: NamModel, x) -> np.ndarray:
     return _combine(model, g, x)
 
 
+def _subnet_params(model: NamModel) -> np.ndarray:
+    """The subnetworks' weights and biases: the leading slice of the flat vector."""
+    return model._theta[:sum(p.size for p in model.layer_weights + model.layer_biases)]
+
+
 def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float,
                     keep_cache: bool = False):
     """Forward pass and the penalized loss; returns (loss, g, log_risk, cache).
 
-    The smooth part is sum_i v_i sum_j (target_ij - log_risk_i)^2 * width_j.
+    The smooth part is sum_i v_i sum_j (phi_ij - log_risk_i)^2 * tau_j,
+    computed from the batch's statistics as
+    sum_i v_i [(log_risk_i T - b_i)^2 / T + c_i] (see TargetBatch).
     The lasso variant adds lam * sum|beta|, the shortcut variant
     lam * sum|alpha| + mu * ||subnet parameters||^2.
     """
     if lam < 0 or mu < 0:
         raise DataError("regularization strengths must be nonnegative")
-    x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
+    x, v = targets.x, targets.weights
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
     g, cache = _subnet_forward(model, x, keep_cache)
     log_risk = _combine(model, g, x)
-    resid = phi - log_risk[:, None]
-    loss = float(np.einsum("i,ij,j->", v, resid * resid, tau))
+    e = log_risk * targets.T - targets.b
+    loss = float((v @ (e * e)) / targets.T + v @ targets.c)
     if model.variant == "lasso":
         loss += lam * float(np.abs(model.beta).sum())
     elif model.variant == "shortcut":
         loss += lam * float(np.abs(model.alpha).sum())
         if mu > 0.0:
-            loss += mu * sum(float(np.sum(a * a))
-                             for a in model.layer_weights + model.layer_biases)
+            layers = _subnet_params(model)
+            loss += mu * float(layers @ layers)
     return loss, g, log_risk, cache
 
 
@@ -334,11 +343,11 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
     At the |.| kink the subgradient 0 is used. The gradient is written into
     the flat vector out, in param_arrays() order, and out is returned.
     """
-    x, phi, tau, v = targets.x, targets.log_ratios, targets.widths, targets.weights
+    x, v = targets.x, targets.weights
     _, act_grad = ACTIVATIONS[model.config.activation]
 
     # d loss / d log_risk
-    u = 2.0 * v * (log_risk * tau.sum() - phi @ tau)
+    u = 2.0 * v * (log_risk * targets.T - targets.b)
 
     m, n = g.shape
     d_bias = np.array([u.sum()])
@@ -371,8 +380,8 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
 
     np.concatenate([grad.ravel() for grad in layer_grads + [d_bias] + head_grads], out=out)
     if model.variant == "shortcut" and mu > 0.0:
-        size = sum(grad.size for grad in layer_grads)
-        out[:size] += 2.0 * mu * model._theta[:size]
+        layers = _subnet_params(model)
+        out[:layers.size] += 2.0 * mu * layers
     return out
 
 
@@ -543,19 +552,10 @@ def shape_curve(model: NamModel, k: int, grid, reference) -> ShapeCurve:
 
 def save_model(model: NamModel, path) -> None:
     """Write a versioned JSON checkpoint (config, parameters, feature schema)."""
-    cfg = model.config
     payload = {
         "format": "survshape-nam",
         "version": 1,
-        "config": {
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "activation": cfg.activation,
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "batch": cfg.batch,
-            "seed": cfg.seed,
-            "variant": cfg.variant,
-        },
+        "config": asdict(model.config),  # fields in declaration order
         "feature_names": None if model.feature_names is None else list(model.feature_names),
         "layer_weights": [w.tolist() for w in model.layer_weights],
         "layer_biases": [b.tolist() for b in model.layer_biases],

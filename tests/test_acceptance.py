@@ -112,7 +112,9 @@ class TestCriterion2MinimizerOracle:
         points = generate_perturbations(dataset.features[0], dataset, 20, seed=4)
         baseline = nelson_aalen(dataset, forest.grid)
         targets = build_targets(forest, baseline, points, np.ones(20))
-        star = oracle_psi_star(targets.log_ratios, targets.widths)
+        log_ratios = (np.log(np.maximum(forest.predict_chf_matrix(points), 1e-5))
+                      - np.log(np.maximum(baseline.values, 1e-5)))
+        star = oracle_psi_star(log_ratios, forest.grid.widths)
         cfg = NamConfig(hidden_sizes=(64, 32), learning_rate=1e-2, epochs=4000, seed=0)
         model, _ = train(init_model(2, cfg), targets, cfg, lam=0.0, mu=0.0)
         rmse = float(np.sqrt(np.mean((predict_log_risk(model, points) - star) ** 2)))

@@ -7,8 +7,8 @@ from survshape.data import (
     DatasetSchema,
     export_csv,
     load_and_split_csv,
-    load_csv,
     load_prepared_csv,
+    read_csv_rows,
     train_test_split,
 )
 from survshape.errors import DataError, SchemaError
@@ -27,7 +27,7 @@ BASIC_SCHEMA = {"time": "time", "event": "event", "features": {"age": "numeric"}
 class TestLoadCsv:
     def test_numeric_standardization(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\n2,6,1\n3,7,0\n")
-        ds = load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+        ds = DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
         assert ds.features[:, 0] == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
         assert np.array_equal(ds.times, [5.0, 6.0, 7.0])
         assert np.array_equal(ds.events, [1, 1, 0])
@@ -35,12 +35,12 @@ class TestLoadCsv:
     def test_all_censored_rejected(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,0\n2,6,0\n")
         with pytest.raises(DataError):
-            load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+            DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
 
     def test_two_level_categorical_single_column(self, tmp_path):
         cfg = {"time": "t", "event": "e", "features": {"grp": "categorical"}}
         p = write(tmp_path / "d.csv", "grp,t,e\nA,1,1\nB,2,1\nA,3,0\n")
-        ds = load_csv(p, DatasetSchema.from_config(cfg))
+        ds = DatasetSchema.from_config(cfg).fit_transform(read_csv_rows(p))
         assert ds.feature_names == ("grp=B",)
         assert ds.feature_kinds == (KIND_ONE_HOT,)
         assert np.array_equal(ds.features[:, 0], [0.0, 1.0, 0.0])
@@ -48,38 +48,38 @@ class TestLoadCsv:
     def test_multi_level_categorical_one_hot(self, tmp_path):
         cfg = {"time": "t", "event": "e", "features": {"cell": "categorical"}}
         p = write(tmp_path / "d.csv", "cell,t,e\nsquamous,1,1\nsmall,2,1\nadeno,3,0\n")
-        ds = load_csv(p, DatasetSchema.from_config(cfg))
+        ds = DatasetSchema.from_config(cfg).fit_transform(read_csv_rows(p))
         assert ds.feature_names == ("cell=adeno", "cell=small", "cell=squamous")
         assert np.array_equal(ds.features[0], [0.0, 0.0, 1.0])
 
     def test_missing_column_reported(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time\n1,5\n")
         with pytest.raises(SchemaError, match="event"):
-            load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+            DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
 
     def test_bad_cell_reports_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\nxx,6,1\n")
         with pytest.raises(SchemaError, match="row 1"):
-            load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+            DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
 
     def test_missing_time_row_dropped_with_warning(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\n2,,1\n3,7,1\n")
         with pytest.warns(UserWarning, match="dropped 1 rows"):
-            ds = load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+            ds = DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
         assert ds.n == 2
 
     def test_missing_feature_is_error(self, tmp_path):
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\n,6,1\n")
         with pytest.raises(SchemaError, match="missing value for feature"):
-            load_csv(p, DatasetSchema.from_config(BASIC_SCHEMA))
+            DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
 
     def test_fitted_schema_does_not_refit(self, tmp_path):
         train = write(tmp_path / "train.csv", "age,time,event\n1,5,1\n2,6,1\n3,7,0\n")
         test = write(tmp_path / "test.csv", "age,time,event\n10,5,1\n20,6,1\n")
         schema = DatasetSchema.from_config(BASIC_SCHEMA)
-        load_csv(train, schema)
+        schema.fit_transform(read_csv_rows(train))
         stats_before = dict(schema.stats)
-        ds_test = load_csv(test, schema)
+        ds_test = schema.transform(read_csv_rows(test))
         assert schema.stats == stats_before
         mean, std = schema.stats["age"]
         assert ds_test.features[:, 0] == pytest.approx([(10 - mean) / std,
@@ -90,16 +90,16 @@ class TestLoadCsv:
         train = write(tmp_path / "train.csv", "grp,t,e\nA,1,1\nB,2,1\n")
         test = write(tmp_path / "test.csv", "grp,t,e\nC,1,1\nA,4,1\n")
         schema = DatasetSchema.from_config(cfg)
-        load_csv(train, schema)
+        schema.fit_transform(read_csv_rows(train))
         with pytest.raises(SchemaError, match="unseen level"):
-            load_csv(test, schema)
+            schema.transform(read_csv_rows(test))
 
     def test_schema_dict_roundtrip(self, tmp_path):
         cfg = {"time": "t", "event": "e",
                "features": {"age": "numeric", "grp": "categorical"}}
         p = write(tmp_path / "d.csv", "age,grp,t,e\n1,A,1,1\n2,B,2,1\n3,A,3,0\n")
         schema = DatasetSchema.from_config(cfg)
-        ds = load_csv(p, schema)
+        ds = schema.fit_transform(read_csv_rows(p))
         clone = DatasetSchema.from_dict(schema.to_dict())
         ds2 = clone.transform([
             {"age": "1", "grp": "A", "t": "1", "e": "1"},

@@ -164,6 +164,16 @@ class TestNeighborhoodWeights:
         assert nbhd.weights.min() == 0.0  # farthest point exactly at the radius
 
 
+def assert_all_log_ratios(batch, k):
+    """Every log-ratio of the batch equals k (to 1e-8).
+
+    That holds exactly when each row's width-weighted mean b/T is k and
+    its floor c, the width-weighted spread around that mean, is 0.
+    """
+    assert np.allclose(batch.b / batch.T, k)
+    assert np.all(np.sqrt(batch.c / batch.T) <= 1e-8)
+
+
 class TestBuildTargets:
     def test_constant_black_box_zero_targets(self):
         _, dataset, _, _ = linear_setup()
@@ -171,7 +181,7 @@ class TestBuildTargets:
         baseline = nelson_aalen(dataset, bb.grid)
         pts = dataset.features[:5]
         batch = build_targets(bb, baseline, pts, np.ones(5))
-        assert np.allclose(batch.log_ratios, 0.0)
+        assert_all_log_ratios(batch, 0.0)
 
     def test_exp2_scaling_gives_two(self):
         _, dataset, _, _ = linear_setup()
@@ -179,14 +189,14 @@ class TestBuildTargets:
         baseline = nelson_aalen(dataset, grid)
         bb = constant_box(grid, baseline.values * np.exp(2.0))
         batch = build_targets(bb, baseline, dataset.features[:4], np.ones(4))
-        assert np.allclose(batch.log_ratios, 2.0)
+        assert_all_log_ratios(batch, 2.0)
 
     def test_floor_applies_to_both_sides(self):
         grid = TimeGrid(np.array([1.0, 2.0]), 0.1)
         baseline = PiecewiseChf(grid, np.array([1e-5, 1e-5]))
         bb = constant_box(grid, np.zeros(2))
         batch = build_targets(bb, baseline, np.zeros((1, 1)), np.ones(1), epsilon=1e-5)
-        assert np.allclose(batch.log_ratios, 0.0)
+        assert_all_log_ratios(batch, 0.0)
 
     def test_grid_mismatch_raises(self):
         grid_a = TimeGrid(np.array([1.0, 2.0]), 0.1)
@@ -301,7 +311,9 @@ class TestExplainGlobal:
         c = 3.0
         t1 = build_targets(oracle, baseline, pts, w)
         t2 = build_targets(oracle, PiecewiseChf(grid, baseline.values * c), pts, w)
-        assert np.allclose(t2.log_ratios, t1.log_ratios - np.log(c), atol=1e-9)
+        # Every log-ratio moves by -log c: the row means move, the floors stay.
+        assert np.allclose(t2.b / t2.T, t1.b / t1.T - np.log(c), atol=1e-9)
+        assert np.allclose(t2.c, t1.c, atol=1e-9)
         m1, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t1, cfg)
         m2, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t2, cfg)
         from survshape.nam import shape_curve

@@ -247,9 +247,11 @@ class TestFitAndPredict:
         ("n_trees", 2.7), ("n_trees", 2.0), ("n_trees", "3"), ("n_trees", None),
         ("min_leaf_events", "4"), ("min_leaf_events", True), ("max_depth", True),
         ("max_depth", 2.5), ("features_per_split", "2"), ("seed", 1.0),
+        ("gamma_fraction", "0.5"), ("gamma_fraction", True),
     ])
     def test_config_rejects_non_int_fields(self, field, value):
-        with pytest.raises(DataError, match=f"^{field} must be an int, got "):
+        kind = "a real number" if field == "gamma_fraction" else "an int"
+        with pytest.raises(DataError, match=f"^{field} must be {kind}, got {value!r}$"):
             ForestConfig(**{field: value})
 
     def test_config_keeps_int_fields(self):

@@ -49,6 +49,24 @@ def randomize_params(model, rng):
         model.omega[...] = rng.normal(size=model.m)
 
 
+def reference_loss(model: NamModel, x, phi, tau, v, lam: float = 0.0, mu: float = 0.0):
+    """The penalized loss from the full (n, s+1) target matrix phi.
+
+    This is the formula TargetBatch's per-row statistics replace, kept as
+    the oracle for them.
+    """
+    resid = phi - predict_log_risk(model, x)[:, None]
+    loss = float(np.einsum("i,ij,j->", v, resid * resid, tau))
+    if model.variant == "lasso":
+        loss += lam * float(np.abs(model.beta).sum())
+    elif model.variant == "shortcut":
+        loss += lam * float(np.abs(model.alpha).sum())
+        if mu > 0.0:
+            loss += mu * sum(float(np.sum(a * a))
+                             for a in model.layer_weights + model.layer_biases)
+    return loss
+
+
 def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
                     lam: float = 0.0, mu: float = 0.0):
     """Reference Adam loop: a separate loss_only pass after every epoch's update.
@@ -85,10 +103,8 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
             batches = [targets]
         else:
             order = batch_rng.permutation(targets.n)
-            batches = [TargetBatch(targets.x[idx], targets.log_ratios[idx], targets.widths,
-                                   targets.weights[idx])
-                       for idx in (order[i:i + cfg.batch]
-                                   for i in range(0, targets.n, cfg.batch))]
+            batches = [nam._rows(targets, order[i:i + cfg.batch])
+                       for i in range(0, targets.n, cfg.batch)]
         try:
             for batch in batches:
                 _, grads = loss_and_gradient(model, batch, lam, mu)
@@ -132,6 +148,8 @@ class TestConfig:
         (dict(batch=True), "batch must be an int, got True"),
         (dict(batch=64.0), "batch must be an int, got 64.0"),
         (dict(seed="1"), "seed must be an int, got '1'"),
+        (dict(learning_rate="0.1"), "learning_rate must be a real number, got '0.1'"),
+        (dict(learning_rate=True), "learning_rate must be a real number, got True"),
     ])
     def test_rejects_non_int_fields(self, kwargs, message):
         with pytest.raises(DataError) as err:
@@ -143,6 +161,7 @@ class TestConfig:
         assert cfg.hidden_sizes == (4, 2) and cfg.epochs == 3 and cfg.batch is None
         assert all(type(v) is int for v in cfg.hidden_sizes + (cfg.epochs, cfg.seed))
         assert NamConfig(batch=np.int64(16)).batch == 16
+        assert type(NamConfig(learning_rate=np.float32(0.5)).learning_rate) is float
 
 
 class TestInitAndForward:
@@ -286,6 +305,49 @@ class TestLossAndGradient:
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
+
+
+class TestSufficientStatistics:
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    @pytest.mark.parametrize("s_plus_1", [1, 5])
+    def test_loss_matches_matrix_formula(self, variant, s_plus_1):
+        rng = np.random.default_rng(41)
+        n, m = 11, 3
+        x = rng.uniform(-1, 1, (n, m))
+        phi = rng.normal(size=(n, s_plus_1))
+        tau = rng.uniform(0.2, 1.5, s_plus_1)
+        v = rng.uniform(0.1, 1.0, n)
+        v[[2, 7]] = 0.0
+        targets = TargetBatch(x, phi, tau, v)
+        model = init_model(m, small_config(variant))
+        randomize_params(model, rng)
+        for idx in (slice(None), np.array([7, 0, 4, 2]), np.array([5])):
+            got = loss_only(model, nam._rows(targets, idx), 0.3, 0.05)
+            expected = reference_loss(model, x[idx], phi[idx], tau, v[idx], 0.3, 0.05)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_bias_gradient_vanishes_at_weighted_mean(self):
+        # With a zero output layer the log-risk is the bias for every row, and
+        # the loss is smallest at bias = sum_i v_i b_i / (T sum_i v_i).
+        rng = np.random.default_rng(43)
+        targets = random_batch(rng, 8, 2, s_plus_1=5)
+        model = init_model(2, small_config())
+        model.layer_weights[-1][...] = 0.0
+        model.layer_biases[-1][...] = 0.0
+        model.bias[0] = (targets.weights @ targets.b) / (targets.T * targets.weights.sum())
+        _, grads = loss_and_gradient(model, targets)
+        assert abs(grads[-1][0]) <= 1e-13 * float(targets.weights @ np.abs(targets.b))
+
+    def test_batch_keeps_only_row_statistics(self):
+        rng = np.random.default_rng(42)
+        phi = rng.normal(size=(6, 4))
+        tau = rng.uniform(0.2, 1.5, 4)
+        targets = TargetBatch(rng.uniform(-1, 1, (6, 2)), phi, tau, np.ones(6))
+        assert set(vars(targets)) == {"x", "weights", "b", "T", "c"}
+        assert targets.b.shape == targets.c.shape == (6,)
+        assert targets.b / targets.T == pytest.approx(oracle_psi_star(phi, tau), rel=1e-12)
+        floor = ((phi - oracle_psi_star(phi, tau)[:, None]) ** 2) @ tau
+        assert targets.c == pytest.approx(floor, rel=1e-12)
 
 
 class TestTrain:
