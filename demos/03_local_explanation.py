@@ -53,7 +53,9 @@ for name, curve in zip(explanation.feature_names, explanation.curves):
     print(f"  {name}: centered contribution range {span:.3f}")
 print("(the larger range marks the locally more influential feature)")
 
-out = tempfile.mkdtemp(prefix="survshape_demo_")
-write_explanation_csv(explanation, os.path.join(out, "explanation.csv"))
-write_shapes_svg(explanation, os.path.join(out, "shapes.svg"))
-print(f"\nartifacts written to {out}/explanation.csv and shapes.svg")
+with tempfile.TemporaryDirectory(prefix="survshape_demo_") as out:
+    write_explanation_csv(explanation, os.path.join(out, "explanation.csv"))
+    write_shapes_svg(explanation, os.path.join(out, "shapes.svg"))
+    print(f"\nartifacts written to {out} (removed when the demo ends):")
+    for name in ("explanation.csv", "shapes.svg"):
+        print(f"  {name}: {os.path.getsize(os.path.join(out, name))} bytes")

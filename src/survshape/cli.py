@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 numeric/training error.
 Every command resolves its defaults, echoes the effective configuration
 to stdout and into report.txt, and writes fixed filenames under --out
 (forest.bin, explanation.csv, nam.json, shapes.svg, dataset.csv,
-log_risk.csv, report.txt). Reruns with identical flags produce
-byte-identical outputs.
+log_risk.csv, report.txt). No command creates --out until everything it
+writes is computed, so a command that fails leaves no directory behind.
+Reruns with identical flags produce byte-identical outputs.
 
 Each subcommand also accepts `--config file.json`: a flat JSON object of
 option names (underscored, e.g. {"min_leaf_events": 5}) that overrides the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,7 @@ from .data import (
     load_and_split_csv,
     load_prepared_csv,
     read_csv_rows,
+    train_test_split,
 )
 from .errors import DataError, NumericError, SurvShapeError, _atomic_open, _read_json
 from .explain import explain_global, explain_local, surrogate_c_index
@@ -75,14 +78,23 @@ def _parse_list(args, dest: str, kind):
                           f"{kind.__name__}s, not {text!r}") from None
 
 
-def _write_report(out_dir: str, banner: str, body_lines: list[str]) -> None:
-    with _atomic_open(os.path.join(out_dir, "report.txt")) as fh:
-        fh.write(banner + "\n\n" + "\n".join(body_lines) + "\n")
+def _finish(args, pairs, artifacts=()) -> int:
+    """Create --out, write the artifacts and report.txt, print the results.
 
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    The one place a command writes under --out, called once the command's
+    work has succeeded. Each artifact is (report key, file name, writer);
+    the writer gets the file's path and the report gets `key = file name`.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    pairs = list(pairs)
+    for key, name, write in artifacts:
+        write(os.path.join(args.out, name))
+        pairs.append((key, name))
+    body = "\n".join(f"{key} = {_fmt(value)}" for key, value in pairs)
+    with _atomic_open(os.path.join(args.out, "report.txt")) as fh:
+        fh.write(_banner(args) + "\n\n" + body + "\n")
+    print(body)
+    return EXIT_OK
 
 
 def _load_dataset_for(forest_extra: Optional[dict], path: str):
@@ -94,8 +106,7 @@ def _load_dataset_for(forest_extra: Optional[dict], path: str):
 
 
 def cmd_fit(args) -> int:
-    banner = _banner(args)
-    print(banner)
+    print(_banner(args))
 
     if args.schema is not None:
         schema = DatasetSchema.from_config(args.schema)
@@ -103,7 +114,6 @@ def cmd_fit(args) -> int:
                                          args.seed)
         schema_blob = schema.to_dict()
     else:
-        from .data import train_test_split
         dataset = load_prepared_csv(args.data)
         train, test = train_test_split(dataset, args.test_fraction, args.seed)
         schema_blob = None
@@ -114,23 +124,16 @@ def cmd_fit(args) -> int:
         seed=args.seed, gamma_fraction=args.gamma_fraction,
     )
     forest = fit_forest(train, config)
-    out = _ensure_out(args.out)
     c_train = concordance_index(risk_scores(forest, train.features), train)
     c_test = concordance_index(risk_scores(forest, test.features), test)
-    save_forest(forest, os.path.join(out, "forest.bin"),
-                extra={"schema": schema_blob})
-
-    body = [
-        f"train_samples = {train.n}",
-        f"test_samples = {test.n}",
-        f"features = {train.m}",
-        f"c_index_train = {_fmt(c_train)}",
-        f"c_index_test = {_fmt(c_test)}",
-        "forest = forest.bin",
-    ]
-    _write_report(out, banner, body)
-    print("\n".join(body))
-    return EXIT_OK
+    write_forest = partial(save_forest, forest, extra={"schema": schema_blob})
+    return _finish(args, [
+        ("train_samples", train.n),
+        ("test_samples", test.n),
+        ("features", train.m),
+        ("c_index_train", c_train),
+        ("c_index_test", c_test),
+    ], [("forest", "forest.bin", write_forest)])
 
 
 def cmd_explain(args) -> int:
@@ -142,8 +145,7 @@ def cmd_explain(args) -> int:
         args.mu = 1.0 if args.variant == "shortcut" else 0.0
 
     hidden = _parse_list(args, "hidden", int)
-    banner = _banner(args)
-    print(banner)
+    print(_banner(args))
 
     forest, extra = load_forest(args.forest)
     dataset = _load_dataset_for(extra, args.data)
@@ -161,8 +163,6 @@ def cmd_explain(args) -> int:
             if center.shape != (dataset.m,):
                 raise _UsageError(
                     f"--center-values needs {dataset.m} comma-separated numbers")
-    out = _ensure_out(args.out)
-    if args.mode == "local":
         explanation = explain_local(forest, dataset, center, config,
                                     lam=args.lam, mu=args.mu,
                                     n_points=args.n_points, epsilon=args.epsilon,
@@ -171,17 +171,13 @@ def cmd_explain(args) -> int:
         explanation = explain_global(forest, dataset, config, lam=args.lam,
                                      mu=args.mu, epsilon=args.epsilon)
 
-    write_explanation_csv(explanation, os.path.join(out, "explanation.csv"))
-    save_model(explanation.model, os.path.join(out, "nam.json"))
-    body = [f"{k} = {v}" for k, v in explanation_summary(explanation)]
-    body.append("explanation = explanation.csv")
-    body.append("model = nam.json")
+    artifacts = [
+        ("explanation", "explanation.csv", partial(write_explanation_csv, explanation)),
+        ("model", "nam.json", partial(save_model, explanation.model)),
+    ]
     if args.svg:
-        write_shapes_svg(explanation, os.path.join(out, "shapes.svg"))
-        body.append("shapes = shapes.svg")
-    _write_report(out, banner, body)
-    print("\n".join(body))
-    return EXIT_OK
+        artifacts.append(("shapes", "shapes.svg", partial(write_shapes_svg, explanation)))
+    return _finish(args, explanation_summary(explanation), artifacts)
 
 
 def cmd_synth(args) -> int:
@@ -189,48 +185,41 @@ def cmd_synth(args) -> int:
         raise _UsageError("give exactly one of --coef / --shapes")
     coef = None if args.coef is None else _parse_list(args, "coef", float)
     shapes = None if args.shapes is None else tuple(args.shapes.split(","))
-    out = _ensure_out(args.out)
-    banner = _banner(args)
-    print(banner)
+    print(_banner(args))
 
     spec = SyntheticSpec(n=args.n, m=args.m, coef=coef, shapes=shapes,
                          scale=args.scale, shape_param=args.shape,
                          censoring_rate=args.censoring,
                          feature_distribution=args.dist, seed=args.seed)
     dataset, risk = generate_cox_data(spec)
-    export_csv(dataset, os.path.join(out, "dataset.csv"))
-    with _atomic_open(os.path.join(out, "log_risk.csv")) as fh:
-        fh.write("row,log_risk\n")
-        for i, value in enumerate(risk):
-            fh.write(f"{i},{float(value)!r}\n")
-    body = [
-        f"samples = {dataset.n}",
-        f"events = {int(dataset.events.sum())}",
-        "dataset = dataset.csv",
-        "log_risk = log_risk.csv",
-    ]
-    _write_report(out, banner, body)
-    print("\n".join(body))
-    return EXIT_OK
+
+    def write_log_risk(path):
+        with _atomic_open(path) as fh:
+            fh.write("row,log_risk\n")
+            for i, value in enumerate(risk):
+                fh.write(f"{i},{float(value)!r}\n")
+
+    return _finish(args, [
+        ("samples", dataset.n),
+        ("events", int(dataset.events.sum())),
+    ], [
+        ("dataset", "dataset.csv", partial(export_csv, dataset)),
+        ("log_risk", "log_risk.csv", write_log_risk),
+    ])
 
 
 def cmd_eval(args) -> int:
-    banner = _banner(args)
-    print(banner)
+    print(_banner(args))
 
     forest, extra = load_forest(args.forest)
     model = load_model(args.model)
     test = _load_dataset_for(extra, args.data)
-    out = _ensure_out(args.out)
     c_blackbox, c_surrogate = surrogate_c_index(model, forest, test)
-    body = [
-        f"test_samples = {test.n}",
-        f"c_index_blackbox = {_fmt(c_blackbox)}",
-        f"c_index_surrogate = {_fmt(c_surrogate)}",
-    ]
-    _write_report(out, banner, body)
-    print("\n".join(body))
-    return EXIT_OK
+    return _finish(args, [
+        ("test_samples", test.n),
+        ("c_index_blackbox", c_blackbox),
+        ("c_index_surrogate", c_surrogate),
+    ])
 
 
 # Flags a command cannot run without; enforced after config-file merging.

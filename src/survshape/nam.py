@@ -444,6 +444,7 @@ def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
         np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every loss is checked for finiteness
 def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
           lam: float = 0.0, mu: float = 0.0):
     """Adam optimization for config.epochs; returns (trained model, loss trace).
@@ -583,9 +584,10 @@ def _fill(target: np.ndarray, blob, key: str, where: str) -> None:
 def load_model(path) -> NamModel:
     """Read a checkpoint written by save_model.
 
-    An unreadable file, invalid JSON, a missing or ill-typed key, a
-    config NamConfig rejects and arrays whose shapes do not fit the
-    config, the feature count or the variant's heads raise DataError.
+    An unreadable file, invalid JSON, a missing or ill-typed key, an
+    unknown config key, a config NamConfig rejects and arrays whose shapes
+    do not fit the config, the feature count or the variant's heads raise
+    DataError.
     """
     payload = _read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
@@ -601,9 +603,12 @@ def load_model(path) -> NamModel:
         raise DataError(f"{where}'s 'feature_names' must be strings")
     if not weights or not isinstance(weights[0], list):
         raise DataError(f"{where}'s 'layer_weights' holds no per-feature arrays")
-    settings = {key: _field(blob, key, kind, where) for key, kind in (
-        ("hidden_sizes", list), ("activation", str), ("learning_rate", (int, float)),
-        ("epochs", int), ("batch", (int, type(None))), ("seed", int), ("variant", str))}
+    kinds = {"hidden_sizes": list, "activation": str, "learning_rate": (int, float),
+             "epochs": int, "batch": (int, type(None)), "seed": int, "variant": str}
+    unknown = sorted(set(blob) - set(kinds))
+    if unknown:
+        raise DataError(f"{path}: unknown model config key(s): {', '.join(unknown)}")
+    settings = {key: _field(blob, key, kind, where) for key, kind in kinds.items()}
     try:
         cfg = NamConfig(**settings)
         model = init_model(len(weights[0]), cfg, names)

@@ -472,6 +472,10 @@ def _model_feature_count_off(payload):
     payload["layer_biases"][0] = payload["layer_biases"][0][:1]
 
 
+def _model_config_unknown_key(payload):
+    payload["config"]["foo"] = 1
+
+
 def _model_head_of_other_variant(payload):
     payload["alpha"] = payload["beta"]
     payload["beta"] = None
@@ -511,6 +515,7 @@ class TestMalformedModelFile:
         (_model_layer_shape_off, "the config needs (2, 4, 4)"),
         (_model_feature_count_off, "'layer_biases' has shape (1, 4)"),
         (_model_head_of_other_variant, "'beta' does not fit the lasso variant"),
+        (_model_config_unknown_key, "unknown model config key(s): foo"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, model_dir,
                          tmp_path, capsys):
@@ -579,7 +584,11 @@ class TestCommaListFlags:
 
 
 class TestDataErrorLeavesNoOut:
-    """fit and eval read every input before they create --out."""
+    """No command creates --out until its work has succeeded.
+
+    A missing input, data the command cannot use and a diverging fit each
+    exit with their code and one stderr line, and leave no directory.
+    """
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_missing_input_exits_3_without_out_dir(self, command, synth_dir, model_dir,
@@ -594,6 +603,35 @@ class TestDataErrorLeavesNoOut:
         code = run(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, expected", [
+        ("synth", 3), ("explain", 4), ("eval", 4),
+    ], ids=["synth-one-row", "explain-diverges", "eval-no-admissible-pairs"])
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_failed_work_exits_without_out_dir(self, command, expected, synth_dir,
+                                               fitted_dir, model_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        forest = str(fitted_dir / "forest.bin")
+        if command == "synth":
+            argv = ["synth", "--n", "1", "--m", "2", "--coef", "1,1"]
+        elif command == "explain":
+            argv = ["explain", "--forest", forest, "--data", str(synth_dir / "dataset.csv"),
+                    "--learning-rate", "1e300", "--epochs", "3"]
+        else:
+            header, *lines = (synth_dir / "dataset.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines]
+            last = max(range(len(rows)), key=lambda i: float(rows[i][2]))
+            for i, row in enumerate(rows):
+                row[3] = "1" if i == last else "0"
+            data = tmp_path / "one_event_last.csv"
+            data.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+            argv = ["eval", "--forest", forest, "--model", str(model_dir / "nam.json"),
+                    "--data", str(data)]
+        code = run(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
