@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -97,12 +96,21 @@ def _finish(args, pairs, artifacts=()) -> int:
     return EXIT_OK
 
 
-def _load_dataset_for(forest_extra: Optional[dict], path: str):
-    """Encode a CSV the same way the forest's training data was encoded."""
+def _check_features(what: str, names, forest) -> None:
+    """DataError unless names are the forest's feature names, in the forest's order."""
+    if tuple(names) != forest.feature_names:
+        raise DataError(f"{what} {list(names)} do not match the forest's features "
+                        f"{list(forest.feature_names)}")
+
+
+def _load_dataset_for(forest, forest_extra: dict | None, path: str):
+    """A CSV encoded as the forest's training data was; its columns must be the forest's."""
     if forest_extra and forest_extra.get("schema"):
-        schema = DatasetSchema.from_dict(forest_extra["schema"])
-        return schema.transform(read_csv_rows(path))
-    return load_prepared_csv(path)
+        dataset = DatasetSchema.from_dict(forest_extra["schema"]).transform(read_csv_rows(path))
+    else:
+        dataset = load_prepared_csv(path)
+    _check_features(f"{path}: data columns", dataset.feature_names, forest)
+    return dataset
 
 
 def cmd_fit(args) -> int:
@@ -148,7 +156,7 @@ def cmd_explain(args) -> int:
     print(_banner(args))
 
     forest, extra = load_forest(args.forest)
-    dataset = _load_dataset_for(extra, args.data)
+    dataset = _load_dataset_for(forest, extra, args.data)
     config = NamConfig(hidden_sizes=hidden, activation=args.activation,
                        learning_rate=args.learning_rate, epochs=args.epochs,
                        batch=args.batch, seed=args.seed, variant=args.variant)
@@ -213,7 +221,9 @@ def cmd_eval(args) -> int:
 
     forest, extra = load_forest(args.forest)
     model = load_model(args.model)
-    test = _load_dataset_for(extra, args.data)
+    if model.feature_names is not None:
+        _check_features(f"{args.model}: model features", model.feature_names, forest)
+    test = _load_dataset_for(forest, extra, args.data)
     c_blackbox, c_surrogate = surrogate_c_index(model, forest, test)
     return _finish(args, [
         ("test_samples", test.n),

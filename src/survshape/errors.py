@@ -1,12 +1,12 @@
 """Exception hierarchy shared by all survshape modules.
 
 DataError covers malformed or degenerate inputs (CLI exit code 3),
-NumericError covers runtime numeric failures (CLI exit code 4). The
-JSON readers share `_read_json`, which turns an unreadable or unparsable
-file into a DataError, and `_field`, which does the same for a missing
-or ill-typed key; the config classes check their integer and real fields
-with `_integer` and `_real`. Every artifact writer goes through `_atomic_open`, so
-a failed or interrupted write never leaves a partial file.
+NumericError covers runtime numeric failures (CLI exit code 4). The JSON
+readers share `_read_json`, which turns an unreadable or unparsable file
+into a DataError, and `_field`, `_array` and `_config`, which do the same
+for an ill-typed key, flat list or config block; the config classes check
+their integer and real fields with `_integer` and `_real`. Every artifact
+writer goes through `_atomic_open`, so a failed or interrupted write leaves no partial file.
 """
 
 import json
@@ -14,6 +14,8 @@ import numbers
 import operator
 import os
 from contextlib import contextmanager, suppress
+
+import numpy as np
 
 
 class SurvShapeError(Exception):
@@ -72,6 +74,27 @@ def _field(obj: dict, key: str, kind, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DataError(f"{where}'s {key!r} has the wrong type")
     return value
+
+
+def _array(obj: dict, key: str, kinds: str, where: str) -> np.ndarray:
+    """obj[key] as a flat array whose dtype kind is one of `kinds` ("i" or "if")."""
+    try:  # lists nested to uneven depths raise ValueError
+        values = np.asarray(_field(obj, key, list, where))
+        flat = values.ndim == 1 and (not values.size or values.dtype.kind in kinds)
+    except ValueError:
+        flat = False
+    if not flat:
+        raise DataError(f"{where}'s {key!r} must be a flat list of "
+                        + ("integers" if kinds == "i" else "numbers"))
+    return values.astype(np.int64 if kinds == "i" else float)
+
+
+def _config(blob: dict, kinds: dict, what: str, path, where: str) -> dict:
+    """A config block's settings: unknown keys refused first, then each key through _field."""
+    unknown = sorted(set(blob) - set(kinds))
+    if unknown:
+        raise DataError(f"{path}: unknown {what} config key(s): {', '.join(unknown)}")
+    return {key: _field(blob, key, kind, where) for key, kind in kinds.items()}
 
 
 def _integer(value, name: str, optional: bool = False):

@@ -115,9 +115,7 @@ def dataset_diameter(dataset: SurvivalDataset) -> float:
     matrix product's.
     """
     x = dataset.features
-    n = x.shape[0]
-    if n < 2:
-        raise DiameterUndefinedError("need >= 2 points for a diameter")
+    n = x.shape[0]  # a SurvivalDataset has at least 2 rows
     sq = np.sum(x * x, axis=1)
     n_blocks = max(1, n // max(2, _DIAMETER_BLOCK_ELEMENTS // n))
     peaks = np.empty(n_blocks)

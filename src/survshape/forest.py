@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _atomic_open, _field, _integer, _read_json, _real
+from .errors import DataError, _array, _atomic_open, _config, _field, _integer, _read_json, _real
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -32,8 +32,7 @@ from .survival import (
 
 FORMAT_VERSION = 2  # of the forest file; save_forest writes it, load_forest reads only it
 
-# The forest file's config keys, in the order save_forest writes them, and the
-# JSON types load_forest accepts for each.
+# The JSON types load_forest accepts per config key, in ForestConfig's field order.
 _CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
                  "features_per_split": (int, type(None)), "seed": int,
                  "gamma_fraction": (int, float)}
@@ -279,15 +278,6 @@ def _flatten(tree: dict) -> dict:
     }
 
 
-def _array(blob: dict, key: str, kinds: str, where: str) -> np.ndarray:
-    """blob[key] as a flat array whose dtype kind is one of `kinds` ("i" or "if")."""
-    values = np.asarray(_field(blob, key, list, where))
-    if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-        raise DataError(f"{where}'s {key!r} must be a flat list of "
-                        + ("integers" if kinds == "i" else "numbers"))
-    return values.astype(np.int64 if kinds == "i" else float)
-
-
 def _unflatten(blob, m: int, s: int, where: str) -> dict:
     """Inverse of _flatten; DataError for a tree the forest cannot use."""
     if not isinstance(blob, dict):
@@ -366,7 +356,7 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
         "grid": {"times": forest.grid.times.tolist(), "gamma": forest.grid.gamma},
         "feature_names": list(forest.feature_names),
         "feature_kinds": list(forest.feature_kinds),
-        "config": {key: getattr(forest.config, key) for key in _CONFIG_KINDS},
+        "config": asdict(forest.config),
         "extra": extra,
         "trees": [_flatten(t) for t in forest.trees],
     }
@@ -403,13 +393,7 @@ def load_forest(path):
         raise DataError(f"{where}'s 'extra' must be an object or null")
     if len(names) != len(kinds) or not all(isinstance(v, str) for v in names + kinds):
         raise DataError(f"{path}: feature names and kinds must be matching lists of strings")
-    unknown = sorted(set(config) - set(_CONFIG_KINDS))
-    if unknown:
-        raise DataError(f"{path}: unknown forest config key(s): {', '.join(unknown)}")
-    settings = {key: _field(config, key, kind, f"{path}: forest config")
-                for key, kind in _CONFIG_KINDS.items()}
-    if not trees:
-        raise DataError(f"{path}: forest file holds no trees")
+    settings = _config(config, _CONFIG_KINDS, "forest", path, f"{path}: forest config")
     if settings["n_trees"] != len(trees):
         raise DataError(f"{path}: forest config says n_trees = {settings['n_trees']}, "
                         f"but the file holds {len(trees)} trees")

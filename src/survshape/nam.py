@@ -24,10 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_open, _field,
-                     _integer, _read_json, _real)
+from .errors import (DataError, NumericError, TrainingDivergedError, _array, _atomic_open,
+                     _config, _field, _integer, _read_json, _real)
 
 VARIANTS = ("base", "lasso", "shortcut")
+FORMAT_VERSION = 2  # of the model file; save_model writes it, load_model reads only it
 
 
 def _relu(z):
@@ -52,6 +53,11 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
     "tanh": (_tanh, _tanh_grad),
 }
+
+
+# The JSON types load_model accepts for each key of the model file's config block.
+_CONFIG_KINDS = {"hidden_sizes": list, "activation": str, "learning_rate": (int, float),
+                 "epochs": int, "batch": (int, type(None)), "seed": int, "variant": str}
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class TargetBatch:
 
     Built from x (n, m), the log-ratio targets phi (n, s+1) with
     phi_ij = log H_j(x_i) - log H_0j (epsilon-floored), the interval
-    widths tau (s+1,) and nonnegative kernel weights v (n,). For any r,
+    widths tau (s+1,) and kernel weights v (n,), nonnegative and not all 0. For any r,
     sum_j tau_j (phi_ij - r)^2 = (r T - b_i)^2 / T + c_i, so the fit loss
     needs phi only through these, and the matrix is dropped once checked:
 
@@ -130,6 +136,8 @@ class TargetBatch:
                 raise NumericError(f"non-finite values in {name}")
         if np.any(v < 0):
             raise DataError("weights must be nonnegative")
+        if not np.any(v > 0):
+            raise DataError("no weight is positive, so no row would be fitted")
         if np.any(w <= 0):
             raise DataError("interval widths must be positive")
         b = lr @ w
@@ -252,9 +260,17 @@ def init_model(m: int, config: NamConfig,
     alpha = np.full(m, 0.5) if config.variant == "shortcut" else None
     omega = np.zeros(m) if config.variant == "shortcut" else None
     names = None if feature_names is None else tuple(feature_names)
-    if names is not None and len(names) != m:
-        raise DataError("feature_names length must equal m")
+    if names is not None and (len(names) != m or not all(isinstance(n, str) for n in names)):
+        raise DataError(f"feature_names must be {m} strings")
     return NamModel(weights, biases, np.zeros(1), beta, alpha, omega, config, names)
+
+
+def _param_count(m: int, config: NamConfig) -> int:
+    """The flatten() length of init_model(m, config), computed without building the model."""
+    sizes = (1,) + config.hidden_sizes + (1,)
+    per_net = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    heads = {"base": 0, "lasso": 1, "shortcut": 2}[config.variant]  # beta; alpha and omega
+    return m * (per_net + heads) + 1  # and the intercept
 
 
 def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
@@ -404,12 +420,7 @@ def loss_and_gradient(model: NamModel, targets: TargetBatch,
 
 def loss_only(model: NamModel, targets: TargetBatch,
               lam: float = 0.0, mu: float = 0.0) -> float:
-    """Loss without gradients.
-
-    train uses it for the trace entry after its last full-batch update and
-    for every mini-batch trace entry; the finite-difference oracles use it
-    too.
-    """
+    """The loss of _penalized_loss alone: no backprop cache, no gradients."""
     return _penalized_loss(model, targets, lam, mu)[0]
 
 
@@ -462,8 +473,6 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     TrainingDivergedError when the loss stops being finite, before any
     gradient is taken from it. The input model is left unchanged.
     """
-    if targets.n == 0:
-        raise DataError("cannot train on an empty target batch")
     cfg = config if config is not None else model.config
     model = model.copy()
     theta = model._theta
@@ -552,83 +561,49 @@ def shape_curve(model: NamModel, k: int, grid, reference) -> ShapeCurve:
 
 
 def save_model(model: NamModel, path) -> None:
-    """Write a versioned JSON checkpoint (config, parameters, feature schema)."""
+    """Write a versioned JSON checkpoint: config, feature names and count, model.flatten()."""
     payload = {
         "format": "survshape-nam",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "config": asdict(model.config),  # fields in declaration order
         "feature_names": None if model.feature_names is None else list(model.feature_names),
-        "layer_weights": [w.tolist() for w in model.layer_weights],
-        "layer_biases": [b.tolist() for b in model.layer_biases],
-        "bias": model.bias.tolist(),
-        "beta": None if model.beta is None else model.beta.tolist(),
-        "alpha": None if model.alpha is None else model.alpha.tolist(),
-        "omega": None if model.omega is None else model.omega.tolist(),
+        "features": model.m,
+        "params": model.flatten().tolist(),
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(payload))
 
 
-def _fill(target: np.ndarray, blob, key: str, where: str) -> None:
-    """Copy a JSON array into target; DataError unless it is numeric with target's shape."""
-    try:
-        values = np.asarray(blob, dtype=float)
-    except (TypeError, ValueError):
-        raise DataError(f"{where}'s {key!r} is not a numeric array") from None
-    if values.shape != target.shape:
-        raise DataError(f"{where}'s {key!r} has shape {values.shape}, "
-                        f"the config needs {target.shape}")
-    target[...] = values
-
-
 def load_model(path) -> NamModel:
     """Read a checkpoint written by save_model.
 
-    An unreadable file, invalid JSON, a missing or ill-typed key, an
-    unknown config key, a config NamConfig rejects and arrays whose shapes
-    do not fit the config, the feature count or the variant's heads raise
-    DataError.
+    An unreadable file, invalid JSON, another version, a missing or ill-typed
+    key, an unknown config key, a config NamConfig rejects and params other
+    than the finite numbers the config and feature count need raise DataError.
     """
     payload = _read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
         raise DataError(f"{path}: not a survshape model checkpoint")
-    if payload.get("version") != 1:
-        raise DataError(f"{path}: unsupported checkpoint version")
+    if payload.get("version") != FORMAT_VERSION:
+        raise DataError(f"{path}: model file version {payload.get('version')!r} is not "
+                        f"supported (this release reads version {FORMAT_VERSION}); "
+                        "rerun explain")
     where = f"{path}: model file"
     blob = _field(payload, "config", dict, where)
     names = _field(payload, "feature_names", (list, type(None)), where)
-    weights = _field(payload, "layer_weights", list, where)
-    biases = _field(payload, "layer_biases", list, where)
-    if names is not None and not all(isinstance(name, str) for name in names):
-        raise DataError(f"{where}'s 'feature_names' must be strings")
-    if not weights or not isinstance(weights[0], list):
-        raise DataError(f"{where}'s 'layer_weights' holds no per-feature arrays")
-    kinds = {"hidden_sizes": list, "activation": str, "learning_rate": (int, float),
-             "epochs": int, "batch": (int, type(None)), "seed": int, "variant": str}
-    unknown = sorted(set(blob) - set(kinds))
-    if unknown:
-        raise DataError(f"{path}: unknown model config key(s): {', '.join(unknown)}")
-    settings = {key: _field(blob, key, kind, where) for key, kind in kinds.items()}
+    m = _field(payload, "features", int, where)
+    params = _array(payload, "params", "if", where)
+    if not np.all(np.isfinite(params)):
+        raise DataError(f"{where}'s 'params' holds a non-finite value")
+    settings = _config(blob, _CONFIG_KINDS, "model", path, where)
     try:
         cfg = NamConfig(**settings)
-        model = init_model(len(weights[0]), cfg, names)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where} has a malformed config: {exc}") from exc
+        need = _param_count(m, cfg)  # checked first, so init_model allocates only that much
+        if params.size != need:
+            raise DataError(f"model file's 'params' has {params.size} values; "
+                            f"{m} features with this config need {need}")
+        model = init_model(m, cfg, names)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if len(weights) != len(model.layer_weights) or len(biases) != len(model.layer_biases):
-        raise DataError(f"{where} has {len(weights)} weight and {len(biases)} bias layers, "
-                        f"the config needs {len(model.layer_weights)}")
-    for key, targets, blobs in (("layer_weights", model.layer_weights, weights),
-                                ("layer_biases", model.layer_biases, biases)):
-        for target, layer in zip(targets, blobs):
-            _fill(target, layer, key, where)
-    _fill(model.bias, _field(payload, "bias", list, where), "bias", where)
-    for key in ("beta", "alpha", "omega"):
-        target = getattr(model, key)
-        head = _field(payload, key, (list, type(None)), where)
-        if (target is None) != (head is None):
-            raise DataError(f"{where}'s {key!r} does not fit the {cfg.variant} variant")
-        if target is not None:
-            _fill(target, head, key, where)
+    model.set_flat(params)
     return model

@@ -10,6 +10,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -54,16 +55,16 @@ def explanation_summary(expl: Explanation) -> list[tuple[str, str]]:
 
 
 def write_explanation_csv(expl: Explanation, path) -> None:
-    """Summary block, blank line, then one row per sampled curve point."""
-    lines = ["key,value"]
-    lines += [f"{k},{v}" for k, v in explanation_summary(expl)]
-    lines.append("")
-    lines.append("feature,x,contribution")
-    for name, curve in zip(expl.feature_names, expl.curves):
-        for x, y in zip(curve.xs, curve.values):
-            lines.append(f"{name},{_fmt(float(x))},{_fmt(float(y))}")
+    """Summary block, blank line, then one row per curve point; quoted only where needed."""
     with _atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        writer.writerows(explanation_summary(expl))
+        writer.writerow([])
+        writer.writerow(["feature", "x", "contribution"])
+        for name, curve in zip(expl.feature_names, expl.curves):
+            writer.writerows((name, _fmt(float(x)), _fmt(float(y)))
+                             for x, y in zip(curve.xs, curve.values))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +98,10 @@ def _panel_svg(name, curve, reference, x0, y0) -> list[str]:
 
     parts.append(f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" '
                  f'height="{plot_h:.1f}" fill="none" stroke="#999" stroke-width="0.8"/>')
+    # Escaped by hand: xml.sax.saxutils pulls in urllib.request and ssl, 7 MB of RSS.
+    title = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(f'<text x="{left + plot_w / 2:.1f}" y="11" text-anchor="middle" '
-                 f'font-size="11" font-family="sans-serif">{name}</text>')
+                 f'font-size="11" font-family="sans-serif">{title}</text>')
     if y_lo < 0.0 < y_hi:
         zero = py(0.0)
         parts.append(f'<line x1="{left:.1f}" y1="{zero:.1f}" x2="{left + plot_w:.1f}" '

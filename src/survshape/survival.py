@@ -29,8 +29,8 @@ class SurvivalDataset:
 
     Attributes
     ----------
-    features : (n, m) float array
-    times : (n,) nonnegative float array, observed event or censoring times
+    features : (n, m) finite float array
+    times : (n,) finite nonnegative float array, observed event or censoring times
     events : (n,) int array, 1 = event observed, 0 = censored
     feature_names : m column names
     feature_kinds : per-column tag, KIND_NUMERIC or KIND_ONE_HOT
@@ -53,14 +53,19 @@ class SurvivalDataset:
             raise DataError("times/events length must match the number of rows")
         if n < 2:
             raise DataError("a survival dataset needs at least 2 samples")
+        if len(self.feature_names) != m or len(self.feature_kinds) != m:
+            raise DataError("feature metadata must have one entry per column")
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+        if bad.size:
+            raise DataError(f"feature {self.feature_names[bad[0]]!r} holds a non-finite value")
+        if not np.isfinite(t).all():
+            raise DataError("observed times must be finite")
         if np.any(t < 0):
             raise DataError("observed times must be nonnegative")
         if not np.all(np.isin(e, (0, 1))):
             raise DataError("event indicators must be 0 or 1")
         if int(e.sum()) < 1:
             raise DataError("a survival dataset needs at least one observed event")
-        if len(self.feature_names) != m or len(self.feature_kinds) != m:
-            raise DataError("feature metadata must have one entry per column")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "events", e)

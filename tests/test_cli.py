@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -186,6 +188,39 @@ class TestExplain:
         assert "alpha.x0," in text and "omega.x0," in text and "linear_weight.x0," in text
 
 
+    def test_feature_names_escaped_in_csv_and_svg(self, tmp_path):
+        # Levels holding a comma, '&' or '<' become one-hot column names.
+        data = tmp_path / "raw.csv"
+        rng = np.random.default_rng(2)
+        levels = ["big", "small, cell", "a&b<c"]
+        with data.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["age", "cell", "time", "event"])
+            for i in range(60):
+                writer.writerow([f"{rng.uniform(20, 80):.2f}", levels[i % 3],
+                                 f"{rng.uniform(1, 9):.3f}", int(rng.uniform() < 0.7)])
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"time": "time", "event": "event",
+                                      "features": {"age": "numeric",
+                                                   "cell": "categorical"}}))
+        fit_out, out = tmp_path / "fit", tmp_path / "explain"
+        assert run(["fit", "--data", str(data), "--schema", str(schema),
+                    "--out", str(fit_out), "--trees", "4", "--min-leaf-events", "2"]) == 0
+        assert run(["explain", "--forest", str(fit_out / "forest.bin"), "--data", str(data),
+                    "--epochs", "3", "--hidden", "4", "--out", str(out), "--svg"]) == 0
+        with (out / "explanation.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        blank = rows.index([])
+        assert all(len(row) == 2 for row in rows[:blank])
+        assert rows[blank + 1] == ["feature", "x", "contribution"]
+        assert all(len(row) == 3 for row in rows[blank + 2:])
+        assert {row[0] for row in rows[blank + 2:]} == {"age", "cell=a&b<c", "cell=big",
+                                                       "cell=small, cell"}
+        titles = [el.text for el in ET.parse(out / "shapes.svg").iter()
+                  if el.tag.endswith("text") and el.get("font-size") == "11"]
+        assert sorted(titles) == ["age", "cell=a&b<c", "cell=big", "cell=small, cell"]
+
+
 class TestConfigFile:
     def test_config_overrides_defaults_flags_override_config(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -355,6 +390,11 @@ def _forest_with_n_trees_off_by_one(payload):
     payload["config"]["n_trees"] = len(payload["trees"]) - 1
 
 
+def _forest_without_trees(payload):
+    payload["trees"] = []
+    payload["config"]["n_trees"] = 0
+
+
 class TestMalformedForestFile:
     """explain --forest on a broken forest.bin: exit 3 and one line on stderr."""
 
@@ -398,6 +438,7 @@ class TestMalformedForestFile:
         (_forest_with_null_seed, "forest config's 'seed' has the wrong type"),
         (_forest_without_config_seed, "forest config has no 'seed'"),
         (_forest_with_n_trees_off_by_one, "n_trees = 49, but the file holds 50 trees"),
+        (_forest_without_trees, "n_trees must be >= 1"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys):
         payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
@@ -460,8 +501,8 @@ def _model_config_ill_typed(payload):
     payload["config"]["epochs"] = "5"
 
 
-def _model_without_weights(payload):
-    del payload["layer_weights"]
+def _model_without_params(payload):
+    del payload["params"]
 
 
 def _model_layer_shape_off(payload):
@@ -469,7 +510,8 @@ def _model_layer_shape_off(payload):
 
 
 def _model_feature_count_off(payload):
-    payload["layer_biases"][0] = payload["layer_biases"][0][:1]
+    payload["features"] += 1
+    payload["feature_names"].append("x2")
 
 
 def _model_config_unknown_key(payload):
@@ -477,8 +519,19 @@ def _model_config_unknown_key(payload):
 
 
 def _model_head_of_other_variant(payload):
-    payload["alpha"] = payload["beta"]
-    payload["beta"] = None
+    payload["config"]["variant"] = "shortcut"
+
+
+def _model_of_version_1(payload):
+    payload["version"] = 1
+
+
+def _model_with_text_param(payload):
+    payload["params"][0] = "0.5"
+
+
+def _model_with_nan_param(payload):
+    payload["params"][3] = float("nan")
 
 
 class TestMalformedModelFile:
@@ -508,14 +561,21 @@ class TestMalformedModelFile:
         err = self.eval_with(b"[1, 2]", synth_dir, fitted_dir, tmp_path, capsys)
         assert "not a survshape model checkpoint" in err
 
+    # The lasso model of model_dir: 2 features, hidden 4,3, so 2 * (27 + 1) + 1 = 57 params.
     @pytest.mark.parametrize("corrupt, message", [
-        (_model_without_weights, "model file has no 'layer_weights'"),
+        (_model_without_params, "model file has no 'params'"),
         (_model_config_ill_typed, "model file's 'epochs' has the wrong type"),
         (_model_config_rejected, "unknown activation 'sigmoid'"),
-        (_model_layer_shape_off, "the config needs (2, 4, 4)"),
-        (_model_feature_count_off, "'layer_biases' has shape (1, 4)"),
-        (_model_head_of_other_variant, "'beta' does not fit the lasso variant"),
+        (_model_layer_shape_off, "'params' has 57 values; 2 features with this config need 69"),
+        (_model_feature_count_off,
+         "'params' has 57 values; 3 features with this config need 85"),
+        (_model_head_of_other_variant,
+         "'params' has 57 values; 2 features with this config need 59"),
         (_model_config_unknown_key, "unknown model config key(s): foo"),
+        (_model_of_version_1, "model file version 1 is not supported (this release reads "
+                              "version 2); rerun explain"),
+        (_model_with_text_param, "model file's 'params' must be a flat list of numbers"),
+        (_model_with_nan_param, "model file's 'params' holds a non-finite value"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, model_dir,
                          tmp_path, capsys):
@@ -583,6 +643,23 @@ class TestCommaListFlags:
         assert message in err
 
 
+# (case, exit code, stderr text) for test_failed_work_exits_without_out_dir
+_FAILED_WORK = [
+    ("synth-one-row", 3, ""),
+    ("explain-diverges", 4, ""),
+    ("eval-no-admissible-pairs", 4, ""),
+    ("explain-columns-reordered", 3,
+     "data columns ['x1', 'x0'] do not match the forest's features ['x0', 'x1']"),
+    ("eval-columns-reordered", 3,
+     "data columns ['x1', 'x0'] do not match the forest's features ['x0', 'x1']"),
+    ("eval-model-of-other-features", 3,
+     "model features ['a', 'b'] do not match the forest's features ['x0', 'x1']"),
+    ("fit-nan-feature", 3, "feature 'x1' holds a non-finite value"),
+    ("fit-inf-time", 3, "observed times must be finite"),
+    ("explain-zero-weights", 3, "no weight is positive"),
+]
+
+
 class TestDataErrorLeavesNoOut:
     """No command creates --out until its work has succeeded.
 
@@ -606,33 +683,67 @@ class TestDataErrorLeavesNoOut:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, expected", [
-        ("synth", 3), ("explain", 4), ("eval", 4),
-    ], ids=["synth-one-row", "explain-diverges", "eval-no-admissible-pairs"])
+    @staticmethod
+    def _edited_dataset(synth_dir, tmp_path, edit):
+        """A copy of the synthetic dataset.csv whose header and rows (lists of cells)
+        have gone through edit."""
+        header, *lines = (synth_dir / "dataset.csv").read_text().splitlines()
+        header = header.split(",")
+        rows = [line.split(",") for line in lines]
+        edit(header, rows)
+        data = tmp_path / "edited.csv"
+        data.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+        return str(data)
+
+    @pytest.mark.parametrize("case, expected, message", _FAILED_WORK,
+                             ids=[case for case, _, _ in _FAILED_WORK])
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-    def test_failed_work_exits_without_out_dir(self, command, expected, synth_dir,
+    def test_failed_work_exits_without_out_dir(self, case, expected, message, synth_dir,
                                                fitted_dir, model_dir, tmp_path, capsys):
         out = tmp_path / "out"
         forest = str(fitted_dir / "forest.bin")
-        if command == "synth":
+        data = str(synth_dir / "dataset.csv")
+        model = str(model_dir / "nam.json")
+        if case == "synth-one-row":
             argv = ["synth", "--n", "1", "--m", "2", "--coef", "1,1"]
-        elif command == "explain":
-            argv = ["explain", "--forest", forest, "--data", str(synth_dir / "dataset.csv"),
+        elif case == "explain-diverges":
+            argv = ["explain", "--forest", forest, "--data", data,
                     "--learning-rate", "1e300", "--epochs", "3"]
-        else:
-            header, *lines = (synth_dir / "dataset.csv").read_text().splitlines()
-            rows = [line.split(",") for line in lines]
-            last = max(range(len(rows)), key=lambda i: float(rows[i][2]))
-            for i, row in enumerate(rows):
-                row[3] = "1" if i == last else "0"
-            data = tmp_path / "one_event_last.csv"
-            data.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
-            argv = ["eval", "--forest", forest, "--model", str(model_dir / "nam.json"),
-                    "--data", str(data)]
+        elif case == "eval-no-admissible-pairs":
+            def one_event_last(header, rows):
+                last = max(range(len(rows)), key=lambda i: float(rows[i][2]))
+                for i, row in enumerate(rows):
+                    row[3] = "1" if i == last else "0"
+            argv = ["eval", "--forest", forest, "--model", model,
+                    "--data", self._edited_dataset(synth_dir, tmp_path, one_event_last)]
+        elif case.endswith("-columns-reordered"):
+            def swap(header, rows):
+                header[0], header[1] = header[1], header[0]
+            data = self._edited_dataset(synth_dir, tmp_path, swap)
+            argv = (["explain", "--forest", forest, "--data", data, "--epochs", "3"]
+                    if case.startswith("explain") else
+                    ["eval", "--forest", forest, "--model", model, "--data", data])
+        elif case == "eval-model-of-other-features":
+            payload = json.loads((model_dir / "nam.json").read_text(encoding="utf-8"))
+            payload["feature_names"] = ["a", "b"]
+            other = tmp_path / "nam.json"
+            other.write_text(json.dumps(payload), encoding="utf-8")
+            argv = ["eval", "--forest", forest, "--model", str(other), "--data", data]
+        elif case.startswith("fit-"):
+            row, column, value = (5, 1, "nan") if case == "fit-nan-feature" else (7, 2, "inf")
+
+            def poison(header, rows):
+                rows[row][column] = value
+            argv = ["fit", "--data", self._edited_dataset(synth_dir, tmp_path, poison),
+                    "--trees", "2"]
+        else:  # the only point is the farthest one, so its kernel weight is 0
+            argv = ["explain", "--forest", forest, "--data", data, "--mode", "local",
+                    "--center-row", "3", "--n-points", "1", "--epochs", "3"]
         code = run(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 from typing import Optional
 
 import numpy as np
@@ -262,6 +263,15 @@ class TestLossAndGradient:
     def test_nonfinite_inputs_raise(self):
         with pytest.raises(NumericError):
             TargetBatch(np.array([[np.nan]]), np.ones((1, 2)), np.ones(2), np.ones(1))
+
+    def test_needs_a_positive_weight(self):
+        x, phi, tau = np.zeros((3, 1)), np.ones((3, 2)), np.ones(2)
+        for weights in (np.zeros(3), np.zeros(0)):
+            with pytest.raises(DataError, match="no weight is positive"):
+                TargetBatch(x[:len(weights)], phi[:len(weights)], tau, weights)
+        # Row slices of a checked batch are not checked again, zero weights or not.
+        targets = TargetBatch(x, phi, tau, np.array([0.0, 0.0, 1.0]))
+        assert nam._rows(targets, slice(0, 2)).weights.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
     def test_gradient_matches_finite_differences(self, variant):
@@ -643,6 +653,37 @@ class TestCheckpoint:
         assert loaded.config == model.config
         x = rng.uniform(-1, 1, (5, 3))
         assert np.array_equal(predict_log_risk(loaded, x), predict_log_risk(model, x))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    def test_roundtrip_is_exact_for_every_variant(self, variant, activation, tmp_path):
+        rng = np.random.default_rng(19)
+        cfg = small_config(variant, seed=2, activation=activation, batch=16)
+        model = init_model(2, cfg, feature_names=("age", "cell=a&b, c"))
+        randomize_params(model, rng)
+        save_model(model, tmp_path / "model.json")
+        payload = json.loads((tmp_path / "model.json").read_text())
+        assert payload["version"] == 2 and payload["features"] == 2
+        assert len(payload["params"]) == model.flatten().size == nam._param_count(2, cfg)
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.flatten().tobytes() == model.flatten().tobytes()
+        assert loaded.config == model.config
+        assert loaded.feature_names == model.feature_names
+        nameless = init_model(3, cfg)
+        save_model(nameless, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json").feature_names is None
+
+    def test_param_count_is_checked_before_the_model_is_built(self, tmp_path):
+        model = init_model(2, small_config())
+        save_model(model, tmp_path / "model.json")
+        payload = json.loads((tmp_path / "model.json").read_text())
+        # Building this model would take terabytes.
+        payload["config"]["hidden_sizes"] = [10 ** 6, 10 ** 6]
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        need = nam._param_count(2, NamConfig(hidden_sizes=(10 ** 6, 10 ** 6)))
+        with pytest.raises(DataError, match=f"has {model.flatten().size} values; "
+                                             f"2 features with this config need {need}$"):
+            load_model(tmp_path / "model.json")
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -55,6 +55,16 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             make_dataset([1.0, 2.0], [1, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values_naming_the_column(self, bad):
+        features = np.zeros((3, 3))
+        features[2, 1] = bad
+        features[1, 2] = bad
+        with pytest.raises(DataError, match="^feature 'x1' holds a non-finite value$"):
+            make_dataset([1.0, 2.0, 3.0], [1, 0, 1], features)
+        with pytest.raises(DataError, match="^observed times must be finite$"):
+            make_dataset([1.0, bad, 3.0], [1, 0, 1])
+
 
 class TestBuildTimeGrid:
     def test_three_events(self):
