@@ -16,6 +16,7 @@ built-in defaults; explicit flags still win over the config file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -68,13 +69,19 @@ def _banner(args) -> str:
 
 
 def _parse_list(args, dest: str, kind):
-    """The comma-separated values of a flag, each parsed by kind (int or float)."""
+    """The comma-separated values of a flag, each parsed by kind (int or finite float)."""
     text = getattr(args, dest)
+    flag = f"--{dest.replace('_', '-')}"
+    items = text.split(",")
     try:
-        return tuple(kind(item) for item in text.split(","))
+        values = tuple(kind(item) for item in items)
     except ValueError:
-        raise _UsageError(f"--{dest.replace('_', '-')} needs comma-separated "
-                          f"{kind.__name__}s, not {text!r}") from None
+        raise _UsageError(f"{flag} needs comma-separated {kind.__name__}s, "
+                          f"not {text!r}") from None
+    for item, value in zip(items, values):
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} needs finite numbers, not {item.strip()!r}")
+    return values
 
 
 def _finish(args, pairs, artifacts=()) -> int:

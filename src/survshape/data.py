@@ -20,7 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, _atomic_open, _field, _read_json
+from .errors import (
+    DataError,
+    SchemaError,
+    TooFewRowsError,
+    UnseenLevelError,
+    _atomic_open,
+    _field,
+    _read_json,
+)
 from .survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 
 _TRUE_WORDS = {"1", "1.0", "true", "yes", "y"}
@@ -108,7 +116,7 @@ class DatasetSchema:
             warnings.warn(f"dropped {dropped} rows with missing time/event",
                           stacklevel=3)
         if not kept:
-            raise SchemaError("no usable rows after dropping missing time/event")
+            raise TooFewRowsError("no usable rows after dropping missing time/event")
         return kept
 
     def fit(self, rows) -> "DatasetSchema":
@@ -161,7 +169,7 @@ class DatasetSchema:
                 seen = [str(row[name]).strip() for _, row in kept]
                 for idx, value in zip((i for i, _ in kept), seen):
                     if value not in levels:
-                        raise SchemaError(
+                        raise UnseenLevelError(
                             f"row {idx}: unseen level {value!r} for feature {name!r}")
                 if len(levels) == 2:
                     columns.append(np.array([1.0 if v == levels[1] else 0.0 for v in seen]))
@@ -241,7 +249,7 @@ def train_test_split(dataset: SurvivalDataset, test_fraction: float, seed: int =
     for train_idx, test_idx in _split_indices(dataset.n, test_fraction, seed):
         try:
             return dataset.subset(train_idx), dataset.subset(test_idx)
-        except DataError:
+        except TooFewRowsError:
             continue
     raise DataError(f"could not find a split with events on both sides "
                     f"in {_SPLIT_ATTEMPTS} tries")
@@ -297,6 +305,9 @@ def load_and_split_csv(path, schema: DatasetSchema, test_fraction: float,
 
     Returns (train, test); normalization statistics never see the test rows.
     The rows are split as train_test_split splits a dataset of that size.
+    Another shuffle is tried only when a part has no event or too few rows
+    once rows missing time/event are dropped, or the test part holds a level
+    the training part lacks; any other error is raised at once.
     """
     rows = read_csv_rows(path)
     if len(rows) < 2:
@@ -308,7 +319,7 @@ def load_and_split_csv(path, schema: DatasetSchema, test_fraction: float,
         try:
             train = trial.fit_transform([rows[i] for i in train_idx])
             test = trial.transform([rows[i] for i in test_idx])
-        except DataError as exc:
+        except (TooFewRowsError, UnseenLevelError) as exc:
             last_error = exc
             continue
         schema.levels = trial.levels

@@ -34,8 +34,16 @@ class EstimatorUndefinedError(DataError):
     """Cumulative-hazard estimator hit an empty risk set at an event time."""
 
 
+class TooFewRowsError(DataError):
+    """Too few usable rows, or no observed event: another split may have enough."""
+
+
 class SchemaError(DataError):
     """CSV/schema mismatch: missing column, bad cell, unseen category."""
+
+
+class UnseenLevelError(SchemaError):
+    """A categorical level the fitted schema never saw."""
 
 
 class AlignmentError(DataError):

@@ -4,15 +4,20 @@ Trees split on the two-sample log-rank statistic (exhaustive midpoint
 candidates over a random feature subset) and store Nelson-Aalen
 cumulative hazards in their leaves, projected onto the dataset-level
 time grid at fit time so ensemble averaging is a plain vector mean.
-Per-tree RNG streams are derived from (seed, tree index), so a parallel
-fit would produce the same forest as this serial one. Fitted forests
-are immutable and safe for concurrent prediction.
+Each tree draws its bootstrap and feature subsets from its own stream,
+default_rng([seed, tree index]), so trees are independent and the
+forest does not depend on which process grows which tree: on Linux,
+fit_forest grows them in one forked worker per usable CPU (never more
+than the tree count) and returns the same forest as a serial fit. Fitted
+forests are immutable and safe for concurrent prediction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -170,8 +175,45 @@ def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng) ->
     }
 
 
+# Per worker process: the arguments of _grow_bootstrap_tree after the tree
+# index, installed once by _start_worker.
+_worker_args = None
+
+
+def _start_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _grow_one(tree_index: int) -> dict:
+    """Pool task: one tree, from the training data _start_worker installed."""
+    return _grow_bootstrap_tree(tree_index, *_worker_args)
+
+
+def _grow_bootstrap_tree(tree_index, x, times, events, grid, config, n_try) -> dict:
+    """Tree `tree_index`: its bootstrap rows, then its feature draws, from one stream."""
+    rng = np.random.default_rng([config.seed, tree_index])
+    idx = rng.integers(0, len(times), len(times))
+    return _grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng)
+
+
+def _worker_count(n_trees: int) -> int:
+    """Usable CPUs (the affinity mask), at most n_trees; 1 off Linux.
+
+    Off Linux, workers could not be forked: spawned ones re-import the
+    caller's __main__, which breaks any script that fits at top level.
+    """
+    if sys.platform != "linux":
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_trees)
+
+
 def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) -> SurvivalForest:
-    """Fit bootstrapped log-rank survival trees on the dataset-level grid."""
+    """Fit bootstrapped log-rank survival trees on the dataset-level grid.
+
+    Trees grow in _worker_count(n_trees) forked processes; with one, in
+    this process.
+    """
     if int(dataset.events.sum()) < config.min_leaf_events:
         raise DataError("dataset has fewer events than min_leaf_events")
     grid = build_time_grid(dataset, config.gamma_fraction)
@@ -179,12 +221,19 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     if n_try is None:
         n_try = int(math.ceil(math.sqrt(dataset.m)))
     n_try = min(n_try, dataset.m)
-    trees = []
-    for tree_idx in range(config.n_trees):
-        rng = np.random.default_rng([config.seed, tree_idx])
-        idx = rng.integers(0, dataset.n, dataset.n)
-        trees.append(_grow_tree(dataset.features[idx], dataset.times[idx],
-                                dataset.events[idx], 0, grid, config, n_try, rng))
+    work = (dataset.features, dataset.times, dataset.events, grid, config, n_try)
+    workers = _worker_count(config.n_trees)
+    if workers == 1:
+        trees = [_grow_bootstrap_tree(t, *work) for t in range(config.n_trees)]
+    else:
+        # Imported here, as only a pooled fit needs them: they add about 2 MB
+        # to the peak RSS of every command that imports this module.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, context, _start_worker, work) as pool:
+            trees = list(pool.map(_grow_one, range(config.n_trees)))
     if all("values" in t for t in trees):
         warnings.warn("no split satisfied the constraints; forest is a single leaf",
                       stacklevel=2)

@@ -17,6 +17,7 @@ from .errors import (
     EstimatorUndefinedError,
     GridDegenerateError,
     MetricUndefinedError,
+    TooFewRowsError,
 )
 
 KIND_NUMERIC = "numeric"
@@ -52,7 +53,7 @@ class SurvivalDataset:
         if len(t) != n or len(e) != n:
             raise DataError("times/events length must match the number of rows")
         if n < 2:
-            raise DataError("a survival dataset needs at least 2 samples")
+            raise TooFewRowsError("a survival dataset needs at least 2 samples")
         if len(self.feature_names) != m or len(self.feature_kinds) != m:
             raise DataError("feature metadata must have one entry per column")
         bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
@@ -65,7 +66,7 @@ class SurvivalDataset:
         if not np.all(np.isin(e, (0, 1))):
             raise DataError("event indicators must be 0 or 1")
         if int(e.sum()) < 1:
-            raise DataError("a survival dataset needs at least one observed event")
+            raise TooFewRowsError("a survival dataset needs at least one observed event")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "events", e)

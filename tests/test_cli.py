@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from survshape.cli import main
+from survshape.data import DatasetSchema
 
 
 def run(argv):
@@ -629,7 +630,12 @@ class TestCommaListFlags:
          "--center-values needs comma-separated floats"),
         (["synth", "--n", "20", "--m", "2", "--coef", "1,zz"],
          "--coef needs comma-separated floats"),
-    ], ids=["hidden-text", "hidden-empty", "center-values-text", "coef-text"])
+        (["explain", "--mode", "local", "--center-values", "0.5,nan"],
+         "--center-values needs finite numbers, not 'nan'"),
+        (["synth", "--n", "20", "--m", "2", "--coef", "1, -inf"],
+         "--coef needs finite numbers, not '-inf'"),
+    ], ids=["hidden-text", "hidden-empty", "center-values-text", "coef-text",
+            "center-values-nan", "coef-inf"])
     def test_bad_element_exits_2(self, argv, message, synth_dir, fitted_dir, tmp_path,
                                  capsys):
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -641,6 +647,7 @@ class TestCommaListFlags:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 # (case, exit code, stderr text) for test_failed_work_exits_without_out_dir
@@ -744,6 +751,27 @@ class TestDataErrorLeavesNoOut:
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    def test_error_no_split_can_fix_is_raised_on_the_first_split(
+            self, synth_dir, tmp_path, monkeypatch, capsys):
+        fits = []
+        fit = DatasetSchema.fit
+        monkeypatch.setattr(DatasetSchema, "fit",
+                            lambda schema, rows: fits.append(1) or fit(schema, rows))
+
+        def poison(header, rows):
+            rows[5][1] = "nan"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"time": "time", "event": "event",
+                                      "features": {"x0": "numeric", "x1": "numeric"}}))
+        out = tmp_path / "out"
+        code = run(["fit", "--data", self._edited_dataset(synth_dir, tmp_path, poison),
+                    "--schema", str(schema), "--trees", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: feature 'x1' holds a non-finite value\n"
+        assert len(fits) == 1
         assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from survshape.data import (
     read_csv_rows,
     train_test_split,
 )
-from survshape.errors import DataError, SchemaError
+from survshape.errors import DataError, SchemaError, TooFewRowsError, UnseenLevelError
 from survshape.survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 from survshape.synthetic import SyntheticSpec, generate_cox_data
 
@@ -240,6 +240,60 @@ class TestLoadAndSplit:
         assert train.features[:, 0].std() == pytest.approx(1.0, abs=1e-12)
         # test column generally is notexactly standardized
         assert abs(test.features[:, 0].mean()) > 1e-6
+
+    def test_level_missing_from_train_is_retried(self, tmp_path, monkeypatch):
+        # One row holds the only "C"; the first shuffle puts it on the test side.
+        n = 40
+        rare = np.random.default_rng([3, 0]).permutation(n)[0]
+        lines = ["grp,time,event"] + [
+            f"{'C' if i == rare else 'AB'[i % 2]},{i + 1},1" for i in range(n)]
+        path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        schema = DatasetSchema.from_config({"time": "time", "event": "event",
+                                            "features": {"grp": "categorical"}})
+        unseen = []
+        transform = DatasetSchema.transform
+
+        def recording_transform(trial, rows):
+            try:
+                return transform(trial, rows)
+            except UnseenLevelError as exc:
+                unseen.append(str(exc))
+                raise
+        monkeypatch.setattr(DatasetSchema, "transform", recording_transform)
+        train, test = load_and_split_csv(path, schema, 0.25, seed=3)
+        assert unseen[0] == "row 0: unseen level 'C' for feature 'grp'"
+        assert schema.levels["grp"] == ("A", "B", "C")
+        assert (train.n, test.n) == (30, 10)
+
+    @pytest.mark.parametrize("kept_in_test, message", [
+        (0, "no usable rows after dropping missing time/event"),
+        (1, "a survival dataset needs at least 2 samples"),
+    ])
+    def test_part_emptied_by_dropped_rows_is_retried(self, kept_in_test, message, tmp_path,
+                                                     monkeypatch):
+        # 30 of 40 rows lack a time. The first shuffle's test part keeps
+        # kept_in_test of the 10 usable rows; the others are on its train side.
+        n = 40
+        order = np.random.default_rng([3, 0]).permutation(n)
+        usable = set(order[10:20 - kept_in_test]) | set(order[:kept_in_test])
+        lines = ["age,time,event"] + [
+            f"{i},{i + 1 if i in usable else ''},1" for i in range(n)]
+        path = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        schema = DatasetSchema.from_config(BASIC_SCHEMA)
+        too_few = []
+        transform = DatasetSchema.transform
+
+        def recording_transform(trial, rows):
+            try:
+                return transform(trial, rows)
+            except TooFewRowsError as exc:
+                too_few.append(str(exc))
+                raise
+        monkeypatch.setattr(DatasetSchema, "transform", recording_transform)
+        with pytest.warns(UserWarning, match="rows with missing time/event"):
+            train, test = load_and_split_csv(path, schema, 0.25, seed=3)
+        assert too_few[0] == message
+        assert train.n + test.n == 10 and min(train.n, test.n) >= 2
 
     def test_same_rows_as_train_test_split(self, tmp_path):
         spec = SyntheticSpec(n=60, m=2, coef=(1.0, 0.0), censoring_rate=0.3, seed=8)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import sys
 import tempfile
 import warnings
 
@@ -7,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from survshape.errors import DataError
+from survshape import forest as forest_module
+from survshape.errors import DataError, EstimatorUndefinedError
 from survshape.forest import (
     ForestConfig,
     fit_forest,
@@ -279,6 +284,90 @@ class TestFitAndPredict:
         test, _ = generate_cox_data(spec_test)
         c = concordance_index(risk_scores(forest, test.features), test)
         assert c > 0.6
+
+
+def _usable_cpus(monkeypatch, count):
+    """Make the affinity mask, which sizes fit_forest's pool, hold `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _forest_bytes(forest, path):
+    save_forest(forest, path)
+    return path.read_bytes()
+
+
+class TestWorkerPool:
+    """Trees grow in one process per usable CPU; the forest is the serial one."""
+
+    @pytest.mark.parametrize("seed, n, m, n_trees", [
+        (0, 80, 2, 1), (1, 80, 2, 3), (2, 150, 4, 3), (3, 150, 4, 25), (4, 60, 1, 25),
+    ])
+    def test_two_workers_save_the_serial_bytes(self, seed, n, m, n_trees, monkeypatch,
+                                               tmp_path):
+        spec = SyntheticSpec(n=n, m=m, coef=(1.0,) * m, censoring_rate=0.3, seed=seed)
+        ds, _ = generate_cox_data(spec)
+        config = ForestConfig(n_trees=n_trees, min_leaf_events=2, seed=seed)
+        saved = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            saved.append(_forest_bytes(fit_forest(ds, config), tmp_path / f"{cpus}.bin"))
+        assert saved[0] == saved[1]
+
+    def test_single_leaf_forest_warns_once(self, monkeypatch, tmp_path):
+        ds = SurvivalDataset.from_arrays(np.array([[0.0], [1.0], [2.0], [3.0]]),
+                                         np.array([1.0, 2.0, 3.0, 4.0]),
+                                         np.array([1, 1, 1, 0]))
+        config = ForestConfig(n_trees=3, min_leaf_events=3, seed=0)
+        saved = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forest = fit_forest(ds, config)
+            assert [str(w.message) for w in caught] == [
+                "no split satisfied the constraints; forest is a single leaf"]
+            assert caught[0].filename == __file__  # stacklevel=2: the caller's line
+            saved.append(_forest_bytes(forest, tmp_path / f"{cpus}.bin"))
+        assert saved[0] == saved[1]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(*args):
+            raise EstimatorUndefinedError("empty risk set at an event time")
+
+        monkeypatch.setattr(forest_module, "_grow_tree", fail)
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(DataError) as caught:
+            fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
+        assert type(caught.value) is EstimatorUndefinedError
+        assert str(caught.value) == "empty risk set at an event time"
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_fit(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
+        assert multiprocessing.active_children() == []
+
+    # Off Linux, workers could only be spawned, and spawned workers
+    # re-import the caller's __main__.
+    @pytest.mark.parametrize("platform, cpus", [("linux", 1), ("darwin", 2)],
+                             ids=["one-cpu", "off-linux"])
+    def test_grows_in_process(self, platform, cpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sys, "platform", platform)
+        _usable_cpus(monkeypatch, cpus)
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
+        assert len(forest.trees) == 4
+
+    def test_worker_count_is_clamped_to_cpus_and_trees(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        _usable_cpus(monkeypatch, 64)
+        assert [forest_module._worker_count(n) for n in (1, 3, 64, 500)] == [1, 3, 64, 64]
+        _usable_cpus(monkeypatch, 1)
+        assert forest_module._worker_count(500) == 1
 
 
 class TestPermutationImportance:
