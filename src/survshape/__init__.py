@@ -45,7 +45,6 @@ from .forest import (
     SurvivalForest,
     fit_forest,
     load_forest,
-    permutation_importance,
     predict_chf_matrix,
     save_forest,
 )

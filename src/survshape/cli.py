@@ -1,6 +1,7 @@
 """Command-line pipeline: fit the black box, explain it, generate data, evaluate.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numeric/training error.
+Exit codes: 0 success, 2 usage, 3 data error, 4 numeric/training error,
+130 interrupted (SIGINT, e.g. Ctrl-C), each failure with one stderr line.
 Every command resolves its defaults, echoes the effective configuration
 to stdout and into report.txt, and writes fixed filenames under --out
 (forest.bin, explanation.csv, nam.json, shapes.svg, dataset.csv,
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 
 class _UsageError(Exception):
@@ -385,6 +387,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

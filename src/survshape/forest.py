@@ -10,6 +10,11 @@ forest does not depend on which process grows which tree: on Linux,
 fit_forest grows them in one forked worker per usable CPU (never more
 than the tree count) and returns the same forest as a serial fit. Fitted
 forests are immutable and safe for concurrent prediction.
+
+In memory a tree is nested dicts. forest.bin (format 3) stores each one
+as its preorder split features (-1 at a leaf), one threshold per split
+and run-length encoded leaf CHFs; the preorder alone fixes which nodes
+are a split's children, so no child links are stored.
 """
 
 from __future__ import annotations
@@ -31,11 +36,10 @@ from .survival import (
     _hazard_increments,
     _step_values,
     build_time_grid,
-    concordance_index,
-    risk_scores,
+    risk_scores,  # noqa: F401  re-exported: survshape.forest.risk_scores is public
 )
 
-FORMAT_VERSION = 2  # of the forest file; save_forest writes it, load_forest reads only it
+FORMAT_VERSION = 3  # of the forest file; save_forest writes it, load_forest reads only it
 
 # The JSON types load_forest accepts per config key, in ForestConfig's field order.
 _CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
@@ -241,13 +245,16 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
                           dataset.feature_kinds, config)
 
 
-def _tree_values_batch(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    if "values" in node:
-        out[idx] = node["values"]
-        return
-    mask = x[idx, node["feature"]] <= node["threshold"]
-    _tree_values_batch(node["left"], x, out, idx[mask])
-    _tree_values_batch(node["right"], x, out, idx[~mask])
+def _tree_values_batch(tree: dict, x: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the values of the leaf row i of x reaches; a stack, so any depth works."""
+    stack = [(tree, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if "values" in node:
+            out[idx] = node["values"]
+            continue
+        mask = x[idx, node["feature"]] <= node["threshold"]
+        stack += [(node["right"], idx[~mask]), (node["left"], idx[mask])]
 
 
 def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
@@ -259,72 +266,38 @@ def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
         raise DataError("x contains non-finite values")
     total = np.zeros((x.shape[0], forest.grid.n_intervals))
     scratch = np.empty_like(total)
-    all_rows = np.arange(x.shape[0])
     for tree in forest.trees:
-        _tree_values_batch(tree, x, scratch, all_rows)
+        _tree_values_batch(tree, x, scratch)
         total += scratch
     return total / len(forest.trees)
 
 
-def permutation_importance(forest: SurvivalForest, dataset: SurvivalDataset,
-                           n_repeats: int = 10, seed: int = 0) -> np.ndarray:
-    """Mean drop in concordance when one feature column is shuffled."""
-    if n_repeats < 1:
-        raise DataError("n_repeats must be >= 1")
-    baseline = concordance_index(risk_scores(forest, dataset.features), dataset)
-    rng = np.random.default_rng(seed)
-    scores = np.zeros(dataset.m)
-    for k in range(dataset.m):
-        drop = 0.0
-        for _ in range(n_repeats):
-            shuffled = dataset.features.copy()
-            shuffled[:, k] = shuffled[rng.permutation(dataset.n), k]
-            drop += baseline - concordance_index(risk_scores(forest, shuffled), dataset)
-        scores[k] = drop / n_repeats
-    return scores
-
-
 def _flatten(tree: dict) -> dict:
-    """One tree as parallel preorder node arrays plus run-length encoded leaf CHFs.
+    """One tree as preorder split/leaf flags plus run-length encoded leaf CHFs.
 
-    A node's left child is the next node, so only `right` is stored;
-    leaves have feature -1, threshold 0.0 and right -1, and `leaf` gives
-    each leaf's row of the run lists (-1 at a split). Runs are cut where
-    the bit pattern changes, so np.repeat gives back the same floats.
+    `feature` lists the nodes in preorder, -1 at a leaf; a split is
+    followed by its left subtree, then its right one, so the flags fix the
+    shape. `threshold` holds one value per split, in preorder. Each leaf's
+    runs are cut where the bit pattern changes, so np.repeat gives back the
+    same floats; a run start of 0 opens the next leaf.
     """
-    feature, threshold, right, leaf, leaves = [], [], [], [], []
-    stack = [(tree, -1)]  # (node, index of the split whose right child it is)
+    feature, threshold, leaves = [], [], []
+    stack = [tree]
     while stack:
-        node, parent = stack.pop()
-        index = len(feature)
-        if parent >= 0:
-            right[parent] = index
+        node = stack.pop()
         if "values" in node:
             feature.append(-1)
-            threshold.append(0.0)
-            leaf.append(len(leaves))
             leaves.append(np.asarray(node["values"], dtype=float))
         else:
             feature.append(int(node["feature"]))
             threshold.append(float(node["threshold"]))
-            leaf.append(-1)
-            stack.append((node["right"], index))
-            stack.append((node["left"], -1))
-        right.append(-1)
+            stack += [node["right"], node["left"]]
     values = np.stack(leaves)
     bits = values.view(np.int64)
     new_run = np.ones(values.shape, dtype=bool)
     new_run[:, 1:] = bits[:, 1:] != bits[:, :-1]
-    offsets = np.concatenate([[0], np.cumsum(new_run.sum(axis=1))])
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "right": right,
-        "leaf": leaf,
-        "run_offsets": offsets.tolist(),
-        "run_starts": np.nonzero(new_run)[1].tolist(),
-        "run_values": values[new_run].tolist(),
-    }
+    return {"feature": feature, "threshold": threshold,
+            "run_starts": np.nonzero(new_run)[1].tolist(), "run_values": values[new_run].tolist()}
 
 
 def _unflatten(blob, m: int, s: int, where: str) -> dict:
@@ -333,67 +306,51 @@ def _unflatten(blob, m: int, s: int, where: str) -> dict:
         raise DataError(f"{where} is not a JSON object")
     feature = _array(blob, "feature", "i", where)
     threshold = _array(blob, "threshold", "if", where)
-    right = _array(blob, "right", "i", where)
-    leaf = _array(blob, "leaf", "i", where)
-    offsets = _array(blob, "run_offsets", "i", where)
     starts = _array(blob, "run_starts", "i", where)
     run_values = _array(blob, "run_values", "if", where)
-    n = len(feature)
-    if not n or not len(threshold) == len(right) == len(leaf) == n:
-        raise DataError(f"{where}: node arrays must be nonempty and of one length")
     bad = feature[(feature < -1) | (feature >= m)]
     if bad.size:
         raise DataError(f"{where}: split feature {bad[0]} outside 0..{m - 1}")
     if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(run_values))):
         raise DataError(f"{where} holds a non-finite threshold or CHF value")
-    is_leaf = feature == -1
-    n_leaves = len(offsets) - 1
-    if (n_leaves != is_leaf.sum() or np.any(leaf[~is_leaf] != -1)
-            or not np.array_equal(np.sort(leaf[is_leaf]), np.arange(n_leaves))):
-        raise DataError(f"{where}: 'leaf' must number the leaves 0..{n_leaves - 1} "
-                        "once each, one row of 'run_offsets' per leaf")
-    if (offsets[0] != 0 or np.any(np.diff(offsets) < 1)
-            or not offsets[-1] == len(starts) == len(run_values)):
-        raise DataError(f"{where}: 'run_offsets' must rise from 0 to the run count, "
-                        "at least one run per leaf")
+    n_leaves = int(np.count_nonzero(feature == -1))
+    if len(threshold) != len(feature) - n_leaves:
+        raise DataError(f"{where} has {len(feature) - n_leaves} splits "
+                        f"but {len(threshold)} thresholds")
     bad = starts[(starts < 0) | (starts >= s)]
     if bad.size:
         raise DataError(f"{where}: run start {bad[0]} outside 0..{s - 1}")
-    first = np.zeros(len(starts), dtype=bool)
-    first[offsets[:-1]] = True
-    bad = starts[first & (starts != 0)]
-    if bad.size:
-        raise DataError(f"{where}: a leaf's first run starts at {bad[0]}, not 0")
-    if np.any(np.diff(starts)[~first[1:]] <= 0):
+    opens = starts == 0  # the first run of a leaf
+    if np.count_nonzero(opens) != n_leaves or not opens[:1].all():
+        raise DataError(f"{where}: 'run_starts' must open each of its {n_leaves} leaves "
+                        "with a 0, starting with the first run")
+    if len(run_values) != len(starts):
+        raise DataError(f"{where}: 'run_starts' and 'run_values' differ in length")
+    if np.any(np.diff(starts)[~opens[1:]] <= 0):
         raise DataError(f"{where}: run starts within a leaf must increase strictly")
     ends = np.append(starts[1:], s)
-    ends[offsets[1:-1] - 1] = s
-    dense = np.repeat(run_values, ends - starts).reshape(n_leaves, s)
-
-    feature, threshold, right, leaf = (a.tolist() for a in (feature, threshold, right, leaf))
-    nodes = [None] * n
-    end = [0] * n  # one past the last node of each node's subtree
-    for i in range(n - 1, -1, -1):
-        if feature[i] < 0:
-            nodes[i] = {"values": dense[leaf[i]]}
-            end[i] = i + 1
-            continue
-        r = right[i]
-        if not i + 1 < r < n:
-            raise DataError(f"{where}: node {i}'s right child {r} outside {i + 2}..{n - 1}")
-        if r != end[i + 1]:
-            raise DataError(f"{where}: node {i}'s right child {r} is not node "
-                            f"{end[i + 1]}, the first after its left subtree")
-        nodes[i] = {"feature": feature[i], "threshold": threshold[i],
-                    "left": nodes[i + 1], "right": nodes[r]}
-        end[i] = end[r]
-    if end[0] != n:
-        raise DataError(f"{where}: nodes {end[0]}..{n - 1} are not reachable from the root")
-    return nodes[0]
+    ends[:-1][opens[1:]] = s  # a leaf's last run ends at the end of the grid
+    leaves = iter(np.repeat(run_values, ends - starts).reshape(n_leaves, s)[::-1])
+    thresholds = iter(threshold[::-1].tolist())
+    stack = []  # the subtrees after the current node, the first of them on top
+    for f in reversed(feature.tolist()):
+        if f == -1:
+            stack.append({"values": next(leaves)})
+        elif len(stack) < 2:
+            break
+        else:
+            left, right = stack.pop(), stack.pop()
+            stack.append({"feature": f, "threshold": next(thresholds),
+                          "left": left, "right": right})
+    else:
+        if len(stack) == 1:
+            return stack[0]
+    raise DataError(f"{where}: 'feature' does not flag exactly one preorder tree, "
+                    "each split followed by two subtrees")
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
-    """Versioned JSON serialization (format 2); floats survive the round trip exactly.
+    """Versioned JSON serialization (format 3); floats survive the round trip exactly.
 
     Each tree is stored by _flatten. `extra` is an arbitrary
     JSON-compatible blob stored verbatim (the CLI keeps the fitted data

@@ -1,11 +1,13 @@
 import csv
 import json
+import multiprocessing
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from survshape import forest as forest_module
 from survshape.cli import main
 from survshape.data import DatasetSchema
 
@@ -327,24 +329,35 @@ def _forest_of_version_1(payload):
     payload["version"] = 1
 
 
+def _forest_of_version_2(payload):
+    payload["version"] = 2
+
+
 def _forest_with_first_run_at_1(payload):
     payload["trees"][0]["run_starts"][0] = 1
 
 
 def _forest_with_runs_not_increasing(payload):
+    starts = payload["trees"][0]["run_starts"]
+    # the first run of a leaf with three runs or more; a 0 opens each leaf
+    k = next(k for k in range(len(starts) - 2)
+             if starts[k] == 0 and starts[k + 1] != 0 and starts[k + 2] != 0)
+    starts[k + 2] = starts[k + 1]
+
+
+def _forest_with_extra_threshold(payload):
+    payload["trees"][0]["threshold"].append(0.5)
+
+
+def _forest_with_feature_rotated(payload):
+    feature = payload["trees"][0]["feature"]
+    feature.insert(0, feature.pop())
+
+
+def _forest_with_extra_split_flag(payload):
     tree = payload["trees"][0]
-    offsets = tree["run_offsets"]
-    leaf = next(k for k in range(len(offsets) - 1) if offsets[k + 1] - offsets[k] >= 2)
-    tree["run_starts"][offsets[leaf] + 1] = 0
-
-
-def _forest_with_right_past_end(payload):
-    tree = payload["trees"][0]
-    tree["right"][0] = len(tree["feature"])
-
-
-def _forest_with_right_into_left_subtree(payload):
-    payload["trees"][0]["right"][0] -= 1
+    tree["feature"].append(0)
+    tree["threshold"].append(0.5)
 
 
 def _forest_with_feature_out_of_range(payload):
@@ -422,10 +435,13 @@ class TestMalformedForestFile:
         (_forest_with_unknown_config_key, "unknown forest config key(s): n_estimators"),
         (_forest_with_run_past_grid, "outside 0.."),
         (_forest_of_version_1, "forest file version 1 is not supported"),
-        (_forest_with_first_run_at_1, "a leaf's first run starts at 1, not 0"),
+        (_forest_of_version_2, "forest file version 2 is not supported (this release reads "
+                               "version 3); refit the forest"),
+        (_forest_with_first_run_at_1, "'run_starts' must open each of its"),
         (_forest_with_runs_not_increasing, "run starts within a leaf must increase strictly"),
-        (_forest_with_right_past_end, "node 0's right child"),
-        (_forest_with_right_into_left_subtree, "the first after its left subtree"),
+        (_forest_with_extra_threshold, "splits but"),
+        (_forest_with_feature_rotated, "does not flag exactly one preorder tree"),
+        (_forest_with_extra_split_flag, "does not flag exactly one preorder tree"),
         (_forest_with_feature_out_of_range, "split feature 2 outside 0..1"),
         (_forest_with_nan_chf, "non-finite threshold or CHF value"),
         (_forest_with_fractional_n_trees, "forest config's 'n_trees' has the wrong type"),
@@ -446,6 +462,24 @@ class TestMalformedForestFile:
         corrupt(payload)
         err = self.explain_with(json.dumps(payload), synth_dir, tmp_path, capsys)
         assert message in err
+
+
+class TestInterrupt:
+    def test_interrupted_fit_exits_130_without_out_dir(self, synth_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        # forked workers inherit the patch, so the interrupt comes from a worker
+        monkeypatch.setattr(forest_module, "_grow_tree", interrupt)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
+        code = run(["fit", "--data", str(synth_dir / "dataset.csv"), "--trees", "4",
+                    "--out", str(out)])
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from survshape.forest import (
     ForestConfig,
     fit_forest,
     load_forest,
-    permutation_importance,
     predict_chf_matrix,
     risk_scores,
     save_forest,
@@ -370,37 +369,6 @@ class TestWorkerPool:
         assert forest_module._worker_count(500) == 1
 
 
-class TestPermutationImportance:
-    def test_constant_feature_scores_zero(self):
-        rng = np.random.default_rng(8)
-        n = 60
-        x = np.column_stack([rng.normal(size=n), np.zeros(n)])
-        times = np.exp(-x[:, 0]) * rng.uniform(0.5, 1.5, n)
-        ds = SurvivalDataset.from_arrays(x, times, np.ones(n, dtype=int))
-        forest = fit_forest(ds, ForestConfig(n_trees=10, features_per_split=2, seed=9))
-        scores = permutation_importance(forest, ds, n_repeats=20, seed=1)
-        assert abs(scores[1]) < 0.01
-        assert scores[0] > scores[1]
-
-    def test_duplicated_feature_dilutes_importance(self):
-        rng = np.random.default_rng(10)
-        n = 120
-        signal = rng.normal(size=n)
-        noise = rng.normal(size=n)
-        times = np.exp(-signal) * rng.uniform(0.8, 1.25, n)
-        events = np.ones(n, dtype=int)
-        solo = SurvivalDataset.from_arrays(np.column_stack([signal, noise]), times, events)
-        dup = SurvivalDataset.from_arrays(np.column_stack([signal, noise, signal]),
-                                          times, events)
-        cfg = dict(n_trees=25, min_leaf_events=3, seed=11)
-        f_solo = fit_forest(solo, ForestConfig(features_per_split=2, **cfg))
-        f_dup = fit_forest(dup, ForestConfig(features_per_split=3, **cfg))
-        imp_solo = permutation_importance(f_solo, solo, n_repeats=10, seed=2)
-        imp_dup = permutation_importance(f_dup, dup, n_repeats=10, seed=2)
-        assert imp_dup[0] <= imp_solo[0] + 1e-9
-        assert imp_dup[2] <= imp_solo[0] + 1e-9
-
-
 class TestSerialization:
     def test_roundtrip_predictions(self, tmp_path):
         ds = separable_dataset()
@@ -435,23 +403,64 @@ class TestSerialization:
         path = tmp_path / "forest.bin"
         save_forest(forest, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 2 and "bootstrap" not in payload["config"]
+        assert payload["version"] == 3 and "bootstrap" not in payload["config"]
         for tree, blob in zip(forest.trees, payload["trees"]):
-            leaves = []
+            assert list(blob) == ["feature", "threshold", "run_starts", "run_values"]
+            features, thresholds, leaves = [], [], []
             stack = [tree]
             while stack:  # preorder: a split, its left subtree, then its right one
                 node = stack.pop()
                 if "values" in node:
+                    features.append(-1)
                     leaves.append(node["values"])
                 else:
+                    features.append(node["feature"])
+                    thresholds.append(node["threshold"])
                     stack += [node["right"], node["left"]]
-            assert blob["feature"].count(-1) == len(leaves) == len(blob["run_offsets"]) - 1
+            assert blob["feature"] == features and blob["threshold"] == thresholds
+            assert len(blob["threshold"]) == len(features) - features.count(-1)
+            # a run start of 0 opens the next leaf's runs
+            opens = [k for k, start in enumerate(blob["run_starts"]) if start == 0]
+            assert opens[0] == 0 and len(opens) == len(leaves)
             for k, values in enumerate(leaves):
-                runs = slice(blob["run_offsets"][k], blob["run_offsets"][k + 1])
+                runs = slice(opens[k], opens[k + 1] if k + 1 < len(opens) else None)
                 # one run per maximal stretch of equal values
                 starts = [0] + (np.flatnonzero(np.diff(values)) + 1).tolist()
                 assert blob["run_starts"][runs] == starts
                 assert blob["run_values"][runs] == values[starts].tolist()
+
+    @given(st.lists(st.booleans(), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_flags_load_exactly_when_they_form_one_tree(self, splits):
+        slots = 1  # subtrees still owed; a preorder tree leaves none and never runs short
+        for split in splits:
+            slots = -1 if slots <= 0 else slots + (1 if split else -1)
+        n_leaves = splits.count(False)
+        blob = {"feature": [0 if split else -1 for split in splits],
+                "threshold": [0.5] * (len(splits) - n_leaves),
+                "run_starts": [0] * n_leaves, "run_values": [1.0] * n_leaves}
+        if slots == 0:
+            tree = forest_module._unflatten(blob, 1, 1, "tree 0")
+            assert forest_module._flatten(tree) == blob
+        else:
+            with pytest.raises(DataError, match="does not flag exactly one preorder tree"):
+                forest_module._unflatten(blob, 1, 1, "tree 0")
+
+    def test_deep_chain_saves_loads_and_predicts(self, tmp_path):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
+        depth = 1500  # deeper than Python's default recursion limit
+        s = forest.grid.n_intervals
+        leaf_values = np.arange(depth + 1)[:, None] + np.linspace(0.0, 1.0, s)
+        tree = {"values": leaf_values[depth]}
+        for k in range(depth - 1, -1, -1):  # split k sends x0 <= k + 0.5 to leaf k
+            tree = {"feature": 0, "threshold": k + 0.5, "left": {"values": leaf_values[k]},
+                    "right": tree}
+        chain = type(forest)((tree,), forest.grid, forest.feature_names,
+                             forest.feature_kinds, forest.config)
+        save_forest(chain, tmp_path / "chain.bin")
+        loaded, _ = load_forest(tmp_path / "chain.bin")
+        x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
+        assert np.array_equal(predict_chf_matrix(loaded, x), leaf_values)
 
     def test_signed_zero_leaf_survives(self, tmp_path):
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
