@@ -16,6 +16,7 @@ caller into a box whose `predict_chf_matrix` stacks the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -108,15 +109,50 @@ class Explanation:
 def dataset_diameter(dataset: SurvivalDataset) -> float:
     """Largest pairwise Euclidean distance over the dataset's feature rows.
 
-    Squared distances sq_i + sq_j - 2 x_i.x_j are formed for one block of
-    rows against all rows at a time, so memory stays O(n). Every block
-    has at least two rows: a one-row product goes through BLAS's
-    matrix-vector kernel, whose rounding can differ from the full
-    matrix product's.
+    Only the rows that can end a longest pair are compared (Malandain &
+    Boissonnat 2002). Let r_i be a row's distance from the centroid, R the
+    largest r_i and L the length of a real pair, from a double
+    farthest-point sweep. A pair at least L long has r_i + r_j >= L, so
+    both of its rows have r >= L - R. That bound is widened by the
+    rounding of the squared distances, which grows with the largest
+    squared row norm, so every pair a scan of all rows could report as the
+    longest is kept. Rows on a sphere around the centroid, or far from the
+    origin, are all kept, at the cost of the full scan.
+
+    The kept rows are scanned by _max_squared_distance. Its products have
+    other shapes than a scan of all rows, and BLAS rounding depends on the
+    shapes, so the result can differ from that scan's in the last bits.
     """
     x = dataset.features
-    n = x.shape[0]  # a SurvivalDataset has at least 2 rows
     sq = np.sum(x * x, axis=1)
+    r = np.linalg.norm(x - x.mean(axis=0), axis=1)
+    radius = float(r.max())
+    # The row farthest from the centroid's farthest row, then the row
+    # farthest from that one: L is their distance.
+    far = np.argmax(r)
+    for _ in range(2):
+        reached = np.linalg.norm(x - x[far], axis=1)
+        far = np.argmax(reached)
+    lower = float(reached[far])
+    # A bound on the relative rounding of a norm, and on that of a squared
+    # distance in units of the largest squared row norm.
+    rounding = 8.0 * (x.shape[1] + 2) * np.finfo(float).eps
+    d2_error = rounding * float(sq.max())
+    reach = (np.sqrt(max(lower * lower - 2.0 * d2_error, 0.0)) - radius
+             - rounding * (lower + 2.0 * radius))
+    keep = r >= reach  # holds the two rows of every longest pair
+    return float(np.sqrt(max(_max_squared_distance(x[keep], sq[keep]), 0.0)))
+
+
+def _max_squared_distance(x: np.ndarray, sq: np.ndarray) -> float:
+    """Largest sq_i + sq_j - 2 x_i.x_j over the pairs of rows of x; sq the squared row norms.
+
+    One block of rows is compared with all rows at a time, so memory stays
+    O(n). Every block has at least two rows: a one-row product goes
+    through BLAS's matrix-vector kernel, whose rounding can differ from
+    the full matrix product's.
+    """
+    n = x.shape[0]
     n_blocks = max(1, n // max(2, _DIAMETER_BLOCK_ELEMENTS // n))
     peaks = np.empty(n_blocks)
     for b, (xb, sqb) in enumerate(zip(np.array_split(x, n_blocks),
@@ -126,7 +162,7 @@ def dataset_diameter(dataset: SurvivalDataset) -> float:
         gram *= 2.0
         d2 -= gram
         peaks[b] = d2.max()
-    return float(np.sqrt(max(float(peaks.max()), 0.0)))
+    return float(peaks.max())
 
 
 def generate_perturbations(x, dataset: SurvivalDataset, n_points: int = 100,
@@ -206,10 +242,24 @@ def _curve_grid(values: np.ndarray, kind: str) -> np.ndarray:
     return np.linspace(lo, hi, _CURVE_SAMPLES)
 
 
+def _read_black_box(mode, blackbox, dataset, points, weights, epsilon):
+    """Log-ratio targets at the points, and the black-box risk of every dataset row.
+
+    In global mode the points are the dataset's rows, so the box is read
+    once. Its CHF matrix is dropped on return, before training.
+    """
+    baseline = nelson_aalen(dataset, blackbox.grid)
+    if mode == "global":
+        chf = blackbox.predict_chf_matrix(points)
+        blackbox = SimpleNamespace(grid=blackbox.grid, predict_chf_matrix=lambda x: chf)
+    return (build_targets(blackbox, baseline, points, weights, epsilon),
+            risk_scores(blackbox, dataset.features))
+
+
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
                      epsilon, params):
-    baseline = nelson_aalen(dataset, blackbox.grid)
-    targets = build_targets(blackbox, baseline, points, weights, epsilon)
+    targets, blackbox_risk = _read_black_box(mode, blackbox, dataset, points, weights,
+                                             epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
     model, trace = train(model, targets, config, lam, mu)
 
@@ -232,7 +282,7 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
     try:
         c_index = concordance_index(predict_log_risk(model, dataset.features), dataset)
-        c_blackbox = concordance_index(risk_scores(blackbox, dataset.features), dataset)
+        c_blackbox = concordance_index(blackbox_risk, dataset)
     except MetricUndefinedError:
         c_index = None
         c_blackbox = None

@@ -14,7 +14,9 @@ forests are immutable and safe for concurrent prediction.
 In memory a tree is nested dicts. forest.bin (format 3) stores each one
 as its preorder split features (-1 at a leaf), one threshold per split
 and run-length encoded leaf CHFs; the preorder alone fixes which nodes
-are a split's children, so no child links are stored.
+are a split's children, so no child links are stored. Prediction routes
+the rows through one tree at a time and adds its leaf values into the
+result in blocks of rows, so it holds little beyond the result.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .survival import (
 )
 
 FORMAT_VERSION = 3  # of the forest file; save_forest writes it, load_forest reads only it
+# Rows per block when predict_chf_matrix adds one tree's leaf values into its result.
+_PREDICT_BLOCK_ROWS = 256
 
 # The JSON types load_forest accepts per config key, in ForestConfig's field order.
 _CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
@@ -245,31 +249,54 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
                           dataset.feature_kinds, config)
 
 
-def _tree_values_batch(tree: dict, x: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = the values of the leaf row i of x reaches; a stack, so any depth works."""
+def _leaf_numbers(tree: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of x, the number of the leaf it reaches; and the reached leaves' values, stacked.
+
+    An explicit stack, so any depth works; a subtree no row reaches is skipped.
+    """
+    leaf = np.empty(x.shape[0], dtype=np.intp)
+    values = []
     stack = [(tree, np.arange(x.shape[0]))]
     while stack:
         node, idx = stack.pop()
+        if not idx.size:
+            continue
         if "values" in node:
-            out[idx] = node["values"]
+            leaf[idx] = len(values)
+            values.append(node["values"])
             continue
         mask = x[idx, node["feature"]] <= node["threshold"]
         stack += [(node["right"], idx[~mask]), (node["left"], idx[mask])]
+    return leaf, np.stack(values)
 
 
 def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
-    """CHF values for many rows at once; shape (n, s+1)."""
+    """CHF values for many rows at once; shape (n, s+1).
+
+    Trees are added in order, each one _PREDICT_BLOCK_ROWS rows at a time
+    through a small buffer, so beside the result only one tree's reached
+    leaves and one block are held. Each row gets the same floats as adding
+    whole per-tree matrices.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[-1] != forest.m:
         raise DataError(f"x has {x.shape[-1]} features, forest expects {forest.m}")
     if not np.all(np.isfinite(x)):
         raise DataError("x contains non-finite values")
-    total = np.zeros((x.shape[0], forest.grid.n_intervals))
-    scratch = np.empty_like(total)
+    n = x.shape[0]
+    total = np.zeros((n, forest.grid.n_intervals))
+    if n == 0:
+        return total  # no row reaches a leaf
+    block = np.empty((min(n, _PREDICT_BLOCK_ROWS), forest.grid.n_intervals))
     for tree in forest.trees:
-        _tree_values_batch(tree, x, scratch)
-        total += scratch
-    return total / len(forest.trees)
+        leaf, values = _leaf_numbers(tree, x)
+        for start in range(0, n, _PREDICT_BLOCK_ROWS):
+            rows = leaf[start:start + _PREDICT_BLOCK_ROWS]
+            # mode="clip" writes straight into out; "raise" would buffer a copy.
+            np.take(values, rows, axis=0, out=block[:len(rows)], mode="clip")
+            total[start:start + len(rows)] += block[:len(rows)]
+    total /= len(forest.trees)
+    return total
 
 
 def _flatten(tree: dict) -> dict:

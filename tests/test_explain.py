@@ -1,7 +1,10 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survshape import explain
 from survshape.errors import AlignmentError, DiameterUndefinedError
@@ -140,6 +143,79 @@ class TestDatasetDiameter:
 
     def test_coincident_points_have_zero_diameter(self):
         assert dataset_diameter(features_only(np.ones((4, 2)))) == 0.0
+
+
+def unpruned_diameter(x):
+    """The diameter from blocks of rows against all rows, with no row pruned.
+
+    The block sizes and the operations on each block are those
+    dataset_diameter applies to the rows it keeps.
+    """
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    n_blocks = max(1, n // max(2, explain._DIAMETER_BLOCK_ELEMENTS // n))
+    peak = -np.inf
+    for xb, sqb in zip(np.array_split(x, n_blocks), np.array_split(sq, n_blocks)):
+        peak = max(peak, float((np.add.outer(sqb, sq) - 2.0 * (xb @ x.T)).max()))
+    return float(np.sqrt(max(peak, 0.0)))
+
+
+@st.composite
+def point_clouds(draw):
+    """Random, one-hot, duplicate-row, two-row, sphere and far-from-origin rows."""
+    kind = draw(st.sampled_from(("uniform", "normal", "one_hot", "duplicates", "two_rows",
+                                 "sphere", "far")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 if kind == "two_rows" else draw(st.integers(2, 400))
+    m = draw(st.integers(1, 10))
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, m))
+    if kind == "one_hot":
+        return rng.integers(0, 2, (n, m)).astype(float)
+    if kind == "duplicates":
+        return rng.normal(size=(max(1, n // 4), m))[rng.integers(0, max(1, n // 4), n)]
+    x = rng.normal(size=(n, m))
+    if kind == "sphere":
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+    if kind == "far":
+        return x + 10.0 ** draw(st.integers(1, 7))
+    return x
+
+
+class TestPrunedDiameter:
+    @given(point_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_unpruned_scan(self, x):
+        # Each squared distance both scans form is off by at most
+        # 8 (m + 2) eps max|x|^2, so their maxima are within twice that.
+        pruned = dataset_diameter(features_only(x))
+        full = unpruned_diameter(x)
+        eps = np.finfo(float).eps
+        bound = 16.0 * (x.shape[1] + 2) * eps * float(np.max(np.sum(x * x, axis=1)))
+        assert abs(pruned * pruned - full * full) <= bound + 4.0 * eps * full * full
+
+    def test_perfbench_shaped_file_scans_few_rows(self, monkeypatch):
+        # Seed 1819850096 draws the 5000-row reference file of the benchmark's
+        # seed-1 local_rows workload. How many rows survive depends on the
+        # draw: the reference files of benchmark seeds 1-5 keep 59 to 643
+        # rows, so the bounds below are this file's, not every file's.
+        spec = SyntheticSpec(n=5000, m=8, censoring_rate=0.45, seed=1819850096,
+                             shapes=("square", "sin3", "linear", "abs", "half", "zero",
+                                     "linear", "zero"))
+        dataset, _ = generate_cox_data(spec)
+        scanned = []
+        scan = explain._max_squared_distance
+        monkeypatch.setattr(explain, "_max_squared_distance",
+                            lambda x, sq: scanned.append(len(x)) or scan(x, sq))
+        tracemalloc.start()
+        try:
+            diameter = dataset_diameter(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scanned[0] < 500  # under 10 % of the rows
+        assert peak < 4 * 1024 * 1024
+        assert diameter == unpruned_diameter(dataset.features)
 
 
 class TestNeighborhoodWeights:

@@ -369,6 +369,39 @@ class TestWorkerPool:
         assert forest_module._worker_count(500) == 1
 
 
+def scatter_sum_predict(forest, x):
+    """Each tree's leaf values scattered into a full n x (s+1) matrix, summed in tree order, divided."""
+    total = np.zeros((len(x), forest.grid.n_intervals))
+    scratch = np.empty_like(total)
+    for tree in forest.trees:
+        stack = [(tree, np.arange(len(x)))]
+        while stack:
+            node, idx = stack.pop()
+            if "values" in node:
+                scratch[idx] = node["values"]
+                continue
+            mask = x[idx, node["feature"]] <= node["threshold"]
+            stack += [(node["right"], idx[~mask]), (node["left"], idx[mask])]
+        total += scratch
+    return total / len(forest.trees)
+
+
+class TestBlockedPrediction:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+    def test_bitwise_equal_to_scatter_sum(self, n, tmp_path):
+        spec = SyntheticSpec(n=150, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.3, seed=6)
+        fitted = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=7, seed=2))
+        save_forest(fitted, tmp_path / "forest.bin")
+        loaded, _ = load_forest(tmp_path / "forest.bin")
+        s = fitted.grid.n_intervals
+        single_leaves = type(fitted)(
+            tuple({"values": np.linspace(0.0, 1.0 + k / 3.0, s) ** 1.5} for k in range(3)),
+            fitted.grid, fitted.feature_names, fitted.feature_kinds, fitted.config)
+        x = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
+        for forest in (fitted, loaded, single_leaves):
+            assert predict_chf_matrix(forest, x).tobytes() == scatter_sum_predict(forest, x).tobytes()
+
+
 class TestSerialization:
     def test_roundtrip_predictions(self, tmp_path):
         ds = separable_dataset()
@@ -461,6 +494,7 @@ class TestSerialization:
         loaded, _ = load_forest(tmp_path / "chain.bin")
         x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
         assert np.array_equal(predict_chf_matrix(loaded, x), leaf_values)
+        assert predict_chf_matrix(loaded, x).tobytes() == scatter_sum_predict(loaded, x).tobytes()
 
     def test_signed_zero_leaf_survives(self, tmp_path):
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))

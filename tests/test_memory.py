@@ -1,4 +1,5 @@
-"""Linear-memory guards for the metrics that scan all pairs of samples.
+"""Linear-memory guards for the metrics that scan all pairs of samples,
+and for the forest's prediction.
 
 At n = 20 000 an n x n float64 array is 3.2 GB, so a quadratic
 implementation would blow far past the bound below. numpy reports its
@@ -11,7 +12,9 @@ import tracemalloc
 import numpy as np
 
 from survshape.explain import dataset_diameter
+from survshape.forest import ForestConfig, fit_forest, predict_chf_matrix
 from survshape.survival import SurvivalDataset, concordance_index
+from survshape.synthetic import SyntheticSpec, generate_cox_data
 
 N = 20_000
 PEAK_BOUND_BYTES = 64 * 1024 * 1024
@@ -47,3 +50,13 @@ def test_dataset_diameter_memory_is_linear():
     diameter, peak = traced_peak(dataset_diameter, ds)
     assert diameter > 0.0
     assert peak < PEAK_BOUND_BYTES
+
+
+def test_predict_chf_matrix_holds_little_beyond_its_result():
+    spec = SyntheticSpec(n=300, m=8, coef=(1.0, -0.5, 0.3, 0.0, 0.8, 0.0, 0.2, 1.2),
+                         censoring_rate=0.45, seed=3)
+    forest = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=10, seed=1))
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (N, 8))
+    chf, peak = traced_peak(predict_chf_matrix, forest, x)
+    assert chf.shape == (N, forest.grid.n_intervals)
+    assert peak <= chf.nbytes + 2 * 1024 * 1024
