@@ -9,7 +9,10 @@ as the point cloud and unit weights.
 The black box is read through one protocol: a `grid` (TimeGrid) and
 `predict_chf_matrix(x) -> (n, s+1) array` of cumulative hazards on that
 grid, which must be the baseline's grid. Its risk score is the
-integrated CHF, `survival.risk_scores`. A per-row model is wrapped by its
+integrated CHF, `survival.risk_scores`. A box may also have
+`integrated_chf(x) -> (n,) array`, that integral computed without the
+(n, s+1) matrix (the forest does); a box without it gets
+`predict_chf_matrix(x) @ grid.widths`. A per-row model is wrapped by its
 caller into a box whose `predict_chf_matrix` stacks the rows.
 """
 

@@ -29,6 +29,8 @@ from .errors import (DataError, NumericError, TrainingDivergedError, _array, _at
 
 VARIANTS = ("base", "lasso", "shortcut")
 FORMAT_VERSION = 2  # of the model file; save_model writes it, load_model reads only it
+# Rows per block when predict_log_risk runs the network.
+_LOG_RISK_BLOCK_ROWS = 256
 
 
 def _relu(z):
@@ -310,12 +312,25 @@ def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def predict_log_risk(model: NamModel, x) -> np.ndarray:
-    """Additive log-risk for a batch of rows; usable as a risk score."""
+    """Additive log-risk for a batch of rows; usable as a risk score.
+
+    The network runs on blocks that start every _LOG_RISK_BLOCK_ROWS rows,
+    so only one block's activations are held. A last block of one row joins
+    the block before it, as a one-row matmul takes another BLAS path; each
+    row then gets the floats of one unblocked pass.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
-    g, _ = _subnet_forward(model, x)
-    return _combine(model, g, x)
+    n = x.shape[0]
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        stop = n if n - start <= _LOG_RISK_BLOCK_ROWS + 1 else start + _LOG_RISK_BLOCK_ROWS
+        rows = x[start:stop]
+        out[start:stop] = _combine(model, _subnet_forward(model, rows)[0], rows)
+        start = stop
+    return out
 
 
 def _subnet_params(model: NamModel) -> np.ndarray:

@@ -218,7 +218,15 @@ def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
 
 
 def risk_scores(box, x) -> np.ndarray:
-    """Integrated CHF per row of any black box: a monotone risk summary for ranking."""
+    """Integrated CHF per row of any black box: a monotone risk summary for ranking.
+
+    A box that has `integrated_chf(x) -> (n,)` (the forest does) answers
+    it itself, without an (n, s+1) array. Any other box only needs `grid`
+    and `predict_chf_matrix`, and gets `predict_chf_matrix(x) @ grid.widths`.
+    """
+    integrated = getattr(box, "integrated_chf", None)
+    if integrated is not None:
+        return np.asarray(integrated(x), dtype=float)
     return np.asarray(box.predict_chf_matrix(x), dtype=float) @ box.grid.widths
 
 

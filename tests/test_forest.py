@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -386,6 +387,22 @@ def scatter_sum_predict(forest, x):
     return total / len(forest.trees)
 
 
+def deep_chain(depth=1500):
+    """A one-tree forest whose splits form a chain deeper than Python's default
+    recursion limit; rows that reach each of its leaves; and those leaves' values."""
+    forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
+    s = forest.grid.n_intervals
+    leaf_values = np.arange(depth + 1)[:, None] + np.linspace(0.0, 1.0, s)
+    tree = {"values": leaf_values[depth]}
+    for k in range(depth - 1, -1, -1):  # split k sends x0 <= k + 0.5 to leaf k
+        tree = {"feature": 0, "threshold": k + 0.5, "left": {"values": leaf_values[k]},
+                "right": tree}
+    chain = type(forest)((tree,), forest.grid, forest.feature_names,
+                         forest.feature_kinds, forest.config)
+    x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
+    return chain, x, leaf_values
+
+
 class TestBlockedPrediction:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
     def test_bitwise_equal_to_scatter_sum(self, n, tmp_path):
@@ -400,6 +417,69 @@ class TestBlockedPrediction:
         x = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
         for forest in (fitted, loaded, single_leaves):
             assert predict_chf_matrix(forest, x).tobytes() == scatter_sum_predict(forest, x).tobytes()
+
+
+def matrix_risk(forest, x):
+    """The integrated CHF from the whole CHF matrix: the oracle for the forest's risk."""
+    return predict_chf_matrix(forest, x) @ forest.grid.widths
+
+
+def risk_cases(tmp_path):
+    """(forest, x) pairs: a fitted forest, its saved and loaded copy, a forest of
+    single-leaf trees and the deep chain, each with rows it routes to many leaves."""
+    spec = SyntheticSpec(n=200, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.3, seed=6)
+    fitted = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=9, seed=2))
+    save_forest(fitted, tmp_path / "forest.bin")
+    loaded, _ = load_forest(tmp_path / "forest.bin")
+    s = fitted.grid.n_intervals
+    single_leaves = type(fitted)(
+        tuple({"values": np.linspace(0.0, 1.0 + k / 3.0, s) ** 1.5} for k in range(3)),
+        fitted.grid, fitted.feature_names, fitted.feature_kinds, fitted.config)
+    x = np.random.default_rng(7).uniform(-1.5, 1.5, (600, 3))
+    chain, chain_x, _ = deep_chain()
+    return [(fitted, x), (loaded, x), (single_leaves, x), (chain, chain_x)]
+
+
+class TestRiskScores:
+    """risk_scores on a forest: one integral per reached leaf, no CHF matrix."""
+
+    def test_matches_the_matrix_oracle(self, tmp_path):
+        for forest, x in risk_cases(tmp_path):
+            risk, oracle = risk_scores(forest, x), matrix_risk(forest, x)
+            assert risk.shape == (len(x),)
+            np.testing.assert_allclose(risk, oracle, rtol=1e-13, atol=0)
+            rng = np.random.default_rng(len(x))
+            ds = SurvivalDataset.from_arrays(x, rng.exponential(size=len(x)),
+                                             rng.integers(0, 2, len(x)) | (np.arange(len(x)) == 0))
+            assert concordance_index(risk, ds) == concordance_index(oracle, ds)
+
+    def test_risk_of_a_row_does_not_depend_on_its_batch(self, tmp_path):
+        for forest, x in risk_cases(tmp_path):
+            batch = risk_scores(forest, x)
+            alone = np.concatenate([risk_scores(forest, row[None]) for row in x])
+            assert alone.tobytes() == batch.tobytes()
+
+    def test_zero_rows_give_an_empty_vector(self):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=2, seed=0))
+        risk = risk_scores(forest, np.empty((0, 2)))
+        assert risk.shape == (0,) and risk.dtype == float
+
+    @pytest.mark.parametrize("x, message", [
+        (np.array([[1.0, 2.0, 3.0]]), "^x has 3 features, forest expects 2$"),
+        (np.array([[np.nan, 0.0]]), "^x contains non-finite values$"),
+        (np.array([[0.0, np.inf]]), "^x contains non-finite values$"),
+    ])
+    def test_rejects_rows_as_predict_chf_matrix_does(self, x, message):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=2, seed=0))
+        for fn in (risk_scores, predict_chf_matrix):
+            with pytest.raises(DataError, match=message):
+                fn(forest, x)
+
+    def test_a_box_without_integrated_chf_gets_the_matrix_product(self):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=3, seed=0))
+        box = SimpleNamespace(grid=forest.grid, predict_chf_matrix=forest.predict_chf_matrix)
+        x = separable_dataset().features
+        assert risk_scores(box, x).tobytes() == matrix_risk(forest, x).tobytes()
 
 
 class TestSerialization:
@@ -480,19 +560,9 @@ class TestSerialization:
                 forest_module._unflatten(blob, 1, 1, "tree 0")
 
     def test_deep_chain_saves_loads_and_predicts(self, tmp_path):
-        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
-        depth = 1500  # deeper than Python's default recursion limit
-        s = forest.grid.n_intervals
-        leaf_values = np.arange(depth + 1)[:, None] + np.linspace(0.0, 1.0, s)
-        tree = {"values": leaf_values[depth]}
-        for k in range(depth - 1, -1, -1):  # split k sends x0 <= k + 0.5 to leaf k
-            tree = {"feature": 0, "threshold": k + 0.5, "left": {"values": leaf_values[k]},
-                    "right": tree}
-        chain = type(forest)((tree,), forest.grid, forest.feature_names,
-                             forest.feature_kinds, forest.config)
+        chain, x, leaf_values = deep_chain()
         save_forest(chain, tmp_path / "chain.bin")
         loaded, _ = load_forest(tmp_path / "chain.bin")
-        x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
         assert np.array_equal(predict_chf_matrix(loaded, x), leaf_values)
         assert predict_chf_matrix(loaded, x).tobytes() == scatter_sum_predict(loaded, x).tobytes()
 

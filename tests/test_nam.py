@@ -239,6 +239,30 @@ class TestInitAndForward:
         assert np.allclose(predict_log_risk(model, x), expected, rtol=0, atol=1e-12)
 
 
+def unblocked_log_risk(model: NamModel, x):
+    """predict_log_risk as one forward pass over all rows: the oracle for its row blocks."""
+    return nam._combine(model, nam._subnet_forward(model, x)[0], x)
+
+
+class TestBlockedLogRisk:
+    """predict_log_risk runs the network in row blocks and keeps every float."""
+
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bitwise_equal_to_one_pass(self, variant, activation):
+        rng = np.random.default_rng(5)
+        model = init_model(3, small_config(variant, hidden_sizes=(64, 32),
+                                           activation=activation))
+        randomize_params(model, rng)
+        for n in (1, 2, 255, 256, 257, 511, 512, 513, 700):
+            x = rng.normal(size=(n, 3))
+            assert predict_log_risk(model, x).tobytes() == unblocked_log_risk(model, x).tobytes()
+
+    def test_zero_rows_give_an_empty_vector(self):
+        model = init_model(3, small_config())
+        assert predict_log_risk(model, np.empty((0, 3))).shape == (0,)
+
+
 class TestLossAndGradient:
     def test_perfect_fit_zero_loss(self):
         model = init_model(2, small_config())
