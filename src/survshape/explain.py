@@ -232,7 +232,9 @@ def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
     weights = np.asarray(weights, dtype=float)
     log_baseline = np.log(np.maximum(baseline.values, epsilon))
     values = np.asarray(blackbox.predict_chf_matrix(points), dtype=float)
-    rows = np.log(np.maximum(values, epsilon)) - log_baseline[None, :]
+    rows = np.maximum(values, epsilon)  # a new array, so the box's matrix stays intact
+    np.log(rows, out=rows)
+    rows -= log_baseline[None, :]
     return TargetBatch(points, rows, baseline.grid.widths, weights)
 
 

@@ -46,7 +46,8 @@ def _relu_grad(a):
 
 
 def _tanh_grad(a):
-    return 1.0 - a ** 2
+    d = np.square(a)
+    return np.subtract(1.0, d, out=d)
 
 
 # name -> (activation applied in place to a fresh pre-activation,
@@ -145,8 +146,9 @@ class TargetBatch:
         b = lr @ w
         total = float(w.sum())
         spread = lr - (b / total)[:, None]
+        np.square(spread, out=spread)
         # Frozen: the fields are set through __dict__, as _rows does.
-        self.__dict__.update(x=x, weights=v, b=b, T=total, c=(spread * spread) @ w)
+        self.__dict__.update(x=x, weights=v, b=b, T=total, c=spread @ w)
 
     @property
     def n(self) -> int:
@@ -280,9 +282,9 @@ def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
     """Run the subnetworks on x (n, m); returns g (m, n) and the backprop cache.
 
     The cache lists each layer's input: x as (m, n, 1) for the first layer,
-    then each hidden layer's activation output, from which the backward
-    pass takes the activation derivative. With k given, only subnetwork k
-    runs, on x of shape (n, 1), and g is (1, n).
+    a view of x, then each hidden layer's activation output, which
+    _backward consumes. Biases and activations are applied in place. With k
+    given, only subnetwork k runs, on x of shape (n, 1), and g is (1, n).
     """
     act, _ = ACTIVATIONS[model.config.activation]
     nets = slice(None) if k is None else slice(k, k + 1)
@@ -293,7 +295,8 @@ def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
         if keep_cache:
             inputs.append(a)
         # The first layer has fan-in 1: its matmul is a broadcast product.
-        z = (a * w[nets] if l == 0 else np.matmul(a, w[nets])) + b[nets, None, :]
+        z = a * w[nets] if l == 0 else np.matmul(a, w[nets])
+        z += b[nets, None, :]
         a = act(z) if l < last else z
     g = a[:, :, 0]  # (m, n)
     return g, inputs
@@ -347,14 +350,16 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
     sum_i v_i [(log_risk_i T - b_i)^2 / T + c_i] (see TargetBatch).
     The lasso variant adds lam * sum|beta|, the shortcut variant
     lam * sum|alpha| + mu * ||subnet parameters||^2.
+    Without keep_cache, g and the cache are None and the log-risk comes
+    from predict_log_risk's row blocks, with the floats of one pass.
     """
     if lam < 0 or mu < 0:
         raise DataError("regularization strengths must be nonnegative")
     x, v = targets.x, targets.weights
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
-    g, cache = _subnet_forward(model, x, keep_cache)
-    log_risk = _combine(model, g, x)
+    g, cache = _subnet_forward(model, x, True) if keep_cache else (None, None)
+    log_risk = predict_log_risk(model, x) if g is None else _combine(model, g, x)
     e = log_risk * targets.T - targets.b
     loss = float((v @ (e * e)) / targets.T + v @ targets.c)
     if model.variant == "lasso":
@@ -372,7 +377,9 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
     """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
 
     At the |.| kink the subgradient 0 is used. The gradient is written into
-    the flat vector out, in param_arrays() order, and out is returned.
+    the flat vector out, in param_arrays() order, and out is returned. The
+    cache is consumed: each entry leaves the list once used, and a hidden
+    activation's buffer, once its derivative is taken, holds the next delta.
     """
     x, v = targets.x, targets.weights
     _, act_grad = ACTIVATIONS[model.config.activation]
@@ -398,15 +405,14 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
     # Backpropagate dg through the stacked subnetworks.
     layer_grads: list[np.ndarray] = []
     delta = dg[:, :, None]
-    for l in range(len(model.layer_weights) - 1, -1, -1):
-        w = model.layer_weights[l]
-        dw = np.matmul(inputs[l].transpose(0, 2, 1), delta)
-        db = delta.sum(axis=1)
-        layer_grads.append(db)
-        layer_grads.append(dw)
-        if l > 0:
-            delta = np.matmul(delta, w.transpose(0, 2, 1))
-            delta *= act_grad(inputs[l])
+    for w in reversed(model.layer_weights):
+        a = inputs.pop()  # this layer's input
+        layer_grads += [delta.sum(axis=1), np.matmul(a.transpose(0, 2, 1), delta)]
+        if inputs:  # a is a hidden activation: take its derivative, then reuse it
+            grad = act_grad(a)
+            delta = np.matmul(delta, w.transpose(0, 2, 1), out=a)
+            delta *= grad
+            del grad  # before the next layer's derivative is taken
     layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
 
     np.concatenate([grad.ravel() for grad in layer_grads + [d_bias] + head_grads], out=out)

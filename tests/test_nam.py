@@ -263,6 +263,157 @@ class TestBlockedLogRisk:
         assert predict_log_risk(model, np.empty((0, 3))).shape == (0,)
 
 
+# The activation derivatives as the reference passes below took them, each
+# as a fresh array (tanh's through a second temporary).
+REFERENCE_ACTIVATIONS = {"relu": (nam._relu, lambda a: a > 0.0),
+                         "tanh": (nam._tanh, lambda a: 1.0 - a ** 2)}
+
+
+def _reference_subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
+                              k: Optional[int] = None):
+    """Run the subnetworks on x (n, m); returns g (m, n) and the backprop cache.
+
+    The cache lists each layer's input: x as (m, n, 1) for the first layer,
+    then each hidden layer's activation output, from which the backward
+    pass takes the activation derivative. With k given, only subnetwork k
+    runs, on x of shape (n, 1), and g is (1, n).
+    """
+    act, _ = REFERENCE_ACTIVATIONS[model.config.activation]
+    nets = slice(None) if k is None else slice(k, k + 1)
+    a = x.T[:, :, None]  # (m, n, 1)
+    inputs = []
+    last = len(model.layer_weights) - 1
+    for l, (w, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
+        if keep_cache:
+            inputs.append(a)
+        # The first layer has fan-in 1: its matmul is a broadcast product.
+        z = (a * w[nets] if l == 0 else np.matmul(a, w[nets])) + b[nets, None, :]
+        a = act(z) if l < last else z
+    g = a[:, :, 0]  # (m, n)
+    return g, inputs
+
+
+def _reference_penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float,
+                              keep_cache: bool = False):
+    """Forward pass and the penalized loss; returns (loss, g, log_risk, cache).
+
+    The smooth part is sum_i v_i sum_j (phi_ij - log_risk_i)^2 * tau_j,
+    computed from the batch's statistics as
+    sum_i v_i [(log_risk_i T - b_i)^2 / T + c_i] (see TargetBatch).
+    The lasso variant adds lam * sum|beta|, the shortcut variant
+    lam * sum|alpha| + mu * ||subnet parameters||^2.
+    """
+    if lam < 0 or mu < 0:
+        raise DataError("regularization strengths must be nonnegative")
+    x, v = targets.x, targets.weights
+    if x.shape[1] != model.m:
+        raise DataError(f"expected {model.m} features, got {x.shape[1]}")
+    g, cache = _reference_subnet_forward(model, x, keep_cache)
+    log_risk = nam._combine(model, g, x)
+    e = log_risk * targets.T - targets.b
+    loss = float((v @ (e * e)) / targets.T + v @ targets.c)
+    if model.variant == "lasso":
+        loss += lam * float(np.abs(model.beta).sum())
+    elif model.variant == "shortcut":
+        loss += lam * float(np.abs(model.alpha).sum())
+        if mu > 0.0:
+            layers = nam._subnet_params(model)
+            loss += mu * float(layers @ layers)
+    return loss, g, log_risk, cache
+
+
+def _reference_backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
+                        g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray) -> np.ndarray:
+    """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
+
+    At the |.| kink the subgradient 0 is used. The gradient is written into
+    the flat vector out, in param_arrays() order, and out is returned.
+    """
+    x, v = targets.x, targets.weights
+    _, act_grad = REFERENCE_ACTIVATIONS[model.config.activation]
+
+    # d loss / d log_risk
+    u = 2.0 * v * (log_risk * targets.T - targets.b)
+
+    m, n = g.shape
+    d_bias = np.array([u.sum()])
+    if model.variant == "base":
+        dg = np.broadcast_to(u, (m, n))
+        head_grads = []
+    elif model.variant == "lasso":
+        dg = model.beta[:, None] * u[None, :]
+        d_beta = g @ u + lam * np.sign(model.beta)
+        head_grads = [d_beta]
+    else:
+        dg = model.alpha[:, None] * u[None, :]
+        d_alpha = (g - model.omega[:, None] * x.T) @ u + lam * np.sign(model.alpha)
+        d_omega = ((1.0 - model.alpha)[:, None] * x.T) @ u
+        head_grads = [d_alpha, d_omega]
+
+    # Backpropagate dg through the stacked subnetworks.
+    layer_grads: list[np.ndarray] = []
+    delta = dg[:, :, None]
+    for l in range(len(model.layer_weights) - 1, -1, -1):
+        w = model.layer_weights[l]
+        dw = np.matmul(inputs[l].transpose(0, 2, 1), delta)
+        db = delta.sum(axis=1)
+        layer_grads.append(db)
+        layer_grads.append(dw)
+        if l > 0:
+            delta = np.matmul(delta, w.transpose(0, 2, 1))
+            delta *= act_grad(inputs[l])
+    layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
+
+    np.concatenate([grad.ravel() for grad in layer_grads + [d_bias] + head_grads], out=out)
+    if model.variant == "shortcut" and mu > 0.0:
+        layers = nam._subnet_params(model)
+        out[:layers.size] += 2.0 * mu * layers
+    return out
+
+
+def reference_loss_and_gradient(model: NamModel, targets: TargetBatch,
+                                lam: float = 0.0, mu: float = 0.0):
+    """(loss, flat gradient, forward-only loss) from passes that allocate every array afresh.
+
+    The three functions above are the forward pass, loss and backward pass
+    as they were before the passes wrote into their own buffers, kept
+    verbatim (but for their names and these derivatives) as the oracle for
+    the in-place passes.
+    """
+    loss, g, log_risk, inputs = _reference_penalized_loss(model, targets, lam, mu,
+                                                          keep_cache=True)
+    grad = _reference_backward(model, targets, lam, mu, g, log_risk, inputs,
+                               np.empty_like(model.flatten()))
+    return loss, grad, _reference_penalized_loss(model, targets, lam, mu)[0]
+
+
+class TestInPlacePasses:
+    """The passes reuse their buffers and keep every float of the reference passes."""
+
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(64, 32), (8, 4), (16,)])
+    def test_bitwise_equal_to_reference(self, variant, activation, hidden):
+        rng = np.random.default_rng(41)
+        model = init_model(3, small_config(variant, hidden_sizes=hidden,
+                                           activation=activation))
+        randomize_params(model, rng)
+        lam, mu = 0.3, 0.05
+        for n in (1, 2, 64, 257, 700):
+            targets = random_batch(rng, n, 3)
+            x_before = targets.x.tobytes()
+            half = nam._rows(targets, rng.permutation(n)[:(n + 1) // 2])
+            for batch in (targets, half):
+                loss, grad, forward_only = reference_loss_and_gradient(model, batch, lam, mu)
+                got_loss, got_grads = loss_and_gradient(model, batch, lam, mu)
+                assert got_loss == loss
+                got = np.concatenate([g.ravel() for g in got_grads])
+                assert got.tobytes() == grad.tobytes()  # bit for bit, signed zeros too
+                assert loss_only(model, batch, lam, mu) == forward_only
+            # The cache's first entry is a view of x; the backward pass only reads it.
+            assert targets.x.tobytes() == x_before
+
+
 class TestLossAndGradient:
     def test_perfect_fit_zero_loss(self):
         model = init_model(2, small_config())
