@@ -41,7 +41,7 @@ from .forest import (
     load_forest,
     save_forest,
 )
-from .nam import NamConfig, load_model, save_model
+from .nam import ACTIVATIONS, VARIANTS, NamConfig, load_model, save_model
 from .report import (
     _fmt,
     explanation_summary,
@@ -263,12 +263,12 @@ def build_parser():
     p.add_argument("--schema", default=None,
                    help="JSON schema config; omit for already-encoded CSVs")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--trees", type=int, default=500)
-    p.add_argument("--min-leaf-events", type=int, default=3)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--features-per-split", type=int, default=None)
+    p.add_argument("--trees", type=int, default=ForestConfig.n_trees)
+    p.add_argument("--min-leaf-events", type=int, default=ForestConfig.min_leaf_events)
+    p.add_argument("--max-depth", type=int, default=ForestConfig.max_depth)
+    p.add_argument("--features-per-split", type=int, default=ForestConfig.features_per_split)
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--gamma-fraction", type=float, default=0.01)
+    p.add_argument("--gamma-fraction", type=float, default=ForestConfig.gamma_fraction)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
@@ -279,7 +279,7 @@ def build_parser():
                    help="CSV encoded like the training data (baseline + reference)")
     p.add_argument("--out")
     p.add_argument("--mode", choices=("local", "global"), default="global")
-    p.add_argument("--variant", choices=("base", "lasso", "shortcut"), default="base")
+    p.add_argument("--variant", choices=VARIANTS, default=NamConfig.variant)
     p.add_argument("--center-row", type=int, default=None,
                    help="row of --data to explain (local mode)")
     p.add_argument("--center-values", default=None,
@@ -289,11 +289,11 @@ def build_parser():
     p.add_argument("--mu", type=float, default=None,
                    help="L2 strength on subnet parameters (default 1 for shortcut, else 0)")
     p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--hidden", default="64,32")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--hidden", default=",".join(map(str, NamConfig.hidden_sizes)))
+    p.add_argument("--activation", choices=tuple(ACTIVATIONS), default=NamConfig.activation)
+    p.add_argument("--learning-rate", type=float, default=NamConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=NamConfig.epochs)
+    p.add_argument("--batch", type=int, default=NamConfig.batch)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", action="store_true", help="also write shapes.svg")
     p.set_defaults(func=cmd_explain)

@@ -121,7 +121,9 @@ class DatasetSchema:
 
     def fit(self, rows) -> "DatasetSchema":
         """Learn categorical levels and numeric standardization from these rows."""
-        kept = self._clean_rows(rows)
+        return self._fit(self._clean_rows(rows))
+
+    def _fit(self, kept) -> "DatasetSchema":
         for name, kind in self.feature_specs:
             if kind == "categorical":
                 self.levels[name] = tuple(sorted({str(row[name]).strip()
@@ -133,56 +135,41 @@ class DatasetSchema:
                 self.stats[name] = (float(values.mean()), std if std > 0 else 1.0)
         return self
 
-    def feature_columns(self) -> tuple[tuple[str, str], ...]:
-        """Expanded (name, kind) pairs after encoding; requires a fitted schema."""
-        if not self.fitted:
-            raise SchemaError("schema is not fitted yet")
-        out = []
-        for name, kind in self.feature_specs:
-            if kind == "numeric":
-                out.append((name, KIND_NUMERIC))
-            else:
-                levels = self.levels[name]
-                if len(levels) == 2:
-                    out.append((f"{name}={levels[1]}", KIND_ONE_HOT))
-                else:
-                    out.extend((f"{name}={level}", KIND_ONE_HOT) for level in levels)
-        return tuple(out)
-
     def transform(self, rows) -> SurvivalDataset:
         """Encode rows with the fitted schema; unseen levels are an error."""
         if not self.fitted:
             raise SchemaError("fit the schema before transforming")
-        kept = self._clean_rows(rows)
+        return self._encode(self._clean_rows(rows))
+
+    def _encode(self, kept) -> SurvivalDataset:
         times = np.array([_parse_float(row[self.time_column], self.time_column, idx)
                           for idx, row in kept])
         events = np.array([_parse_event(row[self.event_column], idx)
                            for idx, row in kept], dtype=int)
-        columns = []
+        encoded = []  # (column, name, kind) per encoded column
         for name, kind in self.feature_specs:
             if kind == "numeric":
                 mean, std = self.stats[name]
                 raw = np.array([_parse_float(row[name], name, idx) for idx, row in kept])
-                columns.append((raw - mean) / std)
-            else:
-                levels = self.levels[name]
-                seen = [str(row[name]).strip() for _, row in kept]
-                for idx, value in zip((i for i, _ in kept), seen):
-                    if value not in levels:
-                        raise UnseenLevelError(
-                            f"row {idx}: unseen level {value!r} for feature {name!r}")
-                if len(levels) == 2:
-                    columns.append(np.array([1.0 if v == levels[1] else 0.0 for v in seen]))
-                else:
-                    for level in levels:
-                        columns.append(np.array([1.0 if v == level else 0.0 for v in seen]))
-        names_kinds = self.feature_columns()
-        return SurvivalDataset(np.column_stack(columns), times, events,
-                               tuple(n for n, _ in names_kinds),
-                               tuple(k for _, k in names_kinds))
+                encoded.append(((raw - mean) / std, name, KIND_NUMERIC))
+                continue
+            levels = self.levels[name]
+            seen = [str(row[name]).strip() for _, row in kept]
+            for idx, value in zip((i for i, _ in kept), seen):
+                if value not in levels:
+                    raise UnseenLevelError(
+                        f"row {idx}: unseen level {value!r} for feature {name!r}")
+            # A binary feature collapses to one 0/1 column, for its second level.
+            for level in levels[1:] if len(levels) == 2 else levels:
+                encoded.append((np.array([1.0 if v == level else 0.0 for v in seen]),
+                                f"{name}={level}", KIND_ONE_HOT))
+        columns, names, kinds = zip(*encoded)
+        return SurvivalDataset(np.column_stack(columns), times, events, names, kinds)
 
     def fit_transform(self, rows) -> SurvivalDataset:
-        return self.fit(rows).transform(rows)
+        """fit, then transform the same rows, which are cleaned (and warned about) once."""
+        kept = self._clean_rows(rows)
+        return self._fit(kept)._encode(kept)
 
     def to_dict(self) -> dict:
         return {

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import AlignmentError, DataError, DiameterUndefinedError, MetricUndefinedError
 from .nam import (
+    VARIANT_HEADS,
     NamConfig,
     NamModel,
     ShapeCurve,
@@ -262,7 +263,7 @@ def _read_black_box(mode, blackbox, dataset, points, weights, epsilon):
 
 
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
-                     epsilon, params):
+                     epsilon, seed, center):
     targets, blackbox_risk = _read_black_box(mode, blackbox, dataset, points, weights,
                                              epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
@@ -274,16 +275,9 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
         xs = _curve_grid(reference, kind)
         curves.append(shape_curve(model, k, xs, reference))
 
-    if model.variant == "lasso":
-        mixing = {"beta": model.beta.copy()}
-    elif model.variant == "shortcut":
-        mixing = {
-            "alpha": model.alpha.copy(),
-            "omega": model.omega.copy(),
-            "linear_weight": (1.0 - model.alpha) * model.omega,
-        }
-    else:
-        mixing = {}
+    mixing = {name: getattr(model, name).copy() for name in VARIANT_HEADS[model.variant]}
+    if model.variant == "shortcut":
+        mixing["linear_weight"] = (1.0 - model.alpha) * model.omega
 
     try:
         c_index = concordance_index(predict_log_risk(model, dataset.features), dataset)
@@ -294,6 +288,8 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
     diagnostics = FitDiagnostics(initial_loss=trace[0], final_loss=trace[-1],
                                  epochs=config.epochs, c_index=c_index,
                                  c_index_blackbox=c_blackbox)
+    params = {"mode": mode, "variant": config.variant, "lambda": lam, "mu": mu,
+              "epsilon": epsilon, "n_points": len(points), "seed": seed, "center": center}
     return Explanation(mode, model.variant, dataset.feature_names, tuple(curves),
                        mixing, diagnostics, model, points, params)
 
@@ -309,23 +305,15 @@ def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
     """
     x = np.asarray(x, dtype=float)
     nbhd = build_neighborhood(x, dataset, n_points, seed)
-    params = {"mode": "local", "variant": config.variant, "lambda": lam, "mu": mu,
-              "epsilon": epsilon, "n_points": n_points, "seed": seed,
-              "center": x.tolist()}
     return _fit_and_package("local", blackbox, dataset, nbhd.points, nbhd.weights,
-                            config, lam, mu, epsilon, params)
+                            config, lam, mu, epsilon, seed, x.tolist())
 
 
 def explain_global(blackbox, dataset: SurvivalDataset, config: NamConfig,
                    lam: float = 0.0, mu: float = 0.0, epsilon: float = 1e-5) -> Explanation:
     """Explain the black box over the whole training set with unit weights."""
-    points = dataset.features.copy()
-    weights = np.ones(dataset.n)
-    params = {"mode": "global", "variant": config.variant, "lambda": lam, "mu": mu,
-              "epsilon": epsilon, "n_points": dataset.n, "seed": config.seed,
-              "center": None}
-    return _fit_and_package("global", blackbox, dataset, points, weights, config,
-                            lam, mu, epsilon, params)
+    return _fit_and_package("global", blackbox, dataset, dataset.features.copy(),
+                            np.ones(dataset.n), config, lam, mu, epsilon, config.seed, None)
 
 
 def surrogate_c_index(explanation: Union[Explanation, NamModel], blackbox,

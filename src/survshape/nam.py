@@ -19,7 +19,8 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, asdict, dataclass, field, replace
+import math
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,9 @@ import numpy as np
 from .errors import (DataError, NumericError, TrainingDivergedError, _array, _atomic_open,
                      _config, _field, _integer, _read_json, _real)
 
-VARIANTS = ("base", "lasso", "shortcut")
+# Each variant's mixing heads, in parameter order, with their initial values.
+VARIANT_HEADS = {"base": {}, "lasso": {"beta": 1.0}, "shortcut": {"alpha": 0.5, "omega": 0.0}}
+VARIANTS = tuple(VARIANT_HEADS)
 FORMAT_VERSION = 2  # of the model file; save_model writes it, load_model reads only it
 # Rows per block when predict_log_risk runs the network.
 _LOG_RISK_BLOCK_ROWS = 256
@@ -172,63 +175,58 @@ class ShapeCurve:
     values: np.ndarray
 
 
-@dataclass
 class NamModel:
-    """Stacked per-feature subnetworks plus the variant mixing heads.
+    """Stacked per-feature subnetworks plus the variant mixing heads, over one vector.
 
-    Layer parameters are stored with a leading subnetwork axis:
-    layer_weights[l] has shape (m, fan_in, fan_out) and layer_biases[l]
-    (m, fan_out), so one batched matmul runs all m subnetworks at once.
-
-    Construction copies every array into one contiguous float64 vector, in
-    param_arrays() order, and rebinds the fields to views of it. Writing
-    through a field writes the vector, so training updates all parameters
-    in a handful of whole-vector operations. Write the arrays in place;
-    rebinding a field would detach it from the vector.
+    The model is built around theta, a contiguous float64 vector laid out
+    by _layout(m, config); theta=None gives a vector of zeros. Every field
+    is a view of it: layer_weights[l] of shape (m, fan_in, fan_out) and
+    layer_biases[l] of shape (m, fan_out), so one batched matmul runs all m
+    subnetworks at once, then the intercept bias (1,) and the variant's
+    heads from VARIANT_HEADS, (m,) each; a head the variant lacks is None.
+    Writing through a field writes the vector, so training updates all
+    parameters in a handful of whole-vector operations. Write the arrays in
+    place; rebinding a field would detach it from the vector.
     """
 
-    layer_weights: list[np.ndarray]
-    layer_biases: list[np.ndarray]
-    bias: np.ndarray  # shape (1,), the global intercept
-    beta: Optional[np.ndarray]
-    alpha: Optional[np.ndarray]
-    omega: Optional[np.ndarray]
-    config: NamConfig
-    feature_names: Optional[tuple[str, ...]] = None
+    beta: Optional[np.ndarray] = None
+    alpha: Optional[np.ndarray] = None
+    omega: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        self._theta = np.concatenate([np.asarray(p, dtype=float).ravel()
-                                      for p in self.param_arrays()])
-        views = self._views(self._theta)
-        depth = len(self.layer_weights)
+    def __init__(self, config: NamConfig, m: int, theta: Optional[np.ndarray] = None,
+                 feature_names: Optional[Sequence[str]] = None):
+        if m < 1:
+            raise DataError("need at least one feature")
+        names = None if feature_names is None else tuple(feature_names)
+        if names is not None and (len(names) != m or not all(isinstance(n, str) for n in names)):
+            raise DataError(f"feature_names must be {m} strings")
+        self.config = config
+        self.m = m
+        self.feature_names = names
+        self._theta = np.zeros(_param_count(m, config)) if theta is None else theta
+        views = self.param_arrays()
+        depth = len(config.hidden_sizes) + 1
         self.layer_weights = views[0:2 * depth:2]
         self.layer_biases = views[1:2 * depth:2]
         self.bias = views[2 * depth]
-        heads = iter(views[2 * depth + 1:])
-        for name in ("beta", "alpha", "omega"):
-            if getattr(self, name) is not None:
-                setattr(self, name, next(heads))
-
-    @property
-    def m(self) -> int:
-        return self.layer_weights[0].shape[0]
+        for name, view in zip(VARIANT_HEADS[config.variant], views[2 * depth + 1:]):
+            setattr(self, name, view)
 
     @property
     def variant(self) -> str:
         return self.config.variant
 
     def param_arrays(self) -> list[np.ndarray]:
-        """All trainable arrays in a fixed canonical order."""
-        layers = [p for pair in zip(self.layer_weights, self.layer_biases) for p in pair]
-        heads = (self.bias, self.beta, self.alpha, self.omega)
-        return layers + [p for p in heads if p is not None]
+        """All trainable arrays in _layout order, as writable views of the flat vector."""
+        return self._views(self._theta)
 
     def _views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Consecutive slices of vec shaped like param_arrays(), as views."""
+        """Consecutive slices of vec shaped by _layout, as views."""
         views, offset = [], 0
-        for p in self.param_arrays():
-            views.append(vec[offset:offset + p.size].reshape(p.shape))
-            offset += p.size
+        for shape in _layout(self.m, self.config):
+            size = math.prod(shape)
+            views.append(vec[offset:offset + size].reshape(shape))
+            offset += size
         return views
 
     def flatten(self) -> np.ndarray:
@@ -241,40 +239,44 @@ class NamModel:
         self._theta[...] = vec
 
     def copy(self) -> "NamModel":
-        """A copy sharing no memory: construction packs the arrays into a new vector."""
-        return replace(self)
+        """A copy sharing no memory with this model."""
+        return NamModel(self.config, self.m, self._theta.copy(), self.feature_names)
+
+
+def _layout(m: int, config: NamConfig) -> list[tuple[int, ...]]:
+    """The shapes of the arrays in a model's flat vector, in order.
+
+    Each layer's weights (m, fan_in, fan_out) and biases (m, fan_out), the
+    intercept (1,), then one (m,) array per head of the variant.
+    """
+    sizes = (1,) + config.hidden_sizes + (1,)
+    shapes = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(m, fan_in, fan_out), (m, fan_out)]
+    return shapes + [(1,)] + [(m,)] * len(VARIANT_HEADS[config.variant])
+
+
+def _param_count(m: int, config: NamConfig) -> int:
+    """The flatten() length of a model of m features, computed without building it."""
+    return sum(math.prod(shape) for shape in _layout(m, config))
 
 
 def init_model(m: int, config: NamConfig,
                feature_names: Optional[Sequence[str]] = None) -> NamModel:
     """Fresh model with symmetric scaled-uniform weights, seeded by config.seed.
 
-    Mixing heads start neutral: beta = 1, alpha = 0.5, omega = 0, intercept 0.
+    The layers' weights are drawn from default_rng(config.seed) in layer
+    order; biases and the intercept start at 0 and the heads at their
+    VARIANT_HEADS values (beta = 1, alpha = 0.5, omega = 0).
     """
-    if m < 1:
-        raise DataError("need at least one feature")
+    model = NamModel(config, m, feature_names=feature_names)
     rng = np.random.default_rng(config.seed)
-    sizes = (1,) + config.hidden_sizes + (1,)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(m, fan_in, fan_out)))
-        biases.append(np.zeros((m, fan_out)))
-    beta = np.ones(m) if config.variant == "lasso" else None
-    alpha = np.full(m, 0.5) if config.variant == "shortcut" else None
-    omega = np.zeros(m) if config.variant == "shortcut" else None
-    names = None if feature_names is None else tuple(feature_names)
-    if names is not None and (len(names) != m or not all(isinstance(n, str) for n in names)):
-        raise DataError(f"feature_names must be {m} strings")
-    return NamModel(weights, biases, np.zeros(1), beta, alpha, omega, config, names)
-
-
-def _param_count(m: int, config: NamConfig) -> int:
-    """The flatten() length of init_model(m, config), computed without building the model."""
-    sizes = (1,) + config.hidden_sizes + (1,)
-    per_net = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    heads = {"base": 0, "lasso": 1, "shortcut": 2}[config.variant]  # beta; alpha and omega
-    return m * (per_net + heads) + 1  # and the intercept
+    for w in model.layer_weights:
+        limit = np.sqrt(6.0 / (w.shape[1] + w.shape[2]))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    for name, value in VARIANT_HEADS[config.variant].items():
+        getattr(model, name)[...] = value
+    return model
 
 
 def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
@@ -596,7 +598,7 @@ def save_model(model: NamModel, path) -> None:
 
 
 def load_model(path) -> NamModel:
-    """Read a checkpoint written by save_model.
+    """Read a checkpoint written by save_model; the model is built on its params vector.
 
     An unreadable file, invalid JSON, another version, a missing or ill-typed
     key, an unknown config key, a config NamConfig rejects and params other
@@ -619,12 +621,10 @@ def load_model(path) -> NamModel:
     settings = _config(blob, _CONFIG_KINDS, "model", path, where)
     try:
         cfg = NamConfig(**settings)
-        need = _param_count(m, cfg)  # checked first, so init_model allocates only that much
+        need = _param_count(m, cfg)  # checked first, so nothing is built from a bad count
         if params.size != need:
             raise DataError(f"model file's 'params' has {params.size} values; "
                             f"{m} features with this config need {need}")
-        model = init_model(m, cfg, names)
+        return NamModel(cfg, m, params, names)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    model.set_flat(params)
-    return model

@@ -47,10 +47,8 @@ def explanation_summary(expl: Explanation) -> list[tuple[str, str]]:
         ("c_index_surrogate", _fmt(expl.diagnostics.c_index)),
         ("c_index_blackbox", _fmt(expl.diagnostics.c_index_blackbox)),
     ]
-    for key in ("beta", "alpha", "omega", "linear_weight"):
-        if key in expl.mixing:
-            for name, value in zip(expl.feature_names, expl.mixing[key]):
-                pairs.append((f"{key}.{name}", _fmt(value)))
+    for key, values in expl.mixing.items():  # VARIANT_HEADS order, then linear_weight
+        pairs += [(f"{key}.{name}", _fmt(v)) for name, v in zip(expl.feature_names, values)]
     return pairs
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    EstimatorUndefinedError,
     GridDegenerateError,
     MetricUndefinedError,
     TooFewRowsError,
@@ -198,11 +197,8 @@ def _hazard_increments(times: np.ndarray, events: np.ndarray):
     e = events[order]
     uniq, first = np.unique(t, return_index=True)
     d = np.add.reduceat(e, first)
-    n_at_risk = len(t) - first
-    if np.any((d > 0) & (n_at_risk == 0)):
-        raise EstimatorUndefinedError("empty risk set at an event time")
-    increments = np.where(n_at_risk > 0, d / np.maximum(n_at_risk, 1), 0.0)
-    return uniq, increments
+    n_at_risk = len(t) - first  # >= 1: the rows from a time's first row on
+    return uniq, d / n_at_risk
 
 
 def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:

@@ -790,9 +790,9 @@ class TestDataErrorLeavesNoOut:
     def test_error_no_split_can_fix_is_raised_on_the_first_split(
             self, synth_dir, tmp_path, monkeypatch, capsys):
         fits = []
-        fit = DatasetSchema.fit
-        monkeypatch.setattr(DatasetSchema, "fit",
-                            lambda schema, rows: fits.append(1) or fit(schema, rows))
+        fit = DatasetSchema._fit  # fit and fit_transform both learn the encoding here
+        monkeypatch.setattr(DatasetSchema, "_fit",
+                            lambda schema, kept: fits.append(1) or fit(schema, kept))
 
         def poison(header, rows):
             rows[5][1] = "nan"

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestLoadCsv:
         p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\n2,,1\n3,7,1\n")
         with pytest.warns(UserWarning, match="dropped 1 rows"):
             ds = DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
+        assert ds.n == 2
+
+    def test_fit_transform_warns_once_about_dropped_rows(self, tmp_path):
+        p = write(tmp_path / "d.csv", "age,time,event\n1,5,1\n2,,1\n3,7,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = DatasetSchema.from_config(BASIC_SCHEMA).fit_transform(read_csv_rows(p))
+        assert [str(w.message) for w in caught] == ["dropped 1 rows with missing time/event"]
         assert ds.n == 2
 
     def test_missing_feature_is_error(self, tmp_path):

@@ -291,6 +291,20 @@ class TestExplainLocal:
         for curve in expl.curves:
             assert np.max(np.abs(curve.values)) < 0.05
 
+    def test_all_one_hot_columns_give_radius_zero_and_unit_weights(self):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 2, size=(40, 2)).astype(float)
+        dataset = SurvivalDataset(x, rng.exponential(size=40), np.ones(40, dtype=int),
+                                  ("a=1", "b=1"), (KIND_ONE_HOT, KIND_ONE_HOT))
+        nbhd = build_neighborhood(dataset.features[0], dataset, n_points=10, seed=1)
+        assert nbhd.radius == 0.0
+        assert np.array_equal(nbhd.weights, np.ones(10))
+        expl = explain_local(baseline_box(dataset), dataset, dataset.features[0],
+                             fast_config(epochs=5), n_points=10, seed=1)
+        assert np.array_equal(expl.reference_points, np.tile(dataset.features[0], (10, 1)))
+        for k, curve in enumerate(expl.curves):
+            assert np.array_equal(curve.xs, dataset.features[:1, k])
+
     def test_linear_cox_recovered(self):
         spec, dataset, _, oracle = linear_setup(coef=(1.0, 0.5), seed=5)
         x = dataset.features[0]
@@ -365,6 +379,19 @@ class TestExplainGlobal:
         psi1 = predict_log_risk(e1.model, dataset.features)
         psi2 = predict_log_risk(e2.model, dataset.features)
         assert np.max(np.abs(psi1 - psi2)) < 0.01
+
+    def test_no_admissible_pair_leaves_both_c_indices_empty(self):
+        # Every row but the last is censored before the only event.
+        n = 30
+        events = np.zeros(n, dtype=int)
+        events[-1] = 1
+        dataset = SurvivalDataset(np.random.default_rng(2).normal(size=(n, 2)),
+                                  np.arange(1.0, n + 1), events, ("x0", "x1"),
+                                  (KIND_NUMERIC, KIND_NUMERIC))
+        expl = explain_global(baseline_box(dataset), dataset, fast_config(epochs=5))
+        assert expl.diagnostics.c_index is None
+        assert expl.diagnostics.c_index_blackbox is None
+        assert np.isfinite(expl.diagnostics.final_loss)
 
     def test_mixing_values_exposed(self):
         _, dataset, _, oracle = linear_setup()

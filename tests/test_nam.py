@@ -582,6 +582,21 @@ class TestTrain:
             train(model, targets, cfg)
         assert isinstance(err.value.trace, list)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_minibatch_overflow_raises_with_only_the_initial_loss(self):
+        # The first Adam step moves every parameter by about 1e300, so the
+        # second mini-batch's loss is not finite.
+        rng = np.random.default_rng(3)
+        targets = random_batch(rng, 20, 2)
+        cfg = small_config(epochs=5, learning_rate=1e300, batch=8)
+        model = init_model(2, cfg)
+        initial = loss_only(model, targets)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(model, targets, cfg)
+        assert str(err.value) == "training diverged at epoch 0: loss is not finite"
+        assert err.value.trace == [initial]
+
     def test_minibatch_mode_runs(self):
         rng = np.random.default_rng(4)
         targets = random_batch(rng, 10, 2)

@@ -1,6 +1,7 @@
 from survshape.explain import explain_global
 from survshape.nam import NamConfig
 from survshape.report import write_explanation_csv, write_shapes_svg
+from survshape.survival import SurvivalDataset
 from survshape.synthetic import ExactCoxPredictor, SyntheticSpec, generate_cox_data
 
 
@@ -47,6 +48,24 @@ class TestCsv:
 
 
 class TestSvg:
+    def test_constant_column_draws_a_one_point_curve(self, tmp_path):
+        spec = SyntheticSpec(n=50, m=2, coef=(1.0, 0.0), seed=0)
+        dataset, _ = generate_cox_data(spec)
+        features = dataset.features.copy()
+        features[:, 1] = 0.25
+        flat = SurvivalDataset(features, dataset.times, dataset.events,
+                               dataset.feature_names, dataset.feature_kinds)
+        cfg = NamConfig(hidden_sizes=(8, 4), learning_rate=1e-2, epochs=20, seed=0)
+        expl = explain_global(ExactCoxPredictor.for_dataset(spec, flat), flat, cfg)
+        curve = expl.curves[1]
+        assert curve.xs.tolist() == [0.25]
+        assert curve.values.shape == (1,) and abs(curve.values[0]) < 1e-12  # centered
+        assert len(expl.curves[0].xs) > 1
+        path = tmp_path / "s.svg"
+        write_shapes_svg(expl, path)
+        text = path.read_text()
+        assert text.count("<circle ") == 1 and text.count("<polyline ") == 1
+
     def test_well_formed_and_complete(self, tmp_path):
         import xml.etree.ElementTree as ET
 

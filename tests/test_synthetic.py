@@ -30,6 +30,16 @@ class TestGenerateCoxData:
         critical_1pct = 1.6276 / np.sqrt(2000)
         assert stat < critical_1pct
 
+    def test_normal_features_are_standard_normal(self):
+        spec = SyntheticSpec(n=2000, m=2, coef=(1.0, 0.0), feature_distribution="normal",
+                             censoring_rate=0.3, seed=5)
+        dataset, risk = generate_cox_data(spec)
+        for column in dataset.features.T:
+            assert stats.kstest(column, "norm").statistic < 1.6276 / np.sqrt(2000)
+        assert np.abs(dataset.features).max() > 1.0  # not the uniform [-1, 1] draws
+        assert np.allclose(risk, spec.log_risk(dataset.features))
+        assert abs((1 - dataset.events.mean()) - 0.3) <= 0.05
+
     def test_high_risk_fails_earlier(self):
         spec = SyntheticSpec(n=400, m=2, coef=(1.0, 0.0), seed=2)
         dataset, _ = generate_cox_data(spec)
