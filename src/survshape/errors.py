@@ -3,12 +3,15 @@
 DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The JSON
 readers share `_read_json`, which turns an unreadable or unparsable file
-into a DataError, and `_field`, `_array` and `_config`, which do the same
-for an ill-typed key, flat list or config block; the config classes check
-their integer and real fields with `_integer` and `_real`. Every artifact
-writer goes through `_atomic_open`, so a failed or interrupted write leaves no partial file.
+into a DataError, and `_field`, `_array`, `_floats` and `_config`, which do
+the same for an ill-typed key, integer list, float array or config block;
+`_pack_floats` stores a float array as base64 of its float64 bytes. The
+config classes check their integer and real fields with `_integer` and
+`_real`. Every artifact writer goes through `_atomic_open`, so a failed
+or interrupted write leaves no partial file.
 """
 
+import base64
 import json
 import numbers
 import operator
@@ -84,17 +87,30 @@ def _field(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _array(obj: dict, key: str, kinds: str, where: str) -> np.ndarray:
-    """obj[key] as a flat array whose dtype kind is one of `kinds` ("i" or "if")."""
+def _array(obj: dict, key: str, where: str) -> np.ndarray:
+    """obj[key] as an int64 array; DataError unless it is a flat list of integers."""
     try:  # lists nested to uneven depths raise ValueError
         values = np.asarray(_field(obj, key, list, where))
-        flat = values.ndim == 1 and (not values.size or values.dtype.kind in kinds)
+        flat = values.ndim == 1 and (not values.size or values.dtype.kind == "i")
     except ValueError:
         flat = False
     if not flat:
-        raise DataError(f"{where}'s {key!r} must be a flat list of "
-                        + ("integers" if kinds == "i" else "numbers"))
-    return values.astype(np.int64 if kinds == "i" else float)
+        raise DataError(f"{where}'s {key!r} must be a flat list of integers")
+    return values.astype(np.int64)
+
+
+def _pack_floats(values) -> str:
+    """values as standard padded base64 (RFC 4648) of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _floats(obj: dict, key: str, where: str) -> np.ndarray:
+    """obj[key], a string _pack_floats wrote, as a float64 array; DataError otherwise."""
+    with suppress(ValueError):  # binascii.Error: a bad character or padding; non-ASCII text
+        raw = base64.b64decode(_field(obj, key, str, where), validate=True)
+        if len(raw) % 8 == 0:
+            return np.frombuffer(raw, "<f8").astype(float)
+    raise DataError(f"{where}'s {key!r} must be base64 of little-endian float64 values")
 
 
 def _config(blob: dict, kinds: dict, what: str, path, where: str) -> dict:

@@ -11,10 +11,13 @@ fit_forest grows them in one forked worker per usable CPU (never more
 than the tree count) and returns the same forest as a serial fit. Fitted
 forests are immutable and safe for concurrent prediction.
 
-In memory a tree is nested dicts. forest.bin (format 3) stores each one
+In memory a tree is nested dicts. forest.bin (format 4) stores each one
 as its preorder split features (-1 at a leaf), one threshold per split
 and run-length encoded leaf CHFs; the preorder alone fixes which nodes
-are a split's children, so no child links are stored. Prediction routes
+are a split's children, so no child links are stored. The float arrays
+(grid times, thresholds, run values) are base64 of their float64 bytes.
+A fit's trees travel in this stored form too, from the worker that grows
+them, and are rebuilt by the code that loads a file. Prediction routes
 the rows through one tree at a time and adds its leaf values into the
 result in blocks of rows, so it holds little beyond the result. The risk
 score, the integrated CHF (`SurvivalForest.integrated_chf`, which
@@ -34,7 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, _array, _atomic_open, _config, _field, _integer, _read_json, _real
+from .errors import (DataError, _array, _atomic_open, _config, _field, _floats, _integer,
+                     _pack_floats, _read_json, _real)
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -44,7 +48,7 @@ from .survival import (
     risk_scores,  # noqa: F401  re-exported: survshape.forest.risk_scores is public
 )
 
-FORMAT_VERSION = 3  # of the forest file; save_forest writes it, load_forest reads only it
+FORMAT_VERSION = 4  # of the forest file; save_forest writes it, load_forest reads only it
 # Rows per block when predict_chf_matrix adds one tree's leaf values into its result.
 _PREDICT_BLOCK_ROWS = 256
 
@@ -213,15 +217,15 @@ def _start_worker(*args) -> None:
 
 
 def _grow_one(tree_index: int) -> dict:
-    """Pool task: one tree, from the training data _start_worker installed."""
+    """Pool task: one flattened tree, from the training data _start_worker installed."""
     return _grow_bootstrap_tree(tree_index, *_worker_args)
 
 
 def _grow_bootstrap_tree(tree_index, x, times, events, grid, config, n_try) -> dict:
-    """Tree `tree_index`: its bootstrap rows, then its feature draws, from one stream."""
+    """Tree `tree_index`, flattened: its bootstrap rows, then its feature draws, from one stream."""
     rng = np.random.default_rng([config.seed, tree_index])
     idx = rng.integers(0, len(times), len(times))
-    return _grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng)
+    return _flatten(_grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng))
 
 
 def _worker_count(n_trees: int) -> int:
@@ -239,7 +243,7 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     """Fit bootstrapped log-rank survival trees on the dataset-level grid.
 
     Trees grow in _worker_count(n_trees) forked processes; with one, in
-    this process.
+    this process. Either way _unflatten rebuilds each tree from its stored form.
     """
     if int(dataset.events.sum()) < config.min_leaf_events:
         raise DataError("dataset has fewer events than min_leaf_events")
@@ -250,8 +254,13 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     n_try = min(n_try, dataset.m)
     work = (dataset.features, dataset.times, dataset.events, grid, config, n_try)
     workers = _worker_count(config.n_trees)
+
+    def build(blobs):
+        return tuple(_unflatten(blob, dataset.m, grid.n_intervals, f"tree {k}")
+                     for k, blob in enumerate(blobs))
+
     if workers == 1:
-        trees = [_grow_bootstrap_tree(t, *work) for t in range(config.n_trees)]
+        trees = build(_grow_bootstrap_tree(t, *work) for t in range(config.n_trees))
     else:
         # Imported here, as only a pooled fit needs them: they add about 2 MB
         # to the peak RSS of every command that imports this module.
@@ -260,11 +269,11 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, context, _start_worker, work) as pool:
-            trees = list(pool.map(_grow_one, range(config.n_trees)))
+            trees = build(pool.map(_grow_one, range(config.n_trees)))
     if all("values" in t for t in trees):
         warnings.warn("no split satisfied the constraints; forest is a single leaf",
                       stacklevel=2)
-    return SurvivalForest(tuple(trees), grid, dataset.feature_names,
+    return SurvivalForest(trees, grid, dataset.feature_names,
                           dataset.feature_kinds, config)
 
 
@@ -333,7 +342,8 @@ def _flatten(tree: dict) -> dict:
     followed by its left subtree, then its right one, so the flags fix the
     shape. `threshold` holds one value per split, in preorder. Each leaf's
     runs are cut where the bit pattern changes, so np.repeat gives back the
-    same floats; a run start of 0 opens the next leaf.
+    same floats; a run start of 0 opens the next leaf. `threshold` and
+    `run_values` are packed by _pack_floats.
     """
     feature, threshold, leaves = [], [], []
     stack = [tree]
@@ -350,18 +360,19 @@ def _flatten(tree: dict) -> dict:
     bits = values.view(np.int64)
     new_run = np.ones(values.shape, dtype=bool)
     new_run[:, 1:] = bits[:, 1:] != bits[:, :-1]
-    return {"feature": feature, "threshold": threshold,
-            "run_starts": np.nonzero(new_run)[1].tolist(), "run_values": values[new_run].tolist()}
+    return {"feature": feature, "threshold": _pack_floats(threshold),
+            "run_starts": np.nonzero(new_run)[1].tolist(),
+            "run_values": _pack_floats(values[new_run])}
 
 
 def _unflatten(blob, m: int, s: int, where: str) -> dict:
     """Inverse of _flatten; DataError for a tree the forest cannot use."""
     if not isinstance(blob, dict):
         raise DataError(f"{where} is not a JSON object")
-    feature = _array(blob, "feature", "i", where)
-    threshold = _array(blob, "threshold", "if", where)
-    starts = _array(blob, "run_starts", "i", where)
-    run_values = _array(blob, "run_values", "if", where)
+    feature = _array(blob, "feature", where)
+    threshold = _floats(blob, "threshold", where)
+    starts = _array(blob, "run_starts", where)
+    run_values = _floats(blob, "run_values", where)
     bad = feature[(feature < -1) | (feature >= m)]
     if bad.size:
         raise DataError(f"{where}: split feature {bad[0]} outside 0..{m - 1}")
@@ -404,7 +415,7 @@ def _unflatten(blob, m: int, s: int, where: str) -> dict:
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
-    """Versioned JSON serialization (format 3); floats survive the round trip exactly.
+    """Versioned JSON serialization (format 4); floats survive the round trip exactly.
 
     Each tree is stored by _flatten. `extra` is an arbitrary
     JSON-compatible blob stored verbatim (the CLI keeps the fitted data
@@ -413,7 +424,7 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
     payload = {
         "format": "survshape-forest",
         "version": FORMAT_VERSION,
-        "grid": {"times": forest.grid.times.tolist(), "gamma": forest.grid.gamma},
+        "grid": {"times": _pack_floats(forest.grid.times), "gamma": forest.grid.gamma},
         "feature_names": list(forest.feature_names),
         "feature_kinds": list(forest.feature_kinds),
         "config": asdict(forest.config),
@@ -446,7 +457,7 @@ def load_forest(path):
     kinds = _field(payload, "feature_kinds", list, where)
     config = _field(payload, "config", dict, where)
     trees = _field(payload, "trees", list, where)
-    times = _field(grid_blob, "times", list, where)
+    times = _floats(grid_blob, "times", where)
     gamma = _field(grid_blob, "gamma", (int, float), where)
     extra = payload.get("extra")
     if extra is not None and not isinstance(extra, dict):
@@ -458,7 +469,7 @@ def load_forest(path):
         raise DataError(f"{path}: forest config says n_trees = {settings['n_trees']}, "
                         f"but the file holds {len(trees)} trees")
     try:
-        grid = TimeGrid(np.asarray(times, dtype=float), gamma)
+        grid = TimeGrid(times, gamma)
         if not (np.all(np.isfinite(grid.times)) and math.isfinite(grid.gamma)):
             raise DataError("grid times and gamma must be finite")
         forest = SurvivalForest(

@@ -25,13 +25,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DataError, NumericError, TrainingDivergedError, _array, _atomic_open,
-                     _config, _field, _integer, _read_json, _real)
+from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_open, _config,
+                     _field, _floats, _integer, _pack_floats, _read_json, _real)
 
 # Each variant's mixing heads, in parameter order, with their initial values.
 VARIANT_HEADS = {"base": {}, "lasso": {"beta": 1.0}, "shortcut": {"alpha": 0.5, "omega": 0.0}}
 VARIANTS = tuple(VARIANT_HEADS)
-FORMAT_VERSION = 2  # of the model file; save_model writes it, load_model reads only it
+FORMAT_VERSION = 3  # of the model file; save_model writes it, load_model reads only it
 # Rows per block when predict_log_risk runs the network.
 _LOG_RISK_BLOCK_ROWS = 256
 
@@ -584,14 +584,14 @@ def shape_curve(model: NamModel, k: int, grid, reference) -> ShapeCurve:
 
 
 def save_model(model: NamModel, path) -> None:
-    """Write a versioned JSON checkpoint: config, feature names and count, model.flatten()."""
+    """Write a versioned JSON checkpoint: config, feature names and count, packed parameters."""
     payload = {
         "format": "survshape-nam",
         "version": FORMAT_VERSION,
         "config": asdict(model.config),  # fields in declaration order
         "feature_names": None if model.feature_names is None else list(model.feature_names),
         "features": model.m,
-        "params": model.flatten().tolist(),
+        "params": _pack_floats(model.flatten()),
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(payload))
@@ -601,8 +601,8 @@ def load_model(path) -> NamModel:
     """Read a checkpoint written by save_model; the model is built on its params vector.
 
     An unreadable file, invalid JSON, another version, a missing or ill-typed
-    key, an unknown config key, a config NamConfig rejects and params other
-    than the finite numbers the config and feature count need raise DataError.
+    key, features < 1, an unknown config key, a config NamConfig rejects and
+    params other than the finite values the config and features need raise DataError.
     """
     payload = _read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
@@ -615,7 +615,9 @@ def load_model(path) -> NamModel:
     blob = _field(payload, "config", dict, where)
     names = _field(payload, "feature_names", (list, type(None)), where)
     m = _field(payload, "features", int, where)
-    params = _array(payload, "params", "if", where)
+    if m < 1:
+        raise DataError(f"{where}'s 'features' must be >= 1, got {m}")
+    params = _floats(payload, "params", where)
     if not np.all(np.isfinite(params)):
         raise DataError(f"{where}'s 'params' holds a non-finite value")
     settings = _config(blob, _CONFIG_KINDS, "model", path, where)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import multiprocessing
@@ -10,10 +11,18 @@ import pytest
 from survshape import forest as forest_module
 from survshape.cli import main
 from survshape.data import DatasetSchema
+from survshape.errors import _floats, _pack_floats
 
 
 def run(argv):
     return main(argv)
+
+
+def _edit_floats(blob, key, edit):
+    """Apply edit to blob[key]'s floats as a list, then pack them again."""
+    values = _floats(blob, key, key).tolist()
+    edit(values)
+    blob[key] = _pack_floats(values)
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +323,8 @@ def _forest_without_grid(payload):
 
 
 def _forest_with_text_times(payload):
-    payload["grid"]["times"] = "1.0,2.0"
+    # decimal numbers, as format 3 wrote them
+    payload["grid"]["times"] = _floats(payload["grid"], "times", "grid").tolist()
 
 
 def _forest_with_unknown_config_key(payload):
@@ -333,6 +343,10 @@ def _forest_of_version_2(payload):
     payload["version"] = 2
 
 
+def _forest_of_version_3(payload):
+    payload["version"] = 3
+
+
 def _forest_with_first_run_at_1(payload):
     payload["trees"][0]["run_starts"][0] = 1
 
@@ -346,7 +360,7 @@ def _forest_with_runs_not_increasing(payload):
 
 
 def _forest_with_extra_threshold(payload):
-    payload["trees"][0]["threshold"].append(0.5)
+    _edit_floats(payload["trees"][0], "threshold", lambda t: t.append(0.5))
 
 
 def _forest_with_feature_rotated(payload):
@@ -357,7 +371,7 @@ def _forest_with_feature_rotated(payload):
 def _forest_with_extra_split_flag(payload):
     tree = payload["trees"][0]
     tree["feature"].append(0)
-    tree["threshold"].append(0.5)
+    _edit_floats(tree, "threshold", lambda t: t.append(0.5))
 
 
 def _forest_with_feature_out_of_range(payload):
@@ -365,7 +379,15 @@ def _forest_with_feature_out_of_range(payload):
 
 
 def _forest_with_nan_chf(payload):
-    payload["trees"][0]["run_values"][0] = float("nan")
+    _edit_floats(payload["trees"][0], "run_values", lambda v: v.__setitem__(0, float("nan")))
+
+
+def _forest_with_inf_threshold(payload):
+    _edit_floats(payload["trees"][0], "threshold", lambda t: t.__setitem__(0, float("inf")))
+
+
+def _forest_with_bad_base64(payload):
+    payload["trees"][0]["run_values"] = "*" + payload["trees"][0]["run_values"][1:]
 
 
 def _forest_with_fractional_n_trees(payload):
@@ -436,7 +458,9 @@ class TestMalformedForestFile:
         (_forest_with_run_past_grid, "outside 0.."),
         (_forest_of_version_1, "forest file version 1 is not supported"),
         (_forest_of_version_2, "forest file version 2 is not supported (this release reads "
-                               "version 3); refit the forest"),
+                               "version 4); refit the forest"),
+        (_forest_of_version_3, "forest file version 3 is not supported (this release reads "
+                               "version 4); refit the forest"),
         (_forest_with_first_run_at_1, "'run_starts' must open each of its"),
         (_forest_with_runs_not_increasing, "run starts within a leaf must increase strictly"),
         (_forest_with_extra_threshold, "splits but"),
@@ -444,6 +468,9 @@ class TestMalformedForestFile:
         (_forest_with_extra_split_flag, "does not flag exactly one preorder tree"),
         (_forest_with_feature_out_of_range, "split feature 2 outside 0..1"),
         (_forest_with_nan_chf, "non-finite threshold or CHF value"),
+        (_forest_with_inf_threshold, "non-finite threshold or CHF value"),
+        (_forest_with_bad_base64,
+         "tree 0's 'run_values' must be base64 of little-endian float64 values"),
         (_forest_with_fractional_n_trees, "forest config's 'n_trees' has the wrong type"),
         (_forest_with_bool_n_trees, "forest config's 'n_trees' has the wrong type"),
         (_forest_with_text_min_leaf_events,
@@ -561,12 +588,45 @@ def _model_of_version_1(payload):
     payload["version"] = 1
 
 
+def _model_of_version_2(payload):
+    payload["version"] = 2
+
+
 def _model_with_text_param(payload):
-    payload["params"][0] = "0.5"
+    # decimal numbers, as version 2 wrote them
+    payload["params"] = _floats(payload, "params", "params").tolist()
+
+
+def _model_with_number_params(payload):
+    payload["params"] = 0.5
+
+
+def _model_with_bad_base64(payload):
+    payload["params"] = payload["params"][:8] + "!" + payload["params"][9:]
+
+
+def _model_with_partial_float(payload):
+    payload["params"] = base64.b64encode(base64.b64decode(payload["params"])[:-1]).decode()
+
+
+def _model_missing_a_param(payload):
+    _edit_floats(payload, "params", lambda p: p.pop())
 
 
 def _model_with_nan_param(payload):
-    payload["params"][3] = float("nan")
+    _edit_floats(payload, "params", lambda p: p.__setitem__(3, float("nan")))
+
+
+def _model_with_inf_param(payload):
+    _edit_floats(payload, "params", lambda p: p.__setitem__(3, -float("inf")))
+
+
+def _model_with_negative_features(payload):
+    payload["features"] = -2
+
+
+def _model_without_features(payload):
+    payload["features"] = 0
 
 
 class TestMalformedModelFile:
@@ -608,9 +668,20 @@ class TestMalformedModelFile:
          "'params' has 57 values; 2 features with this config need 59"),
         (_model_config_unknown_key, "unknown model config key(s): foo"),
         (_model_of_version_1, "model file version 1 is not supported (this release reads "
-                              "version 2); rerun explain"),
-        (_model_with_text_param, "model file's 'params' must be a flat list of numbers"),
+                              "version 3); rerun explain"),
+        (_model_of_version_2, "model file version 2 is not supported (this release reads "
+                              "version 3); rerun explain"),
+        (_model_with_text_param, "model file's 'params' has the wrong type"),
+        (_model_with_number_params, "model file's 'params' has the wrong type"),
+        (_model_with_bad_base64,
+         "model file's 'params' must be base64 of little-endian float64 values"),
+        (_model_with_partial_float,
+         "model file's 'params' must be base64 of little-endian float64 values"),
+        (_model_missing_a_param, "'params' has 56 values; 2 features with this config need 57"),
         (_model_with_nan_param, "model file's 'params' holds a non-finite value"),
+        (_model_with_inf_param, "model file's 'params' holds a non-finite value"),
+        (_model_with_negative_features, "model file's 'features' must be >= 1, got -2"),
+        (_model_without_features, "model file's 'features' must be >= 1, got 0"),
     ])
     def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, model_dir,
                          tmp_path, capsys):

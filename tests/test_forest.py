@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survshape import forest as forest_module
-from survshape.errors import DataError, EstimatorUndefinedError
+from survshape.errors import DataError, EstimatorUndefinedError, _floats, _pack_floats
 from survshape.forest import (
     ForestConfig,
     fit_forest,
@@ -343,6 +344,19 @@ class TestWorkerPool:
         assert str(caught.value) == "empty risk set at an event time"
         assert multiprocessing.active_children() == []
 
+    def test_workers_send_each_tree_in_its_stored_form(self, monkeypatch):
+        received, unflatten = [], forest_module._unflatten
+
+        def record(blob, *args):
+            received.append(blob)
+            return unflatten(blob, *args)
+
+        monkeypatch.setattr(forest_module, "_unflatten", record)
+        _usable_cpus(monkeypatch, 2)
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
+        assert all(isinstance(blob["run_values"], str) for blob in received)
+        assert [forest_module._flatten(tree) for tree in forest.trees] == received
+
     def test_no_worker_outlives_the_fit(self, monkeypatch):
         _usable_cpus(monkeypatch, 2)
         fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
@@ -516,9 +530,11 @@ class TestSerialization:
         path = tmp_path / "forest.bin"
         save_forest(forest, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3 and "bootstrap" not in payload["config"]
+        assert payload["version"] == 4 and "bootstrap" not in payload["config"]
+        assert _floats(payload["grid"], "times", "grid").tobytes() == forest.grid.times.tobytes()
         for tree, blob in zip(forest.trees, payload["trees"]):
             assert list(blob) == ["feature", "threshold", "run_starts", "run_values"]
+            run_values = _floats(blob, "run_values", "tree").tolist()
             features, thresholds, leaves = [], [], []
             stack = [tree]
             while stack:  # preorder: a split, its left subtree, then its right one
@@ -530,8 +546,9 @@ class TestSerialization:
                     features.append(node["feature"])
                     thresholds.append(node["threshold"])
                     stack += [node["right"], node["left"]]
-            assert blob["feature"] == features and blob["threshold"] == thresholds
-            assert len(blob["threshold"]) == len(features) - features.count(-1)
+            assert blob["feature"] == features
+            assert _floats(blob, "threshold", "tree").tolist() == thresholds
+            assert len(thresholds) == len(features) - features.count(-1)
             # a run start of 0 opens the next leaf's runs
             opens = [k for k, start in enumerate(blob["run_starts"]) if start == 0]
             assert opens[0] == 0 and len(opens) == len(leaves)
@@ -540,7 +557,7 @@ class TestSerialization:
                 # one run per maximal stretch of equal values
                 starts = [0] + (np.flatnonzero(np.diff(values)) + 1).tolist()
                 assert blob["run_starts"][runs] == starts
-                assert blob["run_values"][runs] == values[starts].tolist()
+                assert run_values[runs] == values[starts].tolist()
 
     @given(st.lists(st.booleans(), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -550,8 +567,8 @@ class TestSerialization:
             slots = -1 if slots <= 0 else slots + (1 if split else -1)
         n_leaves = splits.count(False)
         blob = {"feature": [0 if split else -1 for split in splits],
-                "threshold": [0.5] * (len(splits) - n_leaves),
-                "run_starts": [0] * n_leaves, "run_values": [1.0] * n_leaves}
+                "threshold": _pack_floats([0.5] * (len(splits) - n_leaves)),
+                "run_starts": [0] * n_leaves, "run_values": _pack_floats([1.0] * n_leaves)}
         if slots == 0:
             tree = forest_module._unflatten(blob, 1, 1, "tree 0")
             assert forest_module._flatten(tree) == blob
@@ -576,6 +593,27 @@ class TestSerialization:
         save_forest(doctored, tmp_path / "f.bin")
         loaded, _ = load_forest(tmp_path / "f.bin")
         assert loaded.trees[0]["values"].tobytes() == values.tobytes()
+        assert json.loads((tmp_path / "f.bin").read_text())["trees"][0]["threshold"] == ""
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, -0.0],
+        [5e-324, -2.225073858507201e-308, 1e-310],
+        [1e308, -1e308, 1.7976931348623157e308],
+        [],
+    ], ids=["signed-zeros", "subnormals", "huge", "empty"])
+    def test_float_codec_keeps_every_bit(self, values):
+        packed = _pack_floats(values)
+        assert base64.b64decode(packed, validate=True) == np.array(values, "<f8").tobytes()
+        assert len(packed) == 4 * -(-8 * len(values) // 3)  # padded: whole 4-character groups
+        unpacked = _floats({"v": packed}, "v", "test")
+        assert unpacked.dtype == float and unpacked.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("value", ["AAAAAAAAAA!=", "AAAAAAAAAAé=", "AAAAAAAAAAA", "AAAAAAAAAA==",
+                                       [1.0, 2.0], 1.0, None])
+    def test_float_codec_refuses_anything_else(self, value):
+        # a bad character, non-ASCII, missing padding, 7 bytes, and three non-strings
+        with pytest.raises(DataError, match="^tree 0's 'v' (must be base64|has the wrong type)"):
+            _floats({"v": value}, "v", "tree 0")
 
     @given(st.integers(0, 2**32 - 1), st.integers(6, 40), st.integers(1, 3),
            st.integers(1, 4), st.integers(1, 3))

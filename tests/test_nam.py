@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import pytest
 
 from survshape import nam
-from survshape.errors import DataError, NumericError, TrainingDivergedError
+from survshape.errors import DataError, NumericError, TrainingDivergedError, _floats
 from survshape.nam import (
     NamConfig,
     NamModel,
@@ -853,8 +854,9 @@ class TestCheckpoint:
         randomize_params(model, rng)
         save_model(model, tmp_path / "model.json")
         payload = json.loads((tmp_path / "model.json").read_text())
-        assert payload["version"] == 2 and payload["features"] == 2
-        assert len(payload["params"]) == model.flatten().size == nam._param_count(2, cfg)
+        assert payload["version"] == 3 and payload["features"] == 2
+        params = _floats(payload, "params", "model file")
+        assert params.size == model.flatten().size == nam._param_count(2, cfg)
         loaded = load_model(tmp_path / "model.json")
         assert loaded.flatten().tobytes() == model.flatten().tobytes()
         assert loaded.config == model.config
@@ -862,6 +864,24 @@ class TestCheckpoint:
         nameless = init_model(3, cfg)
         save_model(nameless, tmp_path / "model.json")
         assert load_model(tmp_path / "model.json").feature_names is None
+
+    def test_file_takes_at_most_11_bytes_a_parameter(self, tmp_path):
+        cfg = NamConfig()
+        save_model(init_model(8, cfg, feature_names=[f"x{k}" for k in range(8)]),
+                   tmp_path / "nam.json")
+        assert (tmp_path / "nam.json").stat().st_size <= 11 * nam._param_count(8, cfg) + 2048
+
+    def test_readme_reader_gives_the_parameters(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Model file format")[1].split("\n### ")[0]
+        snippet = section.split("```python\n")[1].split("```")[0]
+        model = init_model(3, small_config("shortcut"))
+        randomize_params(model, np.random.default_rng(4))
+        save_model(model, tmp_path / "nam.json")
+        monkeypatch.chdir(tmp_path)
+        scope = {}
+        exec(snippet, scope)
+        assert scope["params"].tobytes() == load_model("nam.json").flatten().tobytes()
 
     def test_param_count_is_checked_before_the_model_is_built(self, tmp_path):
         model = init_model(2, small_config())
