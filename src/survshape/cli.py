@@ -154,8 +154,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.mode == "local" and args.center_row is None and args.center_values is None:
-        raise _UsageError("local mode needs --center-row or --center-values")
+    if (args.center_row is None and args.center_values is None) == (args.mode == "local"):
+        raise _UsageError("--mode local needs --center-row or --center-values, "
+                          "and global mode takes neither")
     if args.center_row is not None and args.center_values is not None:
         raise _UsageError("give only one of --center-row / --center-values")
     if args.mu is None:

@@ -40,13 +40,26 @@ _SPLIT_ATTEMPTS = 20
 
 
 def read_csv_rows(path) -> list[dict]:
-    """All rows of a headered CSV as dicts; raises SchemaError on an empty file."""
+    """All rows of a headered CSV as dicts.
+
+    SchemaError for an empty file, a column name the header repeats, or a
+    row with more cells than the header (data row numbers count from 0).
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            header = reader.fieldnames
+            if header is None:
                 raise SchemaError(f"{path}: empty file, expected a header row")
-            return list(reader)
+            repeated = [name for name in header if header.count(name) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: column {repeated[0]!r} is repeated in the header")
+            rows = list(reader)
+            for idx, row in enumerate(rows):
+                if None in row:  # DictReader's key for the cells past the header's
+                    raise SchemaError(f"{path}: row {idx} has {len(header) + len(row[None])} "
+                                      f"cells, the header has {len(header)}")
+            return rows
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -290,7 +303,10 @@ def load_and_split_csv(path, schema: DatasetSchema, test_fraction: float,
                        seed: int = 0):
     """Row-level split, then fit the schema on the training rows only.
 
-    Returns (train, test); normalization statistics never see the test rows.
+    Returns (train, test) and fills the passed schema's `levels` and `stats`
+    with the encoding learned on the training rows, so the caller can store
+    it (cmd_fit writes it into forest.bin); normalization statistics never
+    see the test rows.
     The rows are split as train_test_split splits a dataset of that size.
     Another shuffle is tried only when a part has no event or too few rows
     once rows missing time/event are dropped, or the test part holds a level

@@ -1,9 +1,11 @@
 """Reference black-box survival model: a random survival forest.
 
-Trees split on the two-sample log-rank statistic (exhaustive midpoint
-candidates over a random feature subset) and store Nelson-Aalen
-cumulative hazards in their leaves, projected onto the dataset-level
-time grid at fit time so ensemble averaging is a plain vector mean.
+Trees split on the two-sample log-rank statistic, over every midpoint cut
+of a random feature subset, and store Nelson-Aalen cumulative hazards in
+their leaves, projected onto the dataset-level time grid at fit time so
+ensemble averaging is a plain vector mean. Each node makes one split
+search (_best_split): the node's event times and its death and at-risk
+tables are built once and shared by all its candidate features.
 Each tree draws its bootstrap and feature subsets from its own stream,
 default_rng([seed, tree index]), so trees are independent and the
 forest does not depend on which process grows which tree: on Linux,
@@ -125,85 +127,64 @@ class SurvivalForest:
         return total
 
 
-def _best_split_for_feature(values, times, events, min_leaf_events):
-    """Best (score, threshold) over all midpoint candidates of one feature.
+def _best_split(x, times, events, candidates, min_leaf_events):
+    """(feature, threshold) of the node's best log-rank split, or None if no cut scores > 0.
 
-    Vectorized over candidates: with samples sorted by feature value,
-    cumulative event/at-risk counts per distinct node event time give the
-    log-rank numerator and variance of every left/right partition at once.
+    The node's distinct event times, its death and at-risk indicators
+    (boolean (n, E) tables) and their column totals are built once. Each
+    candidate feature, in draw order, sorts the samples by its values; the
+    tables' prefix sums at the boundaries between distinct values then give
+    the log-rank numerator and variance of every left/right partition at
+    once. The first candidate to reach the top score wins, at its lowest cut.
     """
-    order = np.argsort(values, kind="mergesort")
-    f = values[order]
-    t = times[order]
-    e = events[order]
-    boundaries = np.nonzero(f[:-1] < f[1:])[0] + 1  # left side = first c samples
-    if len(boundaries) == 0:
-        return None
-    event_times = np.unique(t[e == 1])
-    if len(event_times) == 0:
-        return None
-    d_mat = ((t[:, None] == event_times[None, :]) & (e[:, None] == 1)).astype(float)
-    n_mat = (t[:, None] >= event_times[None, :]).astype(float)
-    d_left = np.cumsum(d_mat, axis=0)[boundaries - 1]
-    n_left = np.cumsum(n_mat, axis=0)[boundaries - 1]
-    d_tot = d_mat.sum(axis=0)
-    n_tot = n_mat.sum(axis=0)
-
-    events_left = np.cumsum(e)[boundaries - 1]
-    events_right = e.sum() - events_left
-    valid = (events_left >= min_leaf_events) & (events_right >= min_leaf_events)
-    if not valid.any():
-        return None
-
-    share = n_left / n_tot
-    num = (d_left - d_tot * share).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_time = d_tot * share * (1.0 - share) * (n_tot - d_tot) / (n_tot - 1.0)
-    per_time[:, n_tot <= 1] = 0.0
-    var = per_time.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(var > 0.0, num * num / var, 0.0)
-    scores[~valid] = -np.inf
-    best = int(np.argmax(scores))
-    if not scores[best] > 0.0:
-        return None
-    cut = boundaries[best]
-    threshold = 0.5 * (f[cut - 1] + f[cut])
-    return float(scores[best]), threshold
-
-
-def _leaf_node(times, events, grid: TimeGrid) -> dict:
-    """Nelson-Aalen CHF of the leaf samples, evaluated at the shared grid times."""
-    if events.sum() == 0:
-        return {"values": np.zeros(grid.n_intervals)}
-    uniq, increments = _hazard_increments(times, events)
-    return {"values": _step_values(uniq, np.cumsum(increments), grid.times)}
+    event_times = np.unique(times[events == 1])
+    died = (times[:, None] == event_times) & (events[:, None] == 1)
+    at_risk = times[:, None] >= event_times
+    d_tot = died.sum(axis=0, dtype=float)
+    n_tot = at_risk.sum(axis=0, dtype=float)
+    best_score, best = 0.0, None
+    for k in candidates:
+        order = np.argsort(x[:, k], kind="mergesort")
+        f = x[order, k]
+        boundaries = np.nonzero(f[:-1] < f[1:])[0] + 1  # left side = first c samples
+        e = events[order]
+        events_left = np.cumsum(e)[boundaries - 1]
+        events_right = e.sum() - events_left
+        valid = (events_left >= min_leaf_events) & (events_right >= min_leaf_events)
+        if not valid.any():
+            continue
+        d_left = np.cumsum(died[order], axis=0, dtype=float)[boundaries - 1]
+        n_left = np.cumsum(at_risk[order], axis=0, dtype=float)[boundaries - 1]
+        share = n_left / n_tot
+        num = (d_left - d_tot * share).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            per_time = d_tot * share * (1.0 - share) * (n_tot - d_tot) / (n_tot - 1.0)
+            per_time[:, n_tot <= 1] = 0.0
+            var = per_time.sum(axis=1)
+            scores = np.where(var > 0.0, num * num / var, 0.0)
+        scores[~valid] = -np.inf
+        cut = int(np.argmax(scores))
+        if scores[cut] > best_score:
+            best_score = scores[cut]
+            best = (int(k), 0.5 * (f[boundaries[cut] - 1] + f[boundaries[cut]]))
+        del d_left, n_left, share, per_time  # free the (C, E) tables before the next feature
+    return best
 
 
 def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng) -> dict:
-    n, m = x.shape
-    if (events.sum() < 2 * config.min_leaf_events
-            or (config.max_depth is not None and depth >= config.max_depth)):
-        return _leaf_node(times, events, grid)
-    candidates = rng.choice(m, size=n_features_to_try, replace=False)
-    best = None
-    for k in candidates:
-        found = _best_split_for_feature(x[:, k], times, events,
-                                        config.min_leaf_events)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], int(k), found[1])
-    if best is None:
-        return _leaf_node(times, events, grid)
-    _, feature, threshold = best
+    split = None
+    if (events.sum() >= 2 * config.min_leaf_events
+            and (config.max_depth is None or depth < config.max_depth)):
+        candidates = rng.choice(x.shape[1], size=n_features_to_try, replace=False)
+        split = _best_split(x, times, events, candidates, config.min_leaf_events)
+    if split is None:  # a leaf: the samples' Nelson-Aalen CHF at the grid times
+        uniq, increments = _hazard_increments(times, events)
+        return {"values": _step_values(uniq, np.cumsum(increments), grid.times)}
+    feature, threshold = split
     go_left = x[:, feature] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow_tree(x[go_left], times[go_left], events[go_left],
-                           depth + 1, grid, config, n_features_to_try, rng),
-        "right": _grow_tree(x[~go_left], times[~go_left], events[~go_left],
-                            depth + 1, grid, config, n_features_to_try, rng),
-    }
+    left, right = (_grow_tree(x[side], times[side], events[side], depth + 1, grid, config,
+                              n_features_to_try, rng) for side in (go_left, ~go_left))
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 # Per worker process: the arguments of _grow_bootstrap_tree after the tree

@@ -700,6 +700,7 @@ class TestConfigValueTypes:
         ("fit", {"trees": "3"}, "trees must be int, not str"),
         ("fit", {"test_fraction": True}, "test_fraction must be float, not bool"),
         ("explain", {"mode": "both"}, "mode must be one of local, global"),
+        ("fit", {"trees": None}, "trees must be int, not NoneType"),
     ])
     def test_wrong_type_is_usage_error(self, command, overrides, message, synth_dir,
                                        fitted_dir, tmp_path, capsys):
@@ -715,6 +716,15 @@ class TestConfigValueTypes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    def test_null_for_flag_defaulting_to_none_is_accepted(self, synth_dir, tmp_path):
+        out = tmp_path / "o"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_depth": None, "features_per_split": None}))
+        code = run(["fit", "--data", str(synth_dir / "dataset.csv"), "--trees", "2",
+                    "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert "  max_depth = \n" in (out / "report.txt").read_text()
 
     def test_int_for_float_flag_runs_as_float(self, tmp_path):
         out = tmp_path / "o"
@@ -794,6 +804,42 @@ class TestDataErrorLeavesNoOut:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_center_row_outside_the_file_exits_3(self, synth_dir, fitted_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out"
+        code = run(["explain", "--mode", "local", "--center-row", "200",
+                    "--forest", str(fitted_dir / "forest.bin"),
+                    "--data", str(synth_dir / "dataset.csv"), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: --center-row 200 outside 0..199\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_schema", [False, True], ids=["prepared", "schema"])
+    @pytest.mark.parametrize("case, message", [
+        ("repeated-column", "column 'x0' is repeated in the header"),
+        ("extra-cell", "row 4 has 5 cells, the header has 4"),
+    ], ids=["repeated-column", "extra-cell"])
+    def test_csv_shape_errors_exit_3(self, case, message, with_schema, synth_dir,
+                                     tmp_path, capsys):
+        def edit(header, rows):
+            if case == "repeated-column":
+                header[1] = "x0"
+            else:
+                rows[4].append("1.0")
+        argv = ["fit", "--data", self._edited_dataset(synth_dir, tmp_path, edit),
+                "--trees", "2", "--out", str(tmp_path / "out")]
+        if with_schema:
+            schema = tmp_path / "schema.json"
+            schema.write_text(json.dumps({"time": "time", "event": "event",
+                                          "features": {"x0": "numeric"}}))
+            argv += ["--schema", str(schema)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _edited_dataset(synth_dir, tmp_path, edit):
@@ -890,8 +936,10 @@ class TestUsageErrorLeavesNoOut:
         ["explain", "--mode", "local", "--center-values", "0,0,0"],
         ["synth", "--n", "20", "--m", "2", "--coef", "1,zz"],
         ["synth", "--n", "20", "--m", "2"],
+        ["explain", "--center-row", "7"],
+        ["explain", "--mode", "global", "--center-values", "0,0"],
     ], ids=["hidden-text", "local-no-center", "two-centers", "center-values-count",
-            "coef-text", "synth-no-truth"])
+            "coef-text", "synth-no-truth", "center-row-global", "center-values-global"])
     def test_exit_2_without_out_dir(self, argv, synth_dir, fitted_dir, tmp_path, capsys):
         out = tmp_path / "out"
         argv = argv + ["--out", str(out)]
@@ -903,6 +951,21 @@ class TestUsageErrorLeavesNoOut:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_center_without_local_mode_names_the_flag(self, synth_dir, fitted_dir,
+                                                      tmp_path, capsys):
+        code = run(["explain", "--center-row", "7", "--forest", str(fitted_dir / "forest.bin"),
+                    "--data", str(synth_dir / "dataset.csv"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: --mode local needs --center-row or "
+                                           "--center-values, and global mode takes neither\n")
+
+    def test_missing_required_flag(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run(["fit", "--data", str(synth_dir / "dataset.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: fit needs --out\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestMalformedConfigAndSchema:

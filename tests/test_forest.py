@@ -22,7 +22,7 @@ from survshape.forest import (
     predict_chf_matrix,
     risk_scores,
     save_forest,
-    _best_split_for_feature,
+    _best_split,
 )
 from survshape.survival import SurvivalDataset, concordance_index
 from survshape.synthetic import SyntheticSpec, generate_cox_data
@@ -124,15 +124,89 @@ class TestLogRank:
             log_rank_statistic([], [], [1.0], [1])
 
 
+def _reference_best_split_for_feature(values, times, events, min_leaf_events):
+    """Best (score, threshold) over all midpoint candidates of one feature.
+
+    Vectorized over candidates: with samples sorted by feature value,
+    cumulative event/at-risk counts per distinct node event time give the
+    log-rank numerator and variance of every left/right partition at once.
+    """
+    order = np.argsort(values, kind="mergesort")
+    f = values[order]
+    t = times[order]
+    e = events[order]
+    boundaries = np.nonzero(f[:-1] < f[1:])[0] + 1  # left side = first c samples
+    if len(boundaries) == 0:
+        return None
+    event_times = np.unique(t[e == 1])
+    if len(event_times) == 0:
+        return None
+    d_mat = ((t[:, None] == event_times[None, :]) & (e[:, None] == 1)).astype(float)
+    n_mat = (t[:, None] >= event_times[None, :]).astype(float)
+    d_left = np.cumsum(d_mat, axis=0)[boundaries - 1]
+    n_left = np.cumsum(n_mat, axis=0)[boundaries - 1]
+    d_tot = d_mat.sum(axis=0)
+    n_tot = n_mat.sum(axis=0)
+
+    events_left = np.cumsum(e)[boundaries - 1]
+    events_right = e.sum() - events_left
+    valid = (events_left >= min_leaf_events) & (events_right >= min_leaf_events)
+    if not valid.any():
+        return None
+
+    share = n_left / n_tot
+    num = (d_left - d_tot * share).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per_time = d_tot * share * (1.0 - share) * (n_tot - d_tot) / (n_tot - 1.0)
+    per_time[:, n_tot <= 1] = 0.0
+    var = per_time.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scores = np.where(var > 0.0, num * num / var, 0.0)
+    scores[~valid] = -np.inf
+    best = int(np.argmax(scores))
+    if not scores[best] > 0.0:
+        return None
+    cut = boundaries[best]
+    threshold = 0.5 * (f[cut - 1] + f[cut])
+    return float(scores[best]), threshold
+
+
+def _reference_best_split(x, times, events, candidates, min_leaf_events):
+    """(feature, threshold): the first maximum of the per-feature search over the candidates."""
+    best = None
+    for k in candidates:
+        found = _reference_best_split_for_feature(x[:, k], times, events, min_leaf_events)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(k), found[1])
+    return None if best is None else best[1:]
+
+
+def _random_node(rng, n):
+    """A node of n samples with tied values and times, censoring, a constant
+    feature and an exact copy of another feature (so two candidates tie)."""
+    m = 5
+    x = rng.normal(size=(n, m))
+    x[:, 1] = rng.integers(0, 3, n)  # few distinct values
+    x[:, 2] = 0.75  # constant
+    x[:, 3] = np.round(x[:, 3], 1)
+    x[:, 4] = x[:, int(rng.choice([0, 1, 3]))]  # an exact copy
+    times = np.round(rng.uniform(1, 6, n), int(rng.integers(0, 2)))
+    events = (rng.uniform(size=n) > rng.uniform(0, 0.6)).astype(int)
+    return x, times, events
+
+
 class TestSplitSearch:
     def test_picks_brute_force_optimum(self):
         ds = separable_dataset()
         for feature in range(2):
             values = ds.features[:, feature]
-            found = _best_split_for_feature(values, ds.times, ds.events, 1)
+            found = _best_split(ds.features, ds.times, ds.events, [feature], 1)
             if found is None:
                 continue
-            score, threshold = found
+            assert found[0] == feature
+            left = values <= found[1]
+            score = log_rank_statistic(ds.times[left], ds.events[left],
+                                       ds.times[~left], ds.events[~left])
             # brute force over every midpoint candidate
             uniq = np.unique(values)
             best = 0.0
@@ -145,8 +219,46 @@ class TestSplitSearch:
             assert score == pytest.approx(best, rel=1e-9)
 
     def test_constant_feature_unsplittable(self):
-        assert _best_split_for_feature(np.ones(6), np.arange(1.0, 7.0),
-                                       np.ones(6, dtype=int), 1) is None
+        assert _best_split(np.ones((6, 1)), np.arange(1.0, 7.0),
+                           np.ones(6, dtype=int), [0], 1) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+    @pytest.mark.parametrize("min_leaf_events", [1, 3])
+    def test_matches_per_feature_reference_bit_for_bit(self, n, min_leaf_events):
+        rng = np.random.default_rng([n, min_leaf_events])
+        splits = 0
+        for _ in range(12):
+            x, times, events = _random_node(rng, n)
+            for candidates in (rng.permutation(5), rng.choice(5, 2, replace=False),
+                               np.array([4, 0, 1, 3]), np.array([0, 1, 3, 4])):
+                expected = _reference_best_split(x, times, events, candidates,
+                                                 min_leaf_events)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = _best_split(x, times, events, candidates, min_leaf_events)
+                if expected is None:
+                    assert got is None
+                    continue
+                splits += 1
+                assert type(got[0]) is int and got[0] == expected[0]
+                assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+        assert splits or n < 7
+
+    def test_one_search_per_grown_node(self, monkeypatch):
+        calls = []  # each call's result
+        search = forest_module._best_split
+
+        def record(*args):
+            calls.append(search(*args))
+            return calls[-1]
+        monkeypatch.setattr(forest_module, "_best_split", record)
+        monkeypatch.setattr(forest_module, "_worker_count", lambda n_trees: 1)
+        ds = generate_cox_data(SyntheticSpec(n=120, m=3, coef=(1.0, -0.5, 0.0),
+                                             censoring_rate=0.3, seed=4))[0]
+        tree = fit_forest(ds, ForestConfig(n_trees=1, min_leaf_events=2, seed=1)).trees[0]
+        flat = forest_module._flatten(tree)
+        assert len(calls) <= len(flat["feature"])
+        assert sum(c is not None for c in calls) == sum(f >= 0 for f in flat["feature"])
 
 
 class TestFitAndPredict:
@@ -186,6 +298,16 @@ class TestFitAndPredict:
                                          forest.grid.times)
             got = predict_chf_matrix(forest, ds.features[i][None])[0]
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_bootstrap_without_events_is_a_zero_leaf(self):
+        n = 6
+        ds = SurvivalDataset.from_arrays(np.arange(n, dtype=float)[:, None],
+                                         np.arange(1.0, n + 1.0), np.eye(n, dtype=int)[0])
+        seed = next(s for s in range(50) if 0 not in _bootstrap_rows(s, n))
+        with pytest.warns(UserWarning, match="single leaf"):
+            forest = fit_forest(ds, ForestConfig(n_trees=1, min_leaf_events=1, seed=seed))
+        values = forest.trees[0]["values"]
+        assert values.tobytes() == np.zeros(forest.grid.n_intervals).tobytes()
 
     def test_deterministic_forest(self, tmp_path):
         ds = separable_dataset()
