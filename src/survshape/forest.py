@@ -13,29 +13,37 @@ fit_forest grows them in one forked worker per usable CPU (never more
 than the tree count) and returns the same forest as a serial fit. Fitted
 forests are immutable and safe for concurrent prediction.
 
-In memory a tree is nested dicts. forest.bin (format 4) stores each one
-as its preorder split features (-1 at a leaf), one threshold per split
-and run-length encoded leaf CHFs; the preorder alone fixes which nodes
-are a split's children, so no child links are stored. The float arrays
-(grid times, thresholds, run values) are base64 of their float64 bytes.
-A fit's trees travel in this stored form too, from the worker that grows
-them, and are rebuilt by the code that loads a file. Prediction routes
-the rows through one tree at a time and adds its leaf values into the
-result in blocks of rows, so it holds little beyond the result. The risk
-score, the integrated CHF (`SurvivalForest.integrated_chf`, which
-`risk_scores` calls), takes the same routes but adds one integral per
-reached leaf, so it never builds the (n, s+1) CHF matrix.
+In memory a tree is nested dicts, each leaf with its dense CHF on the
+grid. A leaf is a Nelson-Aalen estimator, fixed by its count table (per
+event time: grid index, deaths, number at risk); _leaf_values builds the
+CHFs from the tables, and each tree's root keeps its leaves' tables.
+forest.bin (format 5) stores each tree as its preorder split features
+(-1 at a leaf), one threshold per split and the leaves' count tables as
+lists of integers; the preorder alone fixes which nodes are a split's
+children, so no child links are stored. The float arrays (grid times,
+thresholds) are base64 of their float64 bytes. A fit's trees travel in
+this stored form too, from the worker that grows them, and are rebuilt
+by the code that loads a file, so a fitted and a loaded forest hold the
+same floats. Prediction routes the rows through one tree at a time and
+adds its leaf values into the result in blocks of rows, so it holds
+little beyond the result. The risk score, the integrated CHF
+(`SurvivalForest.integrated_chf`, which `risk_scores` calls), takes the
+same routes but adds one integral per reached leaf, so it never builds
+the (n, s+1) CHF matrix.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -44,15 +52,23 @@ from .errors import (DataError, _array, _atomic_open, _config, _field, _floats, 
 from .survival import (
     SurvivalDataset,
     TimeGrid,
-    _hazard_increments,
-    _step_values,
     build_time_grid,
     risk_scores,  # noqa: F401  re-exported: survshape.forest.risk_scores is public
 )
 
-FORMAT_VERSION = 4  # of the forest file; save_forest writes it, load_forest reads only it
+FORMAT_VERSION = 5  # of the forest file; save_forest writes it, load_forest reads only it
 # Rows per block when predict_chf_matrix adds one tree's leaf values into its result.
 _PREDICT_BLOCK_ROWS = 256
+
+# A stored tree's leaf lists: event times per leaf, in preorder; then per
+# event time, leaf after leaf, the grid-index step (from 0 at a leaf's first
+# event time, from the previous one after it), deaths and number at risk.
+_LEAF_KEYS = ("leaf_events", "grid_steps", "deaths", "at_risk")
+# A loaded tree keeps its leaves' counts as int32, so it holds no larger number at risk.
+_MOST_AT_RISK = np.iinfo(np.int32).max
+# Trees that _unflatten checks and builds together: few numpy calls a tree,
+# and little held beyond the trees themselves.
+_LOAD_CHUNK = 32
 
 # The JSON types load_forest accepts per config key, in ForestConfig's field order.
 _CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
@@ -94,7 +110,11 @@ class SurvivalForest:
     """Fitted trees plus the shared grid and training feature metadata.
 
     Trees are nested dicts: internal nodes {"feature", "threshold",
-    "left", "right"}, leaves {"values": (s+1,) array}.
+    "left", "right"}, leaves {"values": (s+1,) array}. A tree's root also
+    holds "leaf_counts", the count tables _leaf_values built its leaves'
+    values from, in preorder, as one integer array: the event times of each
+    leaf, then per event time the grid indices, the deaths and the numbers
+    at risk.
     """
 
     trees: tuple
@@ -133,9 +153,10 @@ def _best_split(x, times, events, candidates, min_leaf_events):
     The node's distinct event times, its death and at-risk indicators
     (boolean (n, E) tables) and their column totals are built once. Each
     candidate feature, in draw order, sorts the samples by its values; the
-    tables' prefix sums at the boundaries between distinct values then give
-    the log-rank numerator and variance of every left/right partition at
-    once. The first candidate to reach the top score wins, at its lowest cut.
+    tables' prefix sums at the boundaries between distinct values that leave
+    min_leaf_events events on each side then give the log-rank numerator
+    and variance of every such left/right partition at once. The first
+    candidate to reach the top score wins, at its lowest cut.
     """
     event_times = np.unique(times[events == 1])
     died = (times[:, None] == event_times) & (events[:, None] == 1)
@@ -150,11 +171,11 @@ def _best_split(x, times, events, candidates, min_leaf_events):
         e = events[order]
         events_left = np.cumsum(e)[boundaries - 1]
         events_right = e.sum() - events_left
-        valid = (events_left >= min_leaf_events) & (events_right >= min_leaf_events)
-        if not valid.any():
+        cuts = boundaries[(events_left >= min_leaf_events) & (events_right >= min_leaf_events)]
+        if not cuts.size:
             continue
-        d_left = np.cumsum(died[order], axis=0, dtype=float)[boundaries - 1]
-        n_left = np.cumsum(at_risk[order], axis=0, dtype=float)[boundaries - 1]
+        d_left = _prefix_counts(died, order, cuts)
+        n_left = _prefix_counts(at_risk, order, cuts)
         share = n_left / n_tot
         num = (d_left - d_tot * share).sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -162,28 +183,84 @@ def _best_split(x, times, events, candidates, min_leaf_events):
             per_time[:, n_tot <= 1] = 0.0
             var = per_time.sum(axis=1)
             scores = np.where(var > 0.0, num * num / var, 0.0)
-        scores[~valid] = -np.inf
         cut = int(np.argmax(scores))
         if scores[cut] > best_score:
             best_score = scores[cut]
-            best = (int(k), 0.5 * (f[boundaries[cut] - 1] + f[boundaries[cut]]))
+            best = (int(k), 0.5 * (f[cuts[cut] - 1] + f[cuts[cut]]))
         del d_left, n_left, share, per_time  # free the (C, E) tables before the next feature
     return best
 
 
-def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng) -> dict:
+def _prefix_counts(table, order, cuts) -> np.ndarray:
+    """Column sums of a boolean table's first c rows in `order`, per cut c; shape (C, E).
+
+    The counts are exact, so they are summed as int32 in place, in one
+    (cuts[-1], E) buffer; np.cumsum(..., dtype=float) of the whole table
+    held a float64 copy of it beside its float64 result.
+    """
+    rows = table[order[:cuts[-1]]].astype(np.int32)
+    np.cumsum(rows, axis=0, out=rows)
+    return rows[cuts - 1]
+
+
+def _leaf_counts(times, events, grid_times) -> np.ndarray:
+    """A leaf's Nelson-Aalen table, shape (3, k): per event time its grid index, deaths, at risk.
+
+    Every event time of the training data is a grid time, so the indices
+    are exact. Censored-only times are left out: they add 0 to the CHF.
+    """
+    event_times, deaths = np.unique(times[events == 1], return_counts=True)
+    at_risk = len(times) - np.searchsorted(np.sort(times), event_times)
+    return np.stack([np.searchsorted(grid_times, event_times), deaths, at_risk])
+
+
+def _leaf_values(sizes, index, deaths, at_risk, s: int, groups) -> Iterator[np.ndarray]:
+    """Leaves' Nelson-Aalen CHFs on an s-point grid, from their count tables.
+
+    Leaf k owns the next sizes[k] entries of the other three arrays, whose
+    grid indices increase. Its increments deaths / at risk are summed in
+    order: one cumsum over a zero-padded (leaves, 1 + most events) matrix
+    gives each row the floats of that leaf's own cumsum. np.repeat then
+    holds each sum from its grid index up to the next one (the leaf's last
+    to the end of the grid), after a 0 from grid index 0 on.
+
+    The leaves come in consecutive groups, split at the leaf numbers
+    `groups` (0 first, the leaf count last). It yields one (group's leaves,
+    s) array per group, each made when it is taken, as a tree-by-tree build
+    would: freed, one array for many trees went back to the system, and a
+    second load of a forest in one process faulted all its pages in again.
+    """
+    sizes = np.asarray(sizes)
+    leaf = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.arange(len(index)) - (np.cumsum(sizes) - sizes)[leaf] + 1
+    hazard = np.zeros((len(sizes), sizes.max(initial=0) + 1))
+    hazard[leaf, column] = deaths / at_risk
+    np.cumsum(hazard, axis=1, out=hazard)
+    bounds = np.full((len(sizes), hazard.shape[1] + 1), s)  # each run's start, then s
+    bounds[:, 0] = 0
+    bounds[leaf, column] = index
+    lengths = np.diff(bounds, axis=1)  # 0 for a padded run
+    return (np.repeat(hazard[a:b].ravel(), lengths[a:b].ravel()).reshape(b - a, s)
+            for a, b in itertools.pairwise(groups))
+
+
+def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng, leaves) -> dict:
+    """The subtree of these samples; each leaf is {} and appends its _leaf_counts to `leaves`.
+
+    The left subtree grows before the right one, so `leaves` is in preorder.
+    """
     split = None
     if (events.sum() >= 2 * config.min_leaf_events
             and (config.max_depth is None or depth < config.max_depth)):
         candidates = rng.choice(x.shape[1], size=n_features_to_try, replace=False)
         split = _best_split(x, times, events, candidates, config.min_leaf_events)
-    if split is None:  # a leaf: the samples' Nelson-Aalen CHF at the grid times
-        uniq, increments = _hazard_increments(times, events)
-        return {"values": _step_values(uniq, np.cumsum(increments), grid.times)}
+    if split is None:
+        leaves.append(_leaf_counts(times, events, grid.times))
+        return {}
     feature, threshold = split
     go_left = x[:, feature] <= threshold
     left, right = (_grow_tree(x[side], times[side], events[side], depth + 1, grid, config,
-                              n_features_to_try, rng) for side in (go_left, ~go_left))
+                              n_features_to_try, rng, leaves) for side in (go_left, ~go_left))
     return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
@@ -206,7 +283,11 @@ def _grow_bootstrap_tree(tree_index, x, times, events, grid, config, n_try) -> d
     """Tree `tree_index`, flattened: its bootstrap rows, then its feature draws, from one stream."""
     rng = np.random.default_rng([config.seed, tree_index])
     idx = rng.integers(0, len(times), len(times))
-    return _flatten(_grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng))
+    leaves = []
+    tree = _grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng, leaves)
+    tree["leaf_counts"] = np.concatenate([[c.shape[1] for c in leaves],
+                                          np.concatenate(leaves, axis=1).ravel()])
+    return _flatten(tree)
 
 
 def _worker_count(n_trees: int) -> int:
@@ -237,8 +318,7 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     workers = _worker_count(config.n_trees)
 
     def build(blobs):
-        return tuple(_unflatten(blob, dataset.m, grid.n_intervals, f"tree {k}")
-                     for k, blob in enumerate(blobs))
+        return _unflatten(list(blobs), dataset.m, grid.n_intervals)
 
     if workers == 1:
         trees = build(_grow_bootstrap_tree(t, *work) for t in range(config.n_trees))
@@ -317,92 +397,175 @@ def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
 
 
 def _flatten(tree: dict) -> dict:
-    """One tree as preorder split/leaf flags plus run-length encoded leaf CHFs.
+    """One tree as preorder split/leaf flags, thresholds and its root's leaf count tables.
 
     `feature` lists the nodes in preorder, -1 at a leaf; a split is
     followed by its left subtree, then its right one, so the flags fix the
-    shape. `threshold` holds one value per split, in preorder. Each leaf's
-    runs are cut where the bit pattern changes, so np.repeat gives back the
-    same floats; a run start of 0 opens the next leaf. `threshold` and
-    `run_values` are packed by _pack_floats.
+    shape. `threshold` holds one value per split, in preorder, packed by
+    _pack_floats. The root's "leaf_counts" fill the _LEAF_KEYS lists; a
+    leaf's grid indices are stored as steps, the first from 0.
     """
-    feature, threshold, leaves = [], [], []
+    feature, threshold = [], []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if "values" in node:
-            feature.append(-1)
-            leaves.append(np.asarray(node["values"], dtype=float))
-        else:
+        if "feature" in node:
             feature.append(int(node["feature"]))
             threshold.append(float(node["threshold"]))
             stack += [node["right"], node["left"]]
-    values = np.stack(leaves)
-    bits = values.view(np.int64)
-    new_run = np.ones(values.shape, dtype=bool)
-    new_run[:, 1:] = bits[:, 1:] != bits[:, :-1]
+        else:
+            feature.append(-1)
+    counts = np.asarray(tree["leaf_counts"])
+    sizes = counts[:feature.count(-1)]
+    index, deaths, at_risk = counts[len(sizes):].reshape(3, -1)
+    steps = np.diff(index, prepend=0)
+    first = (np.cumsum(sizes) - sizes)[sizes > 0]
+    steps[first] = index[first]
     return {"feature": feature, "threshold": _pack_floats(threshold),
-            "run_starts": np.nonzero(new_run)[1].tolist(),
-            "run_values": _pack_floats(values[new_run])}
+            **{key: a.tolist() for key, a in zip(_LEAF_KEYS, (sizes, steps, deaths, at_risk))}}
 
 
-def _unflatten(blob, m: int, s: int, where: str) -> dict:
-    """Inverse of _flatten; DataError for a tree the forest cannot use."""
-    if not isinstance(blob, dict):
-        raise DataError(f"{where} is not a JSON object")
-    feature = _array(blob, "feature", where)
-    threshold = _floats(blob, "threshold", where)
-    starts = _array(blob, "run_starts", where)
-    run_values = _floats(blob, "run_values", where)
-    bad = feature[(feature < -1) | (feature >= m)]
-    if bad.size:
-        raise DataError(f"{where}: split feature {bad[0]} outside 0..{m - 1}")
-    if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(run_values))):
-        raise DataError(f"{where} holds a non-finite threshold or CHF value")
-    n_leaves = int(np.count_nonzero(feature == -1))
-    if len(threshold) != len(feature) - n_leaves:
-        raise DataError(f"{where} has {len(feature) - n_leaves} splits "
-                        f"but {len(threshold)} thresholds")
-    bad = starts[(starts < 0) | (starts >= s)]
-    if bad.size:
-        raise DataError(f"{where}: run start {bad[0]} outside 0..{s - 1}")
-    opens = starts == 0  # the first run of a leaf
-    if np.count_nonzero(opens) != n_leaves or not opens[:1].all():
-        raise DataError(f"{where}: 'run_starts' must open each of its {n_leaves} leaves "
-                        "with a 0, starting with the first run")
-    if len(run_values) != len(starts):
-        raise DataError(f"{where}: 'run_starts' and 'run_values' differ in length")
-    if np.any(np.diff(starts)[~opens[1:]] <= 0):
-        raise DataError(f"{where}: run starts within a leaf must increase strictly")
-    ends = np.append(starts[1:], s)
-    ends[:-1][opens[1:]] = s  # a leaf's last run ends at the end of the grid
-    leaves = iter(np.repeat(run_values, ends - starts).reshape(n_leaves, s)[::-1])
+def _joined(blobs, key: str, first_tree: int):
+    """Every tree's `key` list joined as one int64 array, and where each tree's part starts.
+
+    The starts end with the array's length. DataError, naming the first
+    tree at fault (blobs[0] is tree `first_tree`), unless each list is a
+    flat list of integers.
+    """
+    lists = [_field(blob, key, list, f"tree {first_tree + k}") for k, blob in enumerate(blobs)]
+    with suppress(ValueError):  # lists nested to uneven depths
+        joined = np.asarray(list(itertools.chain.from_iterable(lists)))
+        if joined.ndim == 1 and (not joined.size or joined.dtype.kind == "i"):
+            return joined.astype(np.int64, copy=False), np.cumsum([0] + [len(v) for v in lists])
+    for k, blob in enumerate(blobs):
+        _array(blob, key, f"tree {first_tree + k}")
+    raise DataError(f"the trees' {key!r} must be flat lists of integers")
+
+
+def _unflatten(blobs, m: int, s: int) -> tuple:
+    """Inverse of _flatten for a forest's trees; DataError names the first the forest cannot use.
+
+    _unflatten_trees takes _LOAD_CHUNK trees at a time. A forest is tens of
+    thousands of dicts that all outlive the build, so the garbage collector
+    is paused meanwhile: its passes would find nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(itertools.chain.from_iterable(
+            _unflatten_trees(blobs[start:start + _LOAD_CHUNK], m, s, start)
+            for start in range(0, len(blobs), _LOAD_CHUNK)))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _unflatten_trees(blobs, m: int, s: int, first_tree: int) -> list:
+    """Trees first_tree, first_tree + 1, ... from their stored blobs.
+
+    Their lists are joined and checked together, at a few dozen numpy calls
+    for all of them rather than per tree, and _leaf_values builds all their
+    leaves' CHFs.
+    """
+    for k, blob in enumerate(blobs):
+        if not isinstance(blob, dict):
+            raise DataError(f"tree {first_tree + k} is not a JSON object")
+    feature, nodes_at = _joined(blobs, "feature", first_tree)
+    thresholds = [_floats(blob, "threshold", f"tree {first_tree + k}")
+                  for k, blob in enumerate(blobs)]
+    (sizes, leaves_at), (steps, events_at), (deaths, deaths_at), (at_risk, at_risk_at) = (
+        _joined(blobs, key, first_tree) for key in _LEAF_KEYS)
+    trees_at = np.arange(len(blobs) + 1)
+
+    def per_tree(values, at):  # the sums of a joined list's values over each tree's part
+        total = np.append(0, np.cumsum(values))
+        return total[at[1:]] - total[at[:-1]]
+
+    def refuse(wrong, at, message):  # DataError for the tree of a joined list's first wrong entry
+        bad = np.flatnonzero(wrong)
+        if bad.size:
+            k = first_tree + np.searchsorted(at, bad[0], side="right") - 1
+            raise DataError(f"tree {k}{message}")
+
+    outside = (feature < -1) | (feature >= m)
+    if outside.any():
+        refuse(outside, nodes_at, f": split feature {feature[outside][0]} outside 0..{m - 1}")
+    # In preorder each node fills an open slot and a split opens two: the
+    # flags form one tree when the count of slots still open, 1 less than
+    # the subtrees started, first falls to -1 at the tree's last node.
+    open_slots = np.cumsum(np.where(feature == -1, -1, 1))
+    open_slots -= np.repeat(np.append(0, open_slots)[nodes_at[:-1]], np.diff(nodes_at))
+    refuse((per_tree(open_slots < 0, nodes_at) != 1)
+           | (np.append(open_slots, 0)[nodes_at[1:] - 1] != -1), trees_at,
+           ": 'feature' does not flag exactly one preorder tree, each split followed by "
+           "two subtrees")
+    refuse([not np.all(np.isfinite(t)) for t in thresholds], trees_at,
+           " holds a non-finite threshold")
+    n_leaves = per_tree(feature == -1, nodes_at)
+    n_splits, n_thresholds = np.diff(nodes_at) - n_leaves, [len(t) for t in thresholds]
+    for k in np.flatnonzero(n_splits != n_thresholds)[:1]:
+        raise DataError(f"tree {first_tree + k} has {n_splits[k]} splits but "
+                        f"{n_thresholds[k]} thresholds")
+    for k in np.flatnonzero(np.diff(leaves_at) != n_leaves)[:1]:
+        raise DataError(f"tree {first_tree + k} has {n_leaves[k]} leaves but 'leaf_events' "
+                        f"has {leaves_at[k + 1] - leaves_at[k]}")
+    events = np.diff(events_at)
+    refuse((per_tree(np.clip(sizes, 0, len(steps) + 1), leaves_at) != events)  # no overflow
+           | (per_tree(sizes < 0, leaves_at) > 0)
+           | (np.diff(deaths_at) != events) | (np.diff(at_risk_at) != events), trees_at,
+           ": 'leaf_events' must add up to the length of each of 'grid_steps', 'deaths' "
+           "and 'at_risk'")
+    first = np.cumsum(sizes) - sizes  # each leaf's first entry
+    later = np.ones(len(steps), dtype=bool)  # entries after their leaf's first
+    later[first[sizes > 0]] = False
+    for wrong, message in (
+            (deaths < 1, "fewer than 1 death at an event time"),
+            (at_risk < 1, "fewer than 1 sample at risk at an event time"),
+            (deaths > at_risk, "more deaths than samples at risk"),
+            (at_risk > _MOST_AT_RISK, f"more than {_MOST_AT_RISK} samples at risk"),
+            (np.append(False, later[1:] & (at_risk[1:] > at_risk[:-1])),
+             "a number at risk that grows"),
+            (later & (steps <= 0), "a grid step <= 0 after its first")):
+        refuse(wrong, events_at, f": a leaf has {message}")
+    # Clipped, the sums cannot overflow, and a clipped step still leaves the grid.
+    reached = np.cumsum(np.clip(steps, -1, s))
+    index = reached - np.repeat(np.append(0, reached)[first], sizes)
+    refuse((index < 0) | (index >= s), events_at,
+           f": a leaf's grid index falls outside 0..{s - 1}")
+    counts = [np.concatenate([sizes[a:b], index[c:d], deaths[c:d], at_risk[c:d]],
+                             dtype=np.int32) for a, b, c, d in
+              zip(leaves_at[:-1], leaves_at[1:], events_at[:-1], events_at[1:])]
+    values = _leaf_values(sizes, index, deaths, at_risk, s, leaves_at)
+    return [_nest(feature[nodes_at[k]:nodes_at[k + 1]], thresholds[k], next(values), counts[k])
+            for k in range(len(blobs))]
+
+
+def _nest(feature, threshold, values, leaf_counts) -> dict:
+    """One tree's nested dicts from its preorder flags (checked to form one tree),
+    thresholds, leaves' values and the leaves' count tables its root keeps."""
+    leaves = iter(values[::-1])
     thresholds = iter(threshold[::-1].tolist())
     stack = []  # the subtrees after the current node, the first of them on top
+    push, pop = stack.append, stack.pop
     for f in reversed(feature.tolist()):
-        if f == -1:
-            stack.append({"values": next(leaves)})
-        elif len(stack) < 2:
-            break
+        if f < 0:
+            push({"values": next(leaves)})
         else:
-            left, right = stack.pop(), stack.pop()
-            stack.append({"feature": f, "threshold": next(thresholds),
-                          "left": left, "right": right})
-    else:
-        if len(stack) == 1:
-            return stack[0]
-    raise DataError(f"{where}: 'feature' does not flag exactly one preorder tree, "
-                    "each split followed by two subtrees")
+            push({"feature": f, "threshold": next(thresholds), "left": pop(), "right": pop()})
+    stack[0]["leaf_counts"] = leaf_counts
+    return stack[0]
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
-    """Versioned JSON serialization (format 4); floats survive the round trip exactly.
+    """Versioned JSON serialization (format 5); floats survive the round trip exactly.
 
-    Each tree is stored by _flatten. `extra` is an arbitrary
-    JSON-compatible blob stored verbatim (the CLI keeps the fitted data
-    schema there so one file carries the whole model).
+    Each tree is stored by _flatten, as the last key, and written one at a
+    time: json.dumps holds every number of what it encodes as a string
+    before it joins them. `extra` is an arbitrary JSON-compatible blob
+    stored verbatim (the CLI keeps the fitted data schema there so one file
+    carries the whole model).
     """
-    payload = {
+    header = {
         "format": "survshape-forest",
         "version": FORMAT_VERSION,
         "grid": {"times": _pack_floats(forest.grid.times), "gamma": forest.grid.gamma},
@@ -410,10 +573,12 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
         "feature_kinds": list(forest.feature_kinds),
         "config": asdict(forest.config),
         "extra": extra,
-        "trees": [_flatten(t) for t in forest.trees],
     }
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(payload))
+        fh.write(json.dumps(header)[:-1] + ', "trees": [')
+        for k, tree in enumerate(forest.trees):
+            fh.write((", " if k else "") + json.dumps(_flatten(tree)))
+        fh.write("]}")
 
 
 def load_forest(path):
@@ -454,8 +619,7 @@ def load_forest(path):
         if not (np.all(np.isfinite(grid.times)) and math.isfinite(grid.gamma)):
             raise DataError("grid times and gamma must be finite")
         forest = SurvivalForest(
-            tuple(_unflatten(t, len(names), grid.n_intervals, f"tree {k}")
-                  for k, t in enumerate(trees)),
+            _unflatten(trees, len(names), grid.n_intervals),
             grid,
             tuple(names),
             tuple(kinds),

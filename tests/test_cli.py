@@ -332,7 +332,12 @@ def _forest_with_unknown_config_key(payload):
 
 
 def _forest_with_run_past_grid(payload):
-    payload["trees"][0]["run_starts"][-1] = len(payload["grid"]["times"])
+    # the last leaf's event times run past the end of the grid
+    payload["trees"][0]["grid_steps"][-1] += len(payload["grid"]["times"])
+
+
+def _forest_with_negative_first_step(payload):
+    payload["trees"][0]["grid_steps"][0] = -1
 
 
 def _forest_of_version_1(payload):
@@ -347,16 +352,63 @@ def _forest_of_version_3(payload):
     payload["version"] = 3
 
 
-def _forest_with_first_run_at_1(payload):
-    payload["trees"][0]["run_starts"][0] = 1
+def _forest_of_version_4(payload):
+    payload["version"] = 4
 
 
-def _forest_with_runs_not_increasing(payload):
-    starts = payload["trees"][0]["run_starts"]
-    # the first run of a leaf with three runs or more; a 0 opens each leaf
-    k = next(k for k in range(len(starts) - 2)
-             if starts[k] == 0 and starts[k + 1] != 0 and starts[k + 2] != 0)
-    starts[k + 2] = starts[k + 1]
+def _second_event_of_a_leaf(tree):
+    """The position in tree 0's count lists of some leaf's second event time."""
+    start = 0
+    for size in tree["leaf_events"]:
+        if size >= 2:
+            return start + 1
+        start += size
+    raise AssertionError("no leaf has two event times")
+
+
+def _forest_with_zero_grid_step(payload):
+    tree = payload["trees"][0]
+    tree["grid_steps"][_second_event_of_a_leaf(tree)] = 0
+
+
+def _forest_with_at_risk_growing(payload):
+    tree = payload["trees"][0]
+    k = _second_event_of_a_leaf(tree)
+    tree["at_risk"][k] = tree["at_risk"][k - 1] + 1
+
+
+def _forest_with_no_deaths(payload):
+    payload["trees"][0]["deaths"][0] = 0
+
+
+def _forest_with_more_deaths_than_at_risk(payload):
+    tree = payload["trees"][0]
+    tree["deaths"][0] = tree["at_risk"][0] + 1
+
+
+def _forest_with_none_at_risk(payload):
+    payload["trees"][0]["at_risk"][0] = 0
+
+
+def _forest_with_huge_at_risk(payload):
+    payload["trees"][0]["at_risk"][0] = 2 ** 31
+
+
+def _forest_with_leaf_events_off(payload):
+    payload["trees"][0]["leaf_events"][0] += 1
+
+
+def _forest_with_short_deaths(payload):
+    payload["trees"][0]["deaths"].pop()
+
+
+def _forest_with_extra_leaf_count(payload):
+    payload["trees"][0]["leaf_events"].append(0)
+
+
+def _forest_with_text_at_risk(payload):
+    tree = payload["trees"][0]
+    tree["at_risk"] = [float(n) for n in tree["at_risk"]]
 
 
 def _forest_with_extra_threshold(payload):
@@ -378,16 +430,12 @@ def _forest_with_feature_out_of_range(payload):
     payload["trees"][0]["feature"][0] = len(payload["feature_names"])
 
 
-def _forest_with_nan_chf(payload):
-    _edit_floats(payload["trees"][0], "run_values", lambda v: v.__setitem__(0, float("nan")))
-
-
 def _forest_with_inf_threshold(payload):
     _edit_floats(payload["trees"][0], "threshold", lambda t: t.__setitem__(0, float("inf")))
 
 
 def _forest_with_bad_base64(payload):
-    payload["trees"][0]["run_values"] = "*" + payload["trees"][0]["run_values"][1:]
+    payload["trees"][0]["threshold"] = "*" + payload["trees"][0]["threshold"][1:]
 
 
 def _forest_with_fractional_n_trees(payload):
@@ -456,21 +504,31 @@ class TestMalformedForestFile:
         (_forest_with_text_times, "'times' has the wrong type"),
         (_forest_with_unknown_config_key, "unknown forest config key(s): n_estimators"),
         (_forest_with_run_past_grid, "outside 0.."),
+        (_forest_with_negative_first_step, "a leaf's grid index falls outside 0.."),
         (_forest_of_version_1, "forest file version 1 is not supported"),
         (_forest_of_version_2, "forest file version 2 is not supported (this release reads "
-                               "version 4); refit the forest"),
+                               "version 5); refit the forest"),
         (_forest_of_version_3, "forest file version 3 is not supported (this release reads "
-                               "version 4); refit the forest"),
-        (_forest_with_first_run_at_1, "'run_starts' must open each of its"),
-        (_forest_with_runs_not_increasing, "run starts within a leaf must increase strictly"),
+                               "version 5); refit the forest"),
+        (_forest_of_version_4, "forest file version 4 is not supported (this release reads "
+                               "version 5); refit the forest"),
+        (_forest_with_zero_grid_step, "a leaf has a grid step <= 0 after its first"),
+        (_forest_with_at_risk_growing, "a leaf has a number at risk that grows"),
+        (_forest_with_no_deaths, "a leaf has fewer than 1 death at an event time"),
+        (_forest_with_more_deaths_than_at_risk, "a leaf has more deaths than samples at risk"),
+        (_forest_with_none_at_risk, "a leaf has fewer than 1 sample at risk"),
+        (_forest_with_huge_at_risk, "a leaf has more than 2147483647 samples at risk"),
+        (_forest_with_leaf_events_off, "'leaf_events' must add up to the length of each of"),
+        (_forest_with_short_deaths, "'leaf_events' must add up to the length of each of"),
+        (_forest_with_extra_leaf_count, "tree 0 has 18 leaves but 'leaf_events' has 19"),
+        (_forest_with_text_at_risk, "tree 0's 'at_risk' must be a flat list of integers"),
         (_forest_with_extra_threshold, "splits but"),
         (_forest_with_feature_rotated, "does not flag exactly one preorder tree"),
         (_forest_with_extra_split_flag, "does not flag exactly one preorder tree"),
         (_forest_with_feature_out_of_range, "split feature 2 outside 0..1"),
-        (_forest_with_nan_chf, "non-finite threshold or CHF value"),
-        (_forest_with_inf_threshold, "non-finite threshold or CHF value"),
+        (_forest_with_inf_threshold, "non-finite threshold"),
         (_forest_with_bad_base64,
-         "tree 0's 'run_values' must be base64 of little-endian float64 values"),
+         "tree 0's 'threshold' must be base64 of little-endian float64 values"),
         (_forest_with_fractional_n_trees, "forest config's 'n_trees' has the wrong type"),
         (_forest_with_bool_n_trees, "forest config's 'n_trees' has the wrong type"),
         (_forest_with_text_min_leaf_events,

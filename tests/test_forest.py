@@ -6,6 +6,7 @@ import os
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from survshape.forest import (
     save_forest,
     _best_split,
 )
-from survshape.survival import SurvivalDataset, concordance_index
+from survshape.survival import (SurvivalDataset, _hazard_increments, _step_values,
+                                concordance_index)
 from survshape.synthetic import SyntheticSpec, generate_cox_data
 
 
@@ -469,14 +471,14 @@ class TestWorkerPool:
     def test_workers_send_each_tree_in_its_stored_form(self, monkeypatch):
         received, unflatten = [], forest_module._unflatten
 
-        def record(blob, *args):
-            received.append(blob)
-            return unflatten(blob, *args)
+        def record(blobs, *args):
+            received.extend(blobs)
+            return unflatten(blobs, *args)
 
         monkeypatch.setattr(forest_module, "_unflatten", record)
         _usable_cpus(monkeypatch, 2)
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
-        assert all(isinstance(blob["run_values"], str) for blob in received)
+        assert all(isinstance(blob["deaths"], list) for blob in received)
         assert [forest_module._flatten(tree) for tree in forest.trees] == received
 
     def test_no_worker_outlives_the_fit(self, monkeypatch):
@@ -528,11 +530,15 @@ def deep_chain(depth=1500):
     recursion limit; rows that reach each of its leaves; and those leaves' values."""
     forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
     s = forest.grid.n_intervals
-    leaf_values = np.arange(depth + 1)[:, None] + np.linspace(0.0, 1.0, s)
+    # leaf k: one death among k + 1 at risk, at grid index k mod s
+    counts = (np.ones(depth + 1, dtype=int), np.arange(depth + 1) % s,
+              np.ones(depth + 1, dtype=int), np.arange(1, depth + 2))
+    leaf_values, = forest_module._leaf_values(*counts, s, [0, depth + 1])
     tree = {"values": leaf_values[depth]}
     for k in range(depth - 1, -1, -1):  # split k sends x0 <= k + 0.5 to leaf k
         tree = {"feature": 0, "threshold": k + 0.5, "left": {"values": leaf_values[k]},
                 "right": tree}
+    tree["leaf_counts"] = np.concatenate(counts)
     chain = type(forest)((tree,), forest.grid, forest.feature_names,
                          forest.feature_kinds, forest.config)
     x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
@@ -652,18 +658,17 @@ class TestSerialization:
         path = tmp_path / "forest.bin"
         save_forest(forest, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 4 and "bootstrap" not in payload["config"]
+        assert payload["version"] == 5 and "bootstrap" not in payload["config"]
         assert _floats(payload["grid"], "times", "grid").tobytes() == forest.grid.times.tobytes()
         for tree, blob in zip(forest.trees, payload["trees"]):
-            assert list(blob) == ["feature", "threshold", "run_starts", "run_values"]
-            run_values = _floats(blob, "run_values", "tree").tolist()
-            features, thresholds, leaves = [], [], []
+            assert list(blob) == ["feature", "threshold", "leaf_events", "grid_steps",
+                                  "deaths", "at_risk"]
+            features, thresholds = [], []
             stack = [tree]
             while stack:  # preorder: a split, its left subtree, then its right one
                 node = stack.pop()
                 if "values" in node:
                     features.append(-1)
-                    leaves.append(node["values"])
                 else:
                     features.append(node["feature"])
                     thresholds.append(node["threshold"])
@@ -671,15 +676,19 @@ class TestSerialization:
             assert blob["feature"] == features
             assert _floats(blob, "threshold", "tree").tolist() == thresholds
             assert len(thresholds) == len(features) - features.count(-1)
-            # a run start of 0 opens the next leaf's runs
-            opens = [k for k, start in enumerate(blob["run_starts"]) if start == 0]
-            assert opens[0] == 0 and len(opens) == len(leaves)
-            for k, values in enumerate(leaves):
-                runs = slice(opens[k], opens[k + 1] if k + 1 < len(opens) else None)
-                # one run per maximal stretch of equal values
-                starts = [0] + (np.flatnonzero(np.diff(values)) + 1).tolist()
-                assert blob["run_starts"][runs] == starts
-                assert run_values[runs] == values[starts].tolist()
+            counts = tree["leaf_counts"]  # the leaves' tables, in preorder
+            sizes = counts[:features.count(-1)]
+            index, deaths, at_risk = counts[len(sizes):].reshape(3, -1)
+            assert blob["leaf_events"] == sizes.tolist() and len(sizes) == features.count(-1)
+            assert blob["deaths"] == deaths.tolist() and blob["at_risk"] == at_risk.tolist()
+            start = 0
+            for size in sizes:
+                stop = start + size
+                # grid indices as steps: the first from 0, each later one from the last
+                assert blob["grid_steps"][start:stop] == np.diff(index[start:stop],
+                                                                 prepend=0).tolist()
+                start = stop
+            assert start == len(blob["deaths"])
 
     @given(st.lists(st.booleans(), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -690,13 +699,14 @@ class TestSerialization:
         n_leaves = splits.count(False)
         blob = {"feature": [0 if split else -1 for split in splits],
                 "threshold": _pack_floats([0.5] * (len(splits) - n_leaves)),
-                "run_starts": [0] * n_leaves, "run_values": _pack_floats([1.0] * n_leaves)}
+                "leaf_events": [1] * n_leaves, "grid_steps": [0] * n_leaves,
+                "deaths": [1] * n_leaves, "at_risk": [2] * n_leaves}
         if slots == 0:
-            tree = forest_module._unflatten(blob, 1, 1, "tree 0")
+            tree, = forest_module._unflatten([blob], 1, 1)
             assert forest_module._flatten(tree) == blob
         else:
             with pytest.raises(DataError, match="does not flag exactly one preorder tree"):
-                forest_module._unflatten(blob, 1, 1, "tree 0")
+                forest_module._unflatten([blob], 1, 1)
 
     def test_deep_chain_saves_loads_and_predicts(self, tmp_path):
         chain, x, leaf_values = deep_chain()
@@ -705,17 +715,18 @@ class TestSerialization:
         assert np.array_equal(predict_chf_matrix(loaded, x), leaf_values)
         assert predict_chf_matrix(loaded, x).tobytes() == scatter_sum_predict(loaded, x).tobytes()
 
-    def test_signed_zero_leaf_survives(self, tmp_path):
+    def test_leaf_without_events_survives(self, tmp_path):
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
-        values = np.zeros(forest.grid.n_intervals)
-        values[1::2] = -0.0
-        values[-1] = 2.5
-        doctored = type(forest)(({"values": values},), forest.grid, forest.feature_names,
+        leaf = {"values": np.zeros(forest.grid.n_intervals), "leaf_counts": np.zeros(1, int)}
+        doctored = type(forest)((leaf,), forest.grid, forest.feature_names,
                                 forest.feature_kinds, forest.config)
         save_forest(doctored, tmp_path / "f.bin")
         loaded, _ = load_forest(tmp_path / "f.bin")
-        assert loaded.trees[0]["values"].tobytes() == values.tobytes()
-        assert json.loads((tmp_path / "f.bin").read_text())["trees"][0]["threshold"] == ""
+        assert loaded.trees[0]["values"].tobytes() == leaf["values"].tobytes()  # +0.0 throughout
+        assert loaded.trees[0]["leaf_counts"].tolist() == [0]
+        blob = json.loads((tmp_path / "f.bin").read_text())["trees"][0]
+        assert blob == {"feature": [-1], "threshold": "", "leaf_events": [0],
+                        "grid_steps": [], "deaths": [], "at_risk": []}
 
     @pytest.mark.parametrize("values", [
         [-0.0, 0.0, -0.0],
@@ -761,6 +772,96 @@ class TestSerialization:
         probe = np.vstack([x, rng.normal(size=(5, m))])
         assert (predict_chf_matrix(loaded, probe).tobytes()
                 == predict_chf_matrix(forest, probe).tobytes())
+
+
+def random_leaf(rng, grid_times):
+    """A leaf's samples: tied times on the grid, censored-only times between grid
+    times and, with probability 1/4, no event at all."""
+    n = int(rng.integers(1, 30))
+    on_grid = rng.choice(grid_times, n)  # with repeats, so times tie
+    between = rng.choice(grid_times[:-1] + 0.5 * np.diff(grid_times), n)
+    censored_only = rng.uniform(size=n) < 0.3
+    times = np.where(censored_only, between, on_grid)
+    events = (~censored_only & (rng.uniform(size=n) < 0.6)).astype(int)
+    if rng.uniform() < 0.25:
+        events[:] = 0
+    return times, events
+
+
+class TestCountTables:
+    """Leaves stored as Nelson-Aalen count tables rebuild the fit's CHFs bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rebuilt_leaves_match_the_step_function_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        grid_times = np.cumsum(rng.uniform(0.1, 2.0, int(rng.integers(2, 40))))
+        s = len(grid_times)
+        leaves = [random_leaf(rng, grid_times) for _ in range(25)]
+        tables = [forest_module._leaf_counts(t, e, grid_times) for t, e in leaves]
+        # all leaves at once, in groups of 10 (zero-padded to the most events of any)
+        sizes = [c.shape[1] for c in tables]
+        together = np.concatenate(list(forest_module._leaf_values(
+            sizes, *np.concatenate(tables, axis=1), s, [0, 10, 20, 25])))
+        assert any(c.shape[1] == 0 for c in tables) and any(c.shape[1] > 1 for c in tables)
+        for (times, events), counts, row in zip(leaves, tables, together):
+            uniq, increments = _hazard_increments(times, events)
+            oracle = _step_values(uniq, np.cumsum(increments), grid_times)
+            alone, = next(forest_module._leaf_values([counts.shape[1]], *counts, s, [0, 1]))
+            assert alone.tobytes() == oracle.tobytes()
+            assert row.tobytes() == oracle.tobytes()
+
+    def test_ties_and_censored_times_count_as_in_the_estimator(self):
+        grid_times = np.array([1.0, 2.0, 3.0, 4.0])
+        # two deaths tied at 2, a censored-only time at 2.5, a censored tie at 3
+        times = np.array([1.0, 2.0, 2.0, 2.5, 3.0, 3.0, 5.0])
+        events = np.array([0, 1, 1, 0, 1, 0, 0])
+        counts = forest_module._leaf_counts(times, events, grid_times)
+        assert counts.tolist() == [[1, 2], [2, 1], [6, 3]]
+        values, = next(forest_module._leaf_values([2], *counts, 4, [0, 1]))
+        assert values.tolist() == [0.0, 2 / 6, 2 / 6 + 1 / 3, 2 / 6 + 1 / 3]
+
+    @pytest.mark.parametrize("n_trees, min_leaf_events", [(1, 1), (5, 2), (3, 30)])
+    def test_stored_form_round_trips(self, n_trees, min_leaf_events):
+        spec = SyntheticSpec(n=60, m=2, coef=(1.0, -0.5), censoring_rate=0.4, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # min_leaf_events=30: one leaf a tree
+            forest = fit_forest(generate_cox_data(spec)[0],
+                                ForestConfig(n_trees=n_trees, min_leaf_events=min_leaf_events))
+        blobs = [forest_module._flatten(tree) for tree in forest.trees]
+        loaded = forest_module._unflatten(blobs, 2, forest.grid.n_intervals)
+        assert [forest_module._flatten(tree) for tree in loaded] == blobs
+        if min_leaf_events == 30:
+            assert all("feature" not in tree for tree in forest.trees)
+
+    def test_loaded_forest_predicts_the_fitted_floats(self, tmp_path):
+        spec = SyntheticSpec(n=200, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.45, seed=9)
+        fitted = fit_forest(generate_cox_data(spec)[0],
+                            ForestConfig(n_trees=8, min_leaf_events=1, seed=4))
+        save_forest(fitted, tmp_path / "forest.bin")
+        loaded, _ = load_forest(tmp_path / "forest.bin")
+        x = np.random.default_rng(2).uniform(-1.5, 1.5, (300, 3))
+        assert loaded.predict_chf_matrix(x).tobytes() == fitted.predict_chf_matrix(x).tobytes()
+        assert loaded.integrated_chf(x).tobytes() == fitted.integrated_chf(x).tobytes()
+
+    def test_readme_reader_gives_the_leaves(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Forest file format")[1].split("\n### ")[0]
+        snippet = section.split("```python\n")[1].split("```")[0]
+        spec = SyntheticSpec(n=120, m=2, coef=(1.0, -0.5), censoring_rate=0.3, seed=5)
+        forest = fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=1, seed=2))
+        save_forest(forest, tmp_path / "forest.bin")
+        monkeypatch.chdir(tmp_path)
+        scope = {}
+        exec(snippet, scope)
+        leaves, stack = [], [load_forest("forest.bin")[0].trees[0]]
+        while stack:  # preorder
+            node = stack.pop()
+            if "feature" in node:
+                stack += [node["right"], node["left"]]
+            else:
+                leaves.append(node["values"].tobytes())
+        assert len(leaves) > 1
+        assert [chf.tobytes() for chf in scope["chfs"]] == leaves
 
 
 def _bootstrap_rows(seed, n):
