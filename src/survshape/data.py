@@ -132,11 +132,8 @@ class DatasetSchema:
             raise TooFewRowsError("no usable rows after dropping missing time/event")
         return kept
 
-    def fit(self, rows) -> "DatasetSchema":
-        """Learn categorical levels and numeric standardization from these rows."""
-        return self._fit(self._clean_rows(rows))
-
     def _fit(self, kept) -> "DatasetSchema":
+        """Learn categorical levels and numeric standardization from these cleaned rows."""
         for name, kind in self.feature_specs:
             if kind == "categorical":
                 self.levels[name] = tuple(sorted({str(row[name]).strip()
@@ -180,7 +177,7 @@ class DatasetSchema:
         return SurvivalDataset(np.column_stack(columns), times, events, names, kinds)
 
     def fit_transform(self, rows) -> SurvivalDataset:
-        """fit, then transform the same rows, which are cleaned (and warned about) once."""
+        """Learn the encoding from these rows and encode them, cleaned (and warned about) once."""
         kept = self._clean_rows(rows)
         return self._fit(kept)._encode(kept)
 

@@ -13,20 +13,20 @@ fit_forest grows them in one forked worker per usable CPU (never more
 than the tree count) and returns the same forest as a serial fit. Fitted
 forests are immutable and safe for concurrent prediction.
 
-In memory a tree is nested dicts, each leaf with its dense CHF on the
-grid. A leaf is a Nelson-Aalen estimator, fixed by its count table (per
-event time: grid index, deaths, number at risk); _leaf_values builds the
-CHFs from the tables, and each tree's root keeps its leaves' tables.
-forest.bin (format 5) stores each tree as its preorder split features
-(-1 at a leaf), one threshold per split and the leaves' count tables as
-lists of integers; the preorder alone fixes which nodes are a split's
-children, so no child links are stored. The float arrays (grid times,
-thresholds) are base64 of their float64 bytes. A fit's trees travel in
-this stored form too, from the worker that grows them, and are rebuilt
-by the code that loads a file, so a fitted and a loaded forest hold the
-same floats. Prediction routes the rows through one tree at a time and
-adds its leaf values into the result in blocks of rows, so it holds
-little beyond the result. The risk score, the integrated CHF
+A leaf is a Nelson-Aalen estimator, fixed by its count table (per event
+time: grid index, deaths, number at risk), built by survival's code for
+the baseline H_0. Growing a tree gives its stored form, which forest.bin
+(format 5) holds: its preorder split features (-1 at a leaf), one
+threshold per split and the leaves' count tables as lists of integers;
+the preorder alone fixes which nodes are a split's children, so no child
+links are stored. The float arrays (grid times, thresholds) are base64 of
+their float64 bytes. _unflatten derives the nested dicts that route rows,
+each leaf with its dense CHF on the grid, from the stored forms of a fit
+and of a file alike, so a fitted and a loaded forest hold the same
+floats; each root keeps its stored form, which save_forest writes.
+Prediction routes the rows through one tree at a time and adds its leaf
+values into the result in blocks of rows, so it holds little beyond the
+result. The risk score, the integrated CHF
 (`SurvivalForest.integrated_chf`, which `risk_scores` calls), takes the
 same routes but adds one integral per reached leaf, so it never builds
 the (n, s+1) CHF matrix.
@@ -43,7 +43,7 @@ import sys
 import warnings
 from contextlib import suppress
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +52,8 @@ from .errors import (DataError, _array, _atomic_open, _config, _field, _floats, 
 from .survival import (
     SurvivalDataset,
     TimeGrid,
+    _leaf_counts,
+    _leaf_values,
     build_time_grid,
     risk_scores,  # noqa: F401  re-exported: survshape.forest.risk_scores is public
 )
@@ -64,7 +66,7 @@ _PREDICT_BLOCK_ROWS = 256
 # event time, leaf after leaf, the grid-index step (from 0 at a leaf's first
 # event time, from the previous one after it), deaths and number at risk.
 _LEAF_KEYS = ("leaf_events", "grid_steps", "deaths", "at_risk")
-# A loaded tree keeps its leaves' counts as int32, so it holds no larger number at risk.
+# No fit has this many rows; below it a reader can hold each count as an int32.
 _MOST_AT_RISK = np.iinfo(np.int32).max
 # Trees that _unflatten checks and builds together: few numpy calls a tree,
 # and little held beyond the trees themselves.
@@ -111,10 +113,8 @@ class SurvivalForest:
 
     Trees are nested dicts: internal nodes {"feature", "threshold",
     "left", "right"}, leaves {"values": (s+1,) array}. A tree's root also
-    holds "leaf_counts", the count tables _leaf_values built its leaves'
-    values from, in preorder, as one integer array: the event times of each
-    leaf, then per event time the grid indices, the deaths and the numbers
-    at risk.
+    holds "stored", the tree as forest.bin stores it (see the module
+    docstring), which the rest was built from and save_forest writes.
     """
 
     trees: tuple
@@ -203,65 +203,29 @@ def _prefix_counts(table, order, cuts) -> np.ndarray:
     return rows[cuts - 1]
 
 
-def _leaf_counts(times, events, grid_times) -> np.ndarray:
-    """A leaf's Nelson-Aalen table, shape (3, k): per event time its grid index, deaths, at risk.
+def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng, tree) -> None:
+    """Append the subtree of these samples, in preorder, to tree = (features, thresholds, leaves).
 
-    Every event time of the training data is a grid time, so the indices
-    are exact. Censored-only times are left out: they add 0 to the CHF.
+    A split appends its feature and threshold, a leaf -1 and its
+    _leaf_counts table; the left subtree grows before the right one.
     """
-    event_times, deaths = np.unique(times[events == 1], return_counts=True)
-    at_risk = len(times) - np.searchsorted(np.sort(times), event_times)
-    return np.stack([np.searchsorted(grid_times, event_times), deaths, at_risk])
-
-
-def _leaf_values(sizes, index, deaths, at_risk, s: int, groups) -> Iterator[np.ndarray]:
-    """Leaves' Nelson-Aalen CHFs on an s-point grid, from their count tables.
-
-    Leaf k owns the next sizes[k] entries of the other three arrays, whose
-    grid indices increase. Its increments deaths / at risk are summed in
-    order: one cumsum over a zero-padded (leaves, 1 + most events) matrix
-    gives each row the floats of that leaf's own cumsum. np.repeat then
-    holds each sum from its grid index up to the next one (the leaf's last
-    to the end of the grid), after a 0 from grid index 0 on.
-
-    The leaves come in consecutive groups, split at the leaf numbers
-    `groups` (0 first, the leaf count last). It yields one (group's leaves,
-    s) array per group, each made when it is taken, as a tree-by-tree build
-    would: freed, one array for many trees went back to the system, and a
-    second load of a forest in one process faulted all its pages in again.
-    """
-    sizes = np.asarray(sizes)
-    leaf = np.repeat(np.arange(len(sizes)), sizes)
-    column = np.arange(len(index)) - (np.cumsum(sizes) - sizes)[leaf] + 1
-    hazard = np.zeros((len(sizes), sizes.max(initial=0) + 1))
-    hazard[leaf, column] = deaths / at_risk
-    np.cumsum(hazard, axis=1, out=hazard)
-    bounds = np.full((len(sizes), hazard.shape[1] + 1), s)  # each run's start, then s
-    bounds[:, 0] = 0
-    bounds[leaf, column] = index
-    lengths = np.diff(bounds, axis=1)  # 0 for a padded run
-    return (np.repeat(hazard[a:b].ravel(), lengths[a:b].ravel()).reshape(b - a, s)
-            for a, b in itertools.pairwise(groups))
-
-
-def _grow_tree(x, times, events, depth, grid, config, n_features_to_try, rng, leaves) -> dict:
-    """The subtree of these samples; each leaf is {} and appends its _leaf_counts to `leaves`.
-
-    The left subtree grows before the right one, so `leaves` is in preorder.
-    """
+    features, thresholds, leaves = tree
     split = None
     if (events.sum() >= 2 * config.min_leaf_events
             and (config.max_depth is None or depth < config.max_depth)):
         candidates = rng.choice(x.shape[1], size=n_features_to_try, replace=False)
         split = _best_split(x, times, events, candidates, config.min_leaf_events)
     if split is None:
+        features.append(-1)
         leaves.append(_leaf_counts(times, events, grid.times))
-        return {}
+        return
     feature, threshold = split
+    features.append(feature)
+    thresholds.append(threshold)
     go_left = x[:, feature] <= threshold
-    left, right = (_grow_tree(x[side], times[side], events[side], depth + 1, grid, config,
-                              n_features_to_try, rng, leaves) for side in (go_left, ~go_left))
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+    for side in (go_left, ~go_left):
+        _grow_tree(x[side], times[side], events[side], depth + 1, grid, config,
+                   n_features_to_try, rng, tree)
 
 
 # Per worker process: the arguments of _grow_bootstrap_tree after the tree
@@ -275,19 +239,21 @@ def _start_worker(*args) -> None:
 
 
 def _grow_one(tree_index: int) -> dict:
-    """Pool task: one flattened tree, from the training data _start_worker installed."""
+    """Pool task: one tree in its stored form, from the training data _start_worker installed."""
     return _grow_bootstrap_tree(tree_index, *_worker_args)
 
 
 def _grow_bootstrap_tree(tree_index, x, times, events, grid, config, n_try) -> dict:
-    """Tree `tree_index`, flattened: its bootstrap rows, then its feature draws, from one stream."""
+    """Tree `tree_index` in its stored form: its bootstrap rows, then feature draws, one stream."""
     rng = np.random.default_rng([config.seed, tree_index])
     idx = rng.integers(0, len(times), len(times))
-    leaves = []
-    tree = _grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng, leaves)
-    tree["leaf_counts"] = np.concatenate([[c.shape[1] for c in leaves],
-                                          np.concatenate(leaves, axis=1).ravel()])
-    return _flatten(tree)
+    features, thresholds, leaves = tree = [], [], []
+    _grow_tree(x[idx], times[idx], events[idx], 0, grid, config, n_try, rng, tree)
+    steps = np.concatenate([np.diff(index, prepend=0) for index, _, _ in leaves])
+    _, deaths, at_risk = np.concatenate(leaves, axis=1)
+    return {"feature": features, "threshold": _pack_floats(thresholds),
+            **dict(zip(_LEAF_KEYS, ([c.shape[1] for c in leaves], steps.tolist(),
+                                    deaths.tolist(), at_risk.tolist())))}
 
 
 def _worker_count(n_trees: int) -> int:
@@ -305,7 +271,7 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     """Fit bootstrapped log-rank survival trees on the dataset-level grid.
 
     Trees grow in _worker_count(n_trees) forked processes; with one, in
-    this process. Either way _unflatten rebuilds each tree from its stored form.
+    this process. Either way _unflatten builds each tree from its stored form.
     """
     if int(dataset.events.sum()) < config.min_leaf_events:
         raise DataError("dataset has fewer events than min_leaf_events")
@@ -317,11 +283,8 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
     work = (dataset.features, dataset.times, dataset.events, grid, config, n_try)
     workers = _worker_count(config.n_trees)
 
-    def build(blobs):
-        return _unflatten(list(blobs), dataset.m, grid.n_intervals)
-
     if workers == 1:
-        trees = build(_grow_bootstrap_tree(t, *work) for t in range(config.n_trees))
+        blobs = [_grow_bootstrap_tree(t, *work) for t in range(config.n_trees)]
     else:
         # Imported here, as only a pooled fit needs them: they add about 2 MB
         # to the peak RSS of every command that imports this module.
@@ -330,7 +293,8 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, context, _start_worker, work) as pool:
-            trees = build(pool.map(_grow_one, range(config.n_trees)))
+            blobs = list(pool.map(_grow_one, range(config.n_trees)))
+    trees = _unflatten(blobs, dataset.m, grid.n_intervals)
     if all("values" in t for t in trees):
         warnings.warn("no split satisfied the constraints; forest is a single leaf",
                       stacklevel=2)
@@ -396,35 +360,6 @@ def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
     return total
 
 
-def _flatten(tree: dict) -> dict:
-    """One tree as preorder split/leaf flags, thresholds and its root's leaf count tables.
-
-    `feature` lists the nodes in preorder, -1 at a leaf; a split is
-    followed by its left subtree, then its right one, so the flags fix the
-    shape. `threshold` holds one value per split, in preorder, packed by
-    _pack_floats. The root's "leaf_counts" fill the _LEAF_KEYS lists; a
-    leaf's grid indices are stored as steps, the first from 0.
-    """
-    feature, threshold = [], []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if "feature" in node:
-            feature.append(int(node["feature"]))
-            threshold.append(float(node["threshold"]))
-            stack += [node["right"], node["left"]]
-        else:
-            feature.append(-1)
-    counts = np.asarray(tree["leaf_counts"])
-    sizes = counts[:feature.count(-1)]
-    index, deaths, at_risk = counts[len(sizes):].reshape(3, -1)
-    steps = np.diff(index, prepend=0)
-    first = (np.cumsum(sizes) - sizes)[sizes > 0]
-    steps[first] = index[first]
-    return {"feature": feature, "threshold": _pack_floats(threshold),
-            **{key: a.tolist() for key, a in zip(_LEAF_KEYS, (sizes, steps, deaths, at_risk))}}
-
-
 def _joined(blobs, key: str, first_tree: int):
     """Every tree's `key` list joined as one int64 array, and where each tree's part starts.
 
@@ -443,7 +378,7 @@ def _joined(blobs, key: str, first_tree: int):
 
 
 def _unflatten(blobs, m: int, s: int) -> tuple:
-    """Inverse of _flatten for a forest's trees; DataError names the first the forest cannot use.
+    """A forest's trees, from their stored forms; DataError names the first the forest cannot use.
 
     _unflatten_trees takes _LOAD_CHUNK trees at a time. A forest is tens of
     thousands of dicts that all outlive the build, so the garbage collector
@@ -532,17 +467,14 @@ def _unflatten_trees(blobs, m: int, s: int, first_tree: int) -> list:
     index = reached - np.repeat(np.append(0, reached)[first], sizes)
     refuse((index < 0) | (index >= s), events_at,
            f": a leaf's grid index falls outside 0..{s - 1}")
-    counts = [np.concatenate([sizes[a:b], index[c:d], deaths[c:d], at_risk[c:d]],
-                             dtype=np.int32) for a, b, c, d in
-              zip(leaves_at[:-1], leaves_at[1:], events_at[:-1], events_at[1:])]
     values = _leaf_values(sizes, index, deaths, at_risk, s, leaves_at)
-    return [_nest(feature[nodes_at[k]:nodes_at[k + 1]], thresholds[k], next(values), counts[k])
+    return [_nest(feature[nodes_at[k]:nodes_at[k + 1]], thresholds[k], next(values), blobs[k])
             for k in range(len(blobs))]
 
 
-def _nest(feature, threshold, values, leaf_counts) -> dict:
+def _nest(feature, threshold, values, stored) -> dict:
     """One tree's nested dicts from its preorder flags (checked to form one tree),
-    thresholds, leaves' values and the leaves' count tables its root keeps."""
+    thresholds and leaves' values; its root keeps the stored form they came from."""
     leaves = iter(values[::-1])
     thresholds = iter(threshold[::-1].tolist())
     stack = []  # the subtrees after the current node, the first of them on top
@@ -552,15 +484,15 @@ def _nest(feature, threshold, values, leaf_counts) -> dict:
             push({"values": next(leaves)})
         else:
             push({"feature": f, "threshold": next(thresholds), "left": pop(), "right": pop()})
-    stack[0]["leaf_counts"] = leaf_counts
+    stack[0]["stored"] = stored
     return stack[0]
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
     """Versioned JSON serialization (format 5); floats survive the round trip exactly.
 
-    Each tree is stored by _flatten, as the last key, and written one at a
-    time: json.dumps holds every number of what it encodes as a string
+    The trees go last, each written one at a time as the stored form its
+    root keeps: json.dumps holds every number of what it encodes as a string
     before it joins them. `extra` is an arbitrary JSON-compatible blob
     stored verbatim (the CLI keeps the fitted data schema there so one file
     carries the whole model).
@@ -577,7 +509,7 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
     with _atomic_open(path) as fh:
         fh.write(json.dumps(header)[:-1] + ', "trees": [')
         for k, tree in enumerate(forest.trees):
-            fh.write((", " if k else "") + json.dumps(_flatten(tree)))
+            fh.write((", " if k else "") + json.dumps(tree["stored"]))
         fh.write("]}")
 
 

@@ -81,7 +81,7 @@ class NamConfig:
     def __post_init__(self):
         try:
             hidden = tuple(_integer(h, "hidden_sizes") for h in self.hidden_sizes)
-        except DataError:
+        except (DataError, TypeError):  # an entry that is no int; no list at all
             hidden = ()
         if len(hidden) == 0 or any(h < 1 for h in hidden):
             raise DataError("hidden_sizes must be a nonempty list of positive ints")
@@ -90,7 +90,7 @@ class NamConfig:
             value = _integer(getattr(self, name), name, optional=name == "batch")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate"))
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation {self.activation!r}")
         if not self.learning_rate > 0:
             raise DataError("learning_rate must be positive")

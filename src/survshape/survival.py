@@ -1,14 +1,17 @@
 """Core survival-analysis machinery.
 
 Censored datasets, the event-time interval grid, the piecewise-constant
-cumulative-hazard step function, the Nelson-Aalen estimator, the
-integrated-CHF risk score of a black box and Harrell's concordance index. Everything here is immutable after
+cumulative-hazard step function, the Nelson-Aalen estimator (the
+baseline H_0 of nelson_aalen and every forest leaf alike, through
+_leaf_counts and _leaf_values), the integrated-CHF risk score of a black
+box and Harrell's concordance index. Everything here is immutable after
 construction and free of hidden state, so concurrent read-only use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -190,15 +193,47 @@ def build_time_grid(dataset: SurvivalDataset, gamma_fraction: float = 0.01) -> T
     return TimeGrid(event_times, gamma)
 
 
-def _hazard_increments(times: np.ndarray, events: np.ndarray):
-    """Distinct observed times with their Nelson-Aalen increments d_i / n_i."""
-    order = np.argsort(times, kind="mergesort")
-    t = times[order]
-    e = events[order]
-    uniq, first = np.unique(t, return_index=True)
-    d = np.add.reduceat(e, first)
-    n_at_risk = len(t) - first  # >= 1: the rows from a time's first row on
-    return uniq, d / n_at_risk
+def _leaf_counts(times, events, grid_times) -> np.ndarray:
+    """Nelson-Aalen table, shape (3, k): per event time its grid index, deaths, at risk.
+
+    The grid index is that of the first grid time at or after the event
+    time; after the last grid time it is the grid's length, so the
+    increment reaches no grid time. Censored-only times are left out: they
+    add 0 to the CHF.
+    """
+    event_times, deaths = np.unique(times[events == 1], return_counts=True)
+    at_risk = len(times) - np.searchsorted(np.sort(times), event_times)
+    return np.stack([np.searchsorted(grid_times, event_times), deaths, at_risk])
+
+
+def _leaf_values(sizes, index, deaths, at_risk, s: int, groups) -> Iterator[np.ndarray]:
+    """Leaves' Nelson-Aalen CHFs on an s-point grid, from their _leaf_counts tables.
+
+    Leaf k owns the next sizes[k] entries of the other three arrays, whose
+    grid indices (0 to s) do not fall. Its increments deaths / at risk are
+    summed in order: one cumsum over a zero-padded (leaves, 1 + most
+    events) matrix gives each row the floats of that leaf's own cumsum.
+    np.repeat then holds each sum from its grid index up to the next one
+    (the leaf's last to the end of the grid), after a 0 from grid index 0 on.
+
+    The leaves come in consecutive groups, split at the leaf numbers
+    `groups` (0 first, the leaf count last). It yields one (group's leaves,
+    s) array per group, each made when it is taken, as a tree-by-tree build
+    would: freed, one array for many trees went back to the system, and a
+    second load of a forest in one process faulted all its pages in again.
+    """
+    sizes = np.asarray(sizes)
+    leaf = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.arange(len(index)) - (np.cumsum(sizes) - sizes)[leaf] + 1
+    hazard = np.zeros((len(sizes), sizes.max(initial=0) + 1))
+    hazard[leaf, column] = deaths / at_risk
+    np.cumsum(hazard, axis=1, out=hazard)
+    bounds = np.full((len(sizes), hazard.shape[1] + 1), s)  # each run's start, then s
+    bounds[:, 0] = 0
+    bounds[leaf, column] = index
+    lengths = np.diff(bounds, axis=1)  # 0 for a padded run
+    return (np.repeat(hazard[a:b].ravel(), lengths[a:b].ravel()).reshape(b - a, s)
+            for a, b in zip(groups, groups[1:]))
 
 
 def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
@@ -207,9 +242,8 @@ def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
     H(t_j) = sum over distinct observed times u <= t_j of d_u / n_u, where
     d_u counts events at u and n_u the samples still at risk just before u.
     """
-    uniq, increments = _hazard_increments(dataset.times, dataset.events)
-    cum = np.cumsum(increments)
-    values = _step_values(uniq, cum, grid.times)
+    counts = _leaf_counts(dataset.times, dataset.events, grid.times)
+    values, = next(_leaf_values([counts.shape[1]], *counts, grid.n_intervals, [0, 1]))
     return PiecewiseChf(grid, values)
 
 

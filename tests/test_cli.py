@@ -965,7 +965,7 @@ class TestDataErrorLeavesNoOut:
     def test_error_no_split_can_fix_is_raised_on_the_first_split(
             self, synth_dir, tmp_path, monkeypatch, capsys):
         fits = []
-        fit = DatasetSchema._fit  # fit and fit_transform both learn the encoding here
+        fit = DatasetSchema._fit  # fit_transform learns the encoding here
         monkeypatch.setattr(DatasetSchema, "_fit",
                             lambda schema, kept: fits.append(1) or fit(schema, kept))
 

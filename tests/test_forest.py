@@ -25,8 +25,7 @@ from survshape.forest import (
     save_forest,
     _best_split,
 )
-from survshape.survival import (SurvivalDataset, _hazard_increments, _step_values,
-                                concordance_index)
+from survshape.survival import SurvivalDataset, _leaf_counts, _leaf_values, concordance_index
 from survshape.synthetic import SyntheticSpec, generate_cox_data
 
 
@@ -258,9 +257,10 @@ class TestSplitSearch:
         ds = generate_cox_data(SyntheticSpec(n=120, m=3, coef=(1.0, -0.5, 0.0),
                                              censoring_rate=0.3, seed=4))[0]
         tree = fit_forest(ds, ForestConfig(n_trees=1, min_leaf_events=2, seed=1)).trees[0]
-        flat = forest_module._flatten(tree)
-        assert len(calls) <= len(flat["feature"])
-        assert sum(c is not None for c in calls) == sum(f >= 0 for f in flat["feature"])
+        features = preorder(tree)[0]
+        assert features == tree["stored"]["feature"]
+        assert len(calls) <= len(features)
+        assert sum(c is not None for c in calls) == sum(f >= 0 for f in features)
 
 
 class TestFitAndPredict:
@@ -479,7 +479,11 @@ class TestWorkerPool:
         _usable_cpus(monkeypatch, 2)
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
         assert all(isinstance(blob["deaths"], list) for blob in received)
-        assert [forest_module._flatten(tree) for tree in forest.trees] == received
+        assert [tree["stored"] for tree in forest.trees] == received
+        for tree, blob in zip(forest.trees, received):
+            features, thresholds, _ = preorder(tree)
+            assert features == blob["feature"]
+            assert thresholds == _floats(blob, "threshold", "tree").tolist()
 
     def test_no_worker_outlives_the_fit(self, monkeypatch):
         _usable_cpus(monkeypatch, 2)
@@ -527,21 +531,20 @@ def scatter_sum_predict(forest, x):
 
 def deep_chain(depth=1500):
     """A one-tree forest whose splits form a chain deeper than Python's default
-    recursion limit; rows that reach each of its leaves; and those leaves' values."""
+    recursion limit, built from its stored form; rows that reach each of its
+    leaves; and those leaves' values."""
     forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
     s = forest.grid.n_intervals
-    # leaf k: one death among k + 1 at risk, at grid index k mod s
-    counts = (np.ones(depth + 1, dtype=int), np.arange(depth + 1) % s,
-              np.ones(depth + 1, dtype=int), np.arange(1, depth + 2))
-    leaf_values, = forest_module._leaf_values(*counts, s, [0, depth + 1])
-    tree = {"values": leaf_values[depth]}
-    for k in range(depth - 1, -1, -1):  # split k sends x0 <= k + 0.5 to leaf k
-        tree = {"feature": 0, "threshold": k + 0.5, "left": {"values": leaf_values[k]},
-                "right": tree}
-    tree["leaf_counts"] = np.concatenate(counts)
-    chain = type(forest)((tree,), forest.grid, forest.feature_names,
-                         forest.feature_kinds, forest.config)
+    # split k sends x0 <= k + 0.5 to leaf k, and the rest on down the chain;
+    # leaf k holds one death among k + 1 at risk, at grid index k mod s
+    blob = {"feature": [0, -1] * depth + [-1], "threshold": _pack_floats(np.arange(depth) + 0.5),
+            "leaf_events": [1] * (depth + 1), "grid_steps": [k % s for k in range(depth + 1)],
+            "deaths": [1] * (depth + 1), "at_risk": list(range(1, depth + 2))}
+    chain = type(forest)(forest_module._unflatten([blob], 2, s), forest.grid,
+                         forest.feature_names, forest.feature_kinds, forest.config)
     x = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
+    leaf_values = np.array([np.where(np.arange(s) >= k % s, 1 / (k + 1), 0.0)
+                            for k in range(depth + 1)])
     return chain, x, leaf_values
 
 
@@ -663,32 +666,24 @@ class TestSerialization:
         for tree, blob in zip(forest.trees, payload["trees"]):
             assert list(blob) == ["feature", "threshold", "leaf_events", "grid_steps",
                                   "deaths", "at_risk"]
-            features, thresholds = [], []
-            stack = [tree]
-            while stack:  # preorder: a split, its left subtree, then its right one
-                node = stack.pop()
-                if "values" in node:
-                    features.append(-1)
-                else:
-                    features.append(node["feature"])
-                    thresholds.append(node["threshold"])
-                    stack += [node["right"], node["left"]]
+            assert blob == tree["stored"]
+            features, thresholds, values = preorder(tree)
             assert blob["feature"] == features
             assert _floats(blob, "threshold", "tree").tolist() == thresholds
             assert len(thresholds) == len(features) - features.count(-1)
-            counts = tree["leaf_counts"]  # the leaves' tables, in preorder
-            sizes = counts[:features.count(-1)]
-            index, deaths, at_risk = counts[len(sizes):].reshape(3, -1)
-            assert blob["leaf_events"] == sizes.tolist() and len(sizes) == features.count(-1)
-            assert blob["deaths"] == deaths.tolist() and blob["at_risk"] == at_risk.tolist()
+            assert len(blob["leaf_events"]) == len(values)
             start = 0
-            for size in sizes:
+            for size, leaf_values in zip(blob["leaf_events"], values):  # leaves in preorder
                 stop = start + size
-                # grid indices as steps: the first from 0, each later one from the last
-                assert blob["grid_steps"][start:stop] == np.diff(index[start:stop],
-                                                                 prepend=0).tolist()
+                chf, total, index = np.zeros(forest.grid.n_intervals), 0.0, 0
+                for step, d, n in zip(*(blob[key][start:stop]
+                                        for key in ("grid_steps", "deaths", "at_risk"))):
+                    index += step  # the first step from 0, each later one from the last index
+                    total += d / n
+                    chf[index:] = total
+                assert chf.tobytes() == leaf_values.tobytes()
                 start = stop
-            assert start == len(blob["deaths"])
+            assert start == len(blob["grid_steps"]) == len(blob["deaths"]) == len(blob["at_risk"])
 
     @given(st.lists(st.booleans(), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -703,7 +698,8 @@ class TestSerialization:
                 "deaths": [1] * n_leaves, "at_risk": [2] * n_leaves}
         if slots == 0:
             tree, = forest_module._unflatten([blob], 1, 1)
-            assert forest_module._flatten(tree) == blob
+            assert tree["stored"] == blob
+            assert preorder(tree)[0] == blob["feature"]
         else:
             with pytest.raises(DataError, match="does not flag exactly one preorder tree"):
                 forest_module._unflatten([blob], 1, 1)
@@ -717,16 +713,18 @@ class TestSerialization:
 
     def test_leaf_without_events_survives(self, tmp_path):
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
-        leaf = {"values": np.zeros(forest.grid.n_intervals), "leaf_counts": np.zeros(1, int)}
+        stored = {"feature": [-1], "threshold": "", "leaf_events": [0],
+                  "grid_steps": [], "deaths": [], "at_risk": []}
+        leaf, = forest_module._unflatten([stored], forest.m, forest.grid.n_intervals)
         doctored = type(forest)((leaf,), forest.grid, forest.feature_names,
                                 forest.feature_kinds, forest.config)
         save_forest(doctored, tmp_path / "f.bin")
         loaded, _ = load_forest(tmp_path / "f.bin")
-        assert loaded.trees[0]["values"].tobytes() == leaf["values"].tobytes()  # +0.0 throughout
-        assert loaded.trees[0]["leaf_counts"].tolist() == [0]
-        blob = json.loads((tmp_path / "f.bin").read_text())["trees"][0]
-        assert blob == {"feature": [-1], "threshold": "", "leaf_events": [0],
-                        "grid_steps": [], "deaths": [], "at_risk": []}
+        zeros = np.zeros(forest.grid.n_intervals)
+        for tree in (leaf, loaded.trees[0]):
+            assert tree["values"].tobytes() == zeros.tobytes()  # +0.0 throughout
+            assert tree["stored"] == stored
+        assert json.loads((tmp_path / "f.bin").read_text())["trees"][0] == stored
 
     @pytest.mark.parametrize("values", [
         [-0.0, 0.0, -0.0],
@@ -797,16 +795,15 @@ class TestCountTables:
         grid_times = np.cumsum(rng.uniform(0.1, 2.0, int(rng.integers(2, 40))))
         s = len(grid_times)
         leaves = [random_leaf(rng, grid_times) for _ in range(25)]
-        tables = [forest_module._leaf_counts(t, e, grid_times) for t, e in leaves]
+        tables = [_leaf_counts(t, e, grid_times) for t, e in leaves]
         # all leaves at once, in groups of 10 (zero-padded to the most events of any)
         sizes = [c.shape[1] for c in tables]
-        together = np.concatenate(list(forest_module._leaf_values(
+        together = np.concatenate(list(_leaf_values(
             sizes, *np.concatenate(tables, axis=1), s, [0, 10, 20, 25])))
         assert any(c.shape[1] == 0 for c in tables) and any(c.shape[1] > 1 for c in tables)
         for (times, events), counts, row in zip(leaves, tables, together):
-            uniq, increments = _hazard_increments(times, events)
-            oracle = _step_values(uniq, np.cumsum(increments), grid_times)
-            alone, = next(forest_module._leaf_values([counts.shape[1]], *counts, s, [0, 1]))
+            oracle = hand_nelson_aalen(times, events, grid_times)  # summed in order, as the fit does
+            alone, = next(_leaf_values([counts.shape[1]], *counts, s, [0, 1]))
             assert alone.tobytes() == oracle.tobytes()
             assert row.tobytes() == oracle.tobytes()
 
@@ -815,9 +812,9 @@ class TestCountTables:
         # two deaths tied at 2, a censored-only time at 2.5, a censored tie at 3
         times = np.array([1.0, 2.0, 2.0, 2.5, 3.0, 3.0, 5.0])
         events = np.array([0, 1, 1, 0, 1, 0, 0])
-        counts = forest_module._leaf_counts(times, events, grid_times)
+        counts = _leaf_counts(times, events, grid_times)
         assert counts.tolist() == [[1, 2], [2, 1], [6, 3]]
-        values, = next(forest_module._leaf_values([2], *counts, 4, [0, 1]))
+        values, = next(_leaf_values([2], *counts, 4, [0, 1]))
         assert values.tolist() == [0.0, 2 / 6, 2 / 6 + 1 / 3, 2 / 6 + 1 / 3]
 
     @pytest.mark.parametrize("n_trees, min_leaf_events", [(1, 1), (5, 2), (3, 30)])
@@ -827,9 +824,14 @@ class TestCountTables:
             warnings.simplefilter("ignore", UserWarning)  # min_leaf_events=30: one leaf a tree
             forest = fit_forest(generate_cox_data(spec)[0],
                                 ForestConfig(n_trees=n_trees, min_leaf_events=min_leaf_events))
-        blobs = [forest_module._flatten(tree) for tree in forest.trees]
+        blobs = [tree["stored"] for tree in forest.trees]
         loaded = forest_module._unflatten(blobs, 2, forest.grid.n_intervals)
-        assert [forest_module._flatten(tree) for tree in loaded] == blobs
+        assert [tree["stored"] for tree in loaded] == blobs
+        for fitted_tree, loaded_tree, blob in zip(forest.trees, loaded, blobs):
+            (features, thresholds, values), again = preorder(fitted_tree), preorder(loaded_tree)
+            assert features == again[0] == blob["feature"]
+            assert thresholds == again[1] == _floats(blob, "threshold", "tree").tolist()
+            assert [v.tobytes() for v in values] == [v.tobytes() for v in again[2]]
         if min_leaf_events == 30:
             assert all("feature" not in tree for tree in forest.trees)
 
@@ -867,6 +869,22 @@ class TestCountTables:
 def _bootstrap_rows(seed, n):
     """The rows (with repeats) that tree 0 of a forest with this seed is grown on."""
     return np.random.default_rng([seed, 0]).integers(0, n, n)
+
+
+def preorder(tree):
+    """A tree's split features (-1 at a leaf), thresholds and leaf values, in preorder."""
+    features, thresholds, values = [], [], []
+    stack = [tree]
+    while stack:  # a split, its left subtree, then its right one
+        node = stack.pop()
+        if "values" in node:
+            features.append(-1)
+            values.append(node["values"])
+        else:
+            features.append(node["feature"])
+            thresholds.append(node["threshold"])
+            stack += [node["right"], node["left"]]
+    return features, thresholds, values
 
 
 def _same_leaf(tree, a, b):

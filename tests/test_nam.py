@@ -152,6 +152,9 @@ class TestConfig:
         (dict(seed="1"), "seed must be an int, got '1'"),
         (dict(learning_rate="0.1"), "learning_rate must be a real number, got '0.1'"),
         (dict(learning_rate=True), "learning_rate must be a real number, got True"),
+        (dict(hidden_sizes=64), "hidden_sizes must be a nonempty list of positive ints"),
+        (dict(hidden_sizes=None), "hidden_sizes must be a nonempty list of positive ints"),
+        (dict(activation=["relu"]), "unknown activation ['relu']"),
     ])
     def test_rejects_non_int_fields(self, kwargs, message):
         with pytest.raises(DataError) as err:

@@ -130,6 +130,26 @@ class TestNelsonAalen:
             assert chf.values == pytest.approx(expected, abs=1e-12)
             assert np.all(np.diff(chf.values) >= -1e-15)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_off_its_grid_matches_sequential_sums_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = build_time_grid(make_dataset(rng.uniform(2.0, 8.0, 12), np.ones(12, dtype=int)))
+        g = grid.times
+        on_grid = rng.choice(g, 6)
+        between = rng.choice(g[:-1] + 0.5 * np.diff(g), 6)
+        parts = [rng.uniform(0.0, g[0], 3),  # before the first grid time
+                 np.append(on_grid, on_grid[:2]), np.append(between, between[:2]),  # tied
+                 g[:-1] + 0.25 * np.diff(g),  # censored only
+                 g[-1] + rng.uniform(0.1, 2.0, 3)]  # after the last grid time
+        times = np.concatenate(parts)
+        events = rng.integers(0, 2, len(times))
+        starts = np.cumsum([0] + [len(part) for part in parts])
+        events[starts[:-1]] = 1  # an event in each part ...
+        events[starts[3]:starts[4]] = 0  # ... but the censored-only one
+        chf = nelson_aalen(make_dataset(times, events), grid)
+        expected = np.array([brute_force_nelson_aalen(times, events, tj) for tj in g])
+        assert chf.values.tobytes() == expected.tobytes()
+
 
 class TestConcordanceIndex:
     def test_perfect_ordering(self):
