@@ -2,20 +2,23 @@
 
 DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The JSON
-readers share `_read_json`, which turns an unreadable or unparsable file
-into a DataError, and `_field`, `_array`, `_floats` and `_config`, which do
-the same for an ill-typed key, integer list, float array or config block;
+readers share `_read_json`, which reads plain JSON and a gzip stream of
+it alike and turns an unreadable, unparsable or corrupt file into a
+DataError, and `_field`, `_floats` and `_config`, which do the same for
+an ill-typed key, float array or config block;
 `_pack_floats` stores a float array as base64 of its float64 bytes. The
 config classes check their integer and real fields with `_integer` and
-`_real`. Every artifact writer goes through `_atomic_open`, so a failed
-or interrupted write leaves no partial file.
+`_real`. Every artifact writer goes through `_atomic_open`, text or
+binary, so a failed or interrupted write leaves no partial file.
 """
 
 import base64
+import gzip
 import json
 import numbers
 import operator
 import os
+import zlib
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -87,18 +90,6 @@ def _field(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _array(obj: dict, key: str, where: str) -> np.ndarray:
-    """obj[key] as an int64 array; DataError unless it is a flat list of integers."""
-    try:  # lists nested to uneven depths raise ValueError
-        values = np.asarray(_field(obj, key, list, where))
-        flat = values.ndim == 1 and (not values.size or values.dtype.kind == "i")
-    except ValueError:
-        flat = False
-    if not flat:
-        raise DataError(f"{where}'s {key!r} must be a flat list of integers")
-    return values.astype(np.int64)
-
-
 def _pack_floats(values) -> str:
     """values as standard padded base64 (RFC 4648) of their little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
@@ -142,24 +133,33 @@ def _real(value, name: str) -> float:
 
 
 def _read_json(path, kind: str):
-    """The parsed content of a JSON file; DataError when it cannot be read.
+    """The parsed content of a JSON file, plain or gzip; DataError when it cannot be read.
 
-    `kind` names the file in the message, e.g. "forest" gives "...: not a
-    valid forest file: ...". A missing or unreadable file, invalid UTF-8
-    and invalid JSON each give a one-line message.
+    A file that starts with the gzip magic bytes is one gzip stream (RFC
+    1952) of the JSON text. `kind` names the file in the message, e.g.
+    "forest" gives "...: not a valid forest file: ...". A missing or
+    unreadable file gives "cannot read ..."; invalid UTF-8, invalid JSON
+    and a truncated or corrupt gzip stream give "not a valid ...".
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    try:
+        if data[:2] == b"\x1f\x8b":
+            data = gzip.decompress(data)
+        return json.loads(data.decode("utf-8"))
+    # EOFError: a cut stream; zlib.error: bad deflate data; ValueError:
+    # JSONDecodeError, UnicodeDecodeError
+    except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:
         raise DataError(f"{path}: not a valid {kind} file: {exc}") from exc
 
 
 @contextmanager
-def _atomic_open(path, newline="\n"):
-    """A UTF-8 text handle on a temp file beside `path` that replaces it on success.
+def _atomic_open(path, newline="\n", binary=False):
+    """A UTF-8 text handle (a bytes one if `binary`) on a temp file beside
+    `path` that replaces it on success.
 
     The temp file is in the same directory, so `os.replace` swaps it in
     whole; when the block raises, the temp file is removed and `path`
@@ -168,7 +168,8 @@ def _atomic_open(path, newline="\n"):
     path = os.fspath(path)
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+        with (open(temp, "wb") if binary
+              else open(temp, "w", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(temp, path)
     except BaseException:

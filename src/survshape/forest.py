@@ -16,14 +16,15 @@ forests are immutable and safe for concurrent prediction.
 A leaf is a Nelson-Aalen estimator, fixed by its count table (per event
 time: grid index, deaths, number at risk), built by survival's code for
 the baseline H_0. Growing a tree gives its stored form, which forest.bin
-(format 5) holds: its preorder split features (-1 at a leaf), one
-threshold per split and the leaves' count tables as lists of integers;
-the preorder alone fixes which nodes are a split's children, so no child
-links are stored. The float arrays (grid times, thresholds) are base64 of
-their float64 bytes. _unflatten derives the nested dicts that route rows,
-each leaf with its dense CHF on the grid, from the stored forms of a fit
-and of a file alike, so a fitted and a loaded forest hold the same
-floats; each root keeps its stored form, which save_forest writes.
+(format 5, one gzip stream of a JSON document) holds: its preorder split
+features (-1 at a leaf), one threshold per split and the leaves' count
+tables as lists of integers; the preorder alone fixes which nodes are a
+split's children, so no child links are stored. The float arrays (grid
+times, thresholds) are base64 of their float64 bytes. _unflatten derives
+the nested dicts that route rows, each leaf with its dense CHF on the
+grid, from the stored forms of a fit and of a file alike, so a fitted
+and a loaded forest hold the same floats; each root keeps its stored
+form, which save_forest writes.
 Prediction routes the rows through one tree at a time and adds its leaf
 values into the result in blocks of rows, so it holds little beyond the
 result. The risk score, the integrated CHF
@@ -35,6 +36,7 @@ the (n, s+1) CHF matrix.
 from __future__ import annotations
 
 import gc
+import gzip
 import itertools
 import json
 import math
@@ -47,8 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DataError, _array, _atomic_open, _config, _field, _floats, _integer,
-                     _pack_floats, _read_json, _real)
+from .errors import (DataError, _atomic_open, _config, _field, _floats, _integer, _pack_floats,
+                     _read_json, _real)
 from .survival import (
     SurvivalDataset,
     TimeGrid,
@@ -368,13 +370,23 @@ def _joined(blobs, key: str, first_tree: int):
     flat list of integers.
     """
     lists = [_field(blob, key, list, f"tree {first_tree + k}") for k, blob in enumerate(blobs)]
-    with suppress(ValueError):  # lists nested to uneven depths
-        joined = np.asarray(list(itertools.chain.from_iterable(lists)))
-        if joined.ndim == 1 and (not joined.size or joined.dtype.kind == "i"):
-            return joined.astype(np.int64, copy=False), np.cumsum([0] + [len(v) for v in lists])
-    for k, blob in enumerate(blobs):
-        _array(blob, key, f"tree {first_tree + k}")
+    joined = _integers(list(itertools.chain.from_iterable(lists)))
+    if joined is not None:
+        return joined, np.cumsum([0] + [len(v) for v in lists])
+    for k, values in enumerate(lists):
+        if _integers(values) is None:
+            raise DataError(f"tree {first_tree + k}'s {key!r} must be a flat list of integers")
     raise DataError(f"the trees' {key!r} must be flat lists of integers")
+
+
+def _integers(values: list):
+    """values as an int64 array, or None unless each is an integer (a bool is not)."""
+    with suppress(ValueError):  # lists nested to uneven depths
+        array = np.asarray(values)
+        if (array.ndim == 1 and (not array.size or array.dtype.kind == "i")
+                and bool not in set(map(type, values))):  # np.asarray([2, True]) is an int array
+            return array.astype(np.int64, copy=False)
+    return None
 
 
 def _unflatten(blobs, m: int, s: int) -> tuple:
@@ -489,9 +501,9 @@ def _nest(feature, threshold, values, stored) -> dict:
 
 
 def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> None:
-    """Versioned JSON serialization (format 5); floats survive the round trip exactly.
+    """Versioned JSON serialization (format 5) in one gzip stream; floats survive exactly.
 
-    The trees go last, each written one at a time as the stored form its
+    The trees go last, each compressed one at a time as the stored form its
     root keeps: json.dumps holds every number of what it encodes as a string
     before it joins them. `extra` is an arbitrary JSON-compatible blob
     stored verbatim (the CLI keeps the fitted data schema there so one file
@@ -506,11 +518,13 @@ def save_forest(forest: SurvivalForest, path, extra: Optional[dict] = None) -> N
         "config": asdict(forest.config),
         "extra": extra,
     }
-    with _atomic_open(path) as fh:
-        fh.write(json.dumps(header)[:-1] + ', "trees": [')
+    # filename="" and mtime=0 keep the temp file's name and the clock out of the header.
+    with _atomic_open(path, binary=True) as fh, gzip.GzipFile(
+            filename="", mode="wb", fileobj=fh, compresslevel=6, mtime=0) as gz:
+        gz.write((json.dumps(header)[:-1] + ', "trees": [').encode())
         for k, tree in enumerate(forest.trees):
-            fh.write((", " if k else "") + json.dumps(tree["stored"]))
-        fh.write("]}")
+            gz.write(((", " if k else "") + json.dumps(tree["stored"])).encode())
+        gz.write(b"]}")
 
 
 def load_forest(path):

@@ -1,5 +1,6 @@
 import base64
 import csv
+import gzip
 import json
 import multiprocessing
 import os
@@ -97,7 +98,7 @@ class TestFit:
         code = run(["fit", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert code == 3
 
-    def test_with_schema_config(self, tmp_path):
+    def test_with_schema_config(self, tmp_path, forest_document):
         data = tmp_path / "d.csv"
         rng = np.random.default_rng(0)
         lines = ["age,grp,time,event"]
@@ -115,7 +116,7 @@ class TestFit:
                     "--out", str(out), "--trees", "4", "--min-leaf-events", "2",
                     "--seed", "1"])
         assert code == 0
-        payload = json.loads((out / "forest.bin").read_text())
+        payload = forest_document(out / "forest.bin")
         assert payload["extra"]["schema"]["stats"]["age"]
         assert payload["feature_names"] == ["age", "grp=B"]
 
@@ -482,9 +483,7 @@ def _forest_without_trees(payload):
 class TestMalformedForestFile:
     """explain --forest on a broken forest.bin: exit 3 and one line on stderr."""
 
-    def explain_with(self, forest_text, synth_dir, tmp_path, capsys):
-        path = tmp_path / "forest.bin"
-        path.write_text(forest_text, encoding="utf-8")
+    def explain_with(self, path, synth_dir, tmp_path, capsys):
         code = run(["explain", "--forest", str(path),
                     "--data", str(synth_dir / "dataset.csv"), "--mode", "global",
                     "--epochs", "5", "--out", str(tmp_path / "out")])
@@ -494,9 +493,12 @@ class TestMalformedForestFile:
         assert not (tmp_path / "out" / "nam.json").exists()
         return err
 
-    def test_truncated_file(self, synth_dir, fitted_dir, tmp_path, capsys):
-        text = (fitted_dir / "forest.bin").read_text(encoding="utf-8")
-        err = self.explain_with(text[:len(text) // 2], synth_dir, tmp_path, capsys)
+    def test_truncated_file(self, synth_dir, fitted_dir, tmp_path, capsys, forest_document):
+        # a whole gzip stream of the first half of the JSON text
+        text = json.dumps(forest_document(fitted_dir / "forest.bin"))
+        path = tmp_path / "forest.bin"
+        path.write_bytes(gzip.compress(text[:len(text) // 2].encode()))
+        err = self.explain_with(path, synth_dir, tmp_path, capsys)
         assert "not a valid forest file" in err
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -542,10 +544,11 @@ class TestMalformedForestFile:
         (_forest_with_n_trees_off_by_one, "n_trees = 49, but the file holds 50 trees"),
         (_forest_without_trees, "n_trees must be >= 1"),
     ])
-    def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys):
-        payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
-        corrupt(payload)
-        err = self.explain_with(json.dumps(payload), synth_dir, tmp_path, capsys)
+    def test_bad_content(self, corrupt, message, synth_dir, fitted_dir, tmp_path, capsys,
+                         forest_document):
+        path = tmp_path / "forest.bin"
+        forest_document(fitted_dir / "forest.bin", corrupt, path)
+        err = self.explain_with(path, synth_dir, tmp_path, capsys)
         assert message in err
 
 
@@ -593,11 +596,9 @@ class TestMalformedForestExtra:
         (_forest_with_partial_schema, "fitted schema has no 'time'"),
     ])
     def test_explain_and_eval_exit_3(self, corrupt, message, synth_dir, fitted_dir,
-                                     model_dir, tmp_path, capsys):
-        payload = json.loads((fitted_dir / "forest.bin").read_text(encoding="utf-8"))
-        corrupt(payload)
+                                     model_dir, tmp_path, capsys, forest_document):
         forest = tmp_path / "forest.bin"
-        forest.write_text(json.dumps(payload), encoding="utf-8")
+        forest_document(fitted_dir / "forest.bin", corrupt, forest)
         data = str(synth_dir / "dataset.csv")
         commands = [
             ["explain", "--forest", str(forest), "--data", data, "--epochs", "5",
@@ -611,6 +612,42 @@ class TestMalformedForestExtra:
             assert code == 3
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
+
+
+def _flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+class TestBrokenForestStream:
+    """A forest.bin whose gzip stream is cut or corrupt: exit 3, one line, for explain and eval."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:6],  # inside the 10-byte header
+        lambda data: data[:len(data) // 2],  # inside the deflate body
+        lambda data: data[:-4],  # inside the 8-byte trailer
+        lambda data: _flipped(data, 10),  # the first body byte: bad deflate data
+        lambda data: _flipped(data, len(data) // 2),  # a checksum that does not match
+        lambda data: data + b"trailing garbage",
+        lambda data: b"",
+    ], ids=["cut-header", "cut-body", "cut-trailer", "flipped-first-body-byte",
+            "flipped-middle-byte", "trailing-garbage", "empty"])
+    def test_explain_and_eval_exit_3(self, corrupt, synth_dir, fitted_dir, model_dir,
+                                     tmp_path, capsys):
+        forest = tmp_path / "forest.bin"
+        forest.write_bytes(corrupt((fitted_dir / "forest.bin").read_bytes()))
+        data = str(synth_dir / "dataset.csv")
+        commands = [
+            ["explain", "--forest", str(forest), "--data", data, "--epochs", "5",
+             "--out", str(tmp_path / "explain")],
+            ["eval", "--forest", str(forest), "--model", str(model_dir / "nam.json"),
+             "--data", data, "--out", str(tmp_path / "eval")],
+        ]
+        for argv in commands:
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{forest}: not a valid forest file: " in err
 
 
 def _model_config_rejected(payload):

@@ -1,6 +1,6 @@
 import base64
 import concurrent.futures
-import json
+import gzip
 import multiprocessing
 import os
 import sys
@@ -649,18 +649,61 @@ class TestSerialization:
         save_forest(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_is_gzip_without_name_or_time(self, tmp_path):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=2, seed=12))
+        save_forest(forest, tmp_path / "forest.bin")
+        header = (tmp_path / "forest.bin").read_bytes()[:10]
+        # magic, deflate, FLG 0 (no file name), MTIME 0, XFL 0 (level 6), OS unknown
+        assert header == bytes.fromhex("1f8b 08 00 00000000 00 ff")
+
+    def test_path_does_not_change_the_bytes(self, tmp_path):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=3, seed=14))
+        short, long = tmp_path / "f.bin", tmp_path / "a" / "much_longer_name.forest.bin"
+        long.parent.mkdir()
+        save_forest(forest, short)
+        save_forest(forest, long)
+        assert short.read_bytes() == long.read_bytes()
+
+    def test_plain_json_file_loads_the_same_forest(self, tmp_path):
+        spec = SyntheticSpec(n=200, m=3, coef=(1.0, -0.5, 0.2), censoring_rate=0.45, seed=9)
+        forest = fit_forest(generate_cox_data(spec)[0],
+                            ForestConfig(n_trees=6, min_leaf_events=2, seed=4))
+        save_forest(forest, tmp_path / "forest.bin")
+        # the uncompressed JSON text, as format 5 files were written before gzip
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(gzip.decompress((tmp_path / "forest.bin").read_bytes()))
+        assert plain.read_bytes().startswith(b'{"format": "survshape-forest", "version": 5')
+        (gzipped, _), (loaded, _) = load_forest(tmp_path / "forest.bin"), load_forest(plain)
+        x = np.random.default_rng(3).uniform(-1.5, 1.5, (200, 3))
+        for side in (gzipped, forest):
+            assert loaded.predict_chf_matrix(x).tobytes() == side.predict_chf_matrix(x).tobytes()
+            assert loaded.integrated_chf(x).tobytes() == side.integrated_chf(x).tobytes()
+
+    def test_rejects_bool_among_counts(self, tmp_path, forest_document):
+        forest = fit_forest(separable_dataset(), ForestConfig(n_trees=3, seed=12))
+        save_forest(forest, tmp_path / "forest.bin")
+
+        def ones_to_true(payload):
+            deaths = payload["trees"][0]["deaths"]
+            assert 1 in deaths  # the other trees' counts make the chunk an int array
+            payload["trees"][0]["deaths"] = [True if d == 1 else d for d in deaths]
+
+        forest_document(tmp_path / "forest.bin", ones_to_true, tmp_path / "bool.bin")
+        with pytest.raises(DataError, match="tree 0's 'deaths' must be a flat list of integers"):
+            load_forest(tmp_path / "bool.bin")
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(DataError):
             load_forest(path)
 
-    def test_trees_are_flat_preorder_arrays(self, tmp_path):
+    def test_trees_are_flat_preorder_arrays(self, tmp_path, forest_document):
         ds = separable_dataset()
         forest = fit_forest(ds, ForestConfig(n_trees=2, min_leaf_events=2, seed=12))
         path = tmp_path / "forest.bin"
         save_forest(forest, path)
-        payload = json.loads(path.read_text())
+        payload = forest_document(path)
         assert payload["version"] == 5 and "bootstrap" not in payload["config"]
         assert _floats(payload["grid"], "times", "grid").tobytes() == forest.grid.times.tobytes()
         for tree, blob in zip(forest.trees, payload["trees"]):
@@ -711,7 +754,7 @@ class TestSerialization:
         assert np.array_equal(predict_chf_matrix(loaded, x), leaf_values)
         assert predict_chf_matrix(loaded, x).tobytes() == scatter_sum_predict(loaded, x).tobytes()
 
-    def test_leaf_without_events_survives(self, tmp_path):
+    def test_leaf_without_events_survives(self, tmp_path, forest_document):
         forest = fit_forest(separable_dataset(), ForestConfig(n_trees=1, seed=0))
         stored = {"feature": [-1], "threshold": "", "leaf_events": [0],
                   "grid_steps": [], "deaths": [], "at_risk": []}
@@ -724,7 +767,7 @@ class TestSerialization:
         for tree in (leaf, loaded.trees[0]):
             assert tree["values"].tobytes() == zeros.tobytes()  # +0.0 throughout
             assert tree["stored"] == stored
-        assert json.loads((tmp_path / "f.bin").read_text())["trees"][0] == stored
+        assert forest_document(tmp_path / "f.bin")["trees"][0] == stored
 
     @pytest.mark.parametrize("values", [
         [-0.0, 0.0, -0.0],
