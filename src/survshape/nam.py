@@ -12,8 +12,8 @@ Training minimizes the interval-weighted squared distance between the
 log-ratio targets and the log-risk, which is convex in the network
 outputs. It needs the (n, s+1) target matrix only through three numbers
 per row, which TargetBatch keeps in place of the matrix, so every epoch
-and mini-batch runs on O(n) arrays. Everything is plain numpy and fully
-deterministic for a fixed seed.
+and mini-batch runs on O(n) arrays. train computes in float32 (see train).
+It is plain numpy and deterministic for a fixed seed at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_ope
 VARIANT_HEADS = {"base": {}, "lasso": {"beta": 1.0}, "shortcut": {"alpha": 0.5, "omega": 0.0}}
 VARIANTS = tuple(VARIANT_HEADS)
 FORMAT_VERSION = 3  # of the model file; save_model writes it, load_model reads only it
-# Rows per block when predict_log_risk runs the network.
-_LOG_RISK_BLOCK_ROWS = 256
+_BLOCK_ROWS = 256  # of predict_log_risk's network and of each weight gradient's sum
+_TRAIN_DTYPE = np.float32  # of every loss and gradient train computes
 
 
 def _relu(z):
@@ -44,17 +44,17 @@ def _tanh(z):
     return np.tanh(z, out=z)
 
 
-def _relu_grad(a):
-    return a > 0.0
+def _relu_grad(a, buffer):
+    return np.greater(a, 0.0, out=buffer(a.shape, bool))
 
 
-def _tanh_grad(a):
-    d = np.square(a)
+def _tanh_grad(a, buffer):
+    d = np.square(a, out=buffer(a.shape, a.dtype))
     return np.subtract(1.0, d, out=d)
 
 
 # name -> (activation applied in place to a fresh pre-activation,
-#          derivative taken from the activation's output)
+#          derivative taken from the activation's output into buffer(shape, dtype))
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
     "tanh": (_tanh, _tanh_grad),
@@ -158,10 +158,11 @@ class TargetBatch:
         return self.x.shape[0]
 
 
-def _rows(targets: TargetBatch, idx) -> TargetBatch:
-    """Rows idx of a batch that has been validated, taken without validating them again."""
+def _rows(targets: TargetBatch, idx, dtype=None) -> TargetBatch:
+    """Rows idx of a validated batch, not validated again; x is cast to dtype when given."""
     batch = object.__new__(TargetBatch)
-    batch.__dict__.update(x=targets.x[idx], weights=targets.weights[idx],
+    batch.__dict__.update(x=targets.x[idx].astype(dtype or targets.x.dtype, copy=False),
+                          weights=targets.weights[idx],
                           b=targets.b[idx], T=targets.T, c=targets.c[idx])
     return batch
 
@@ -279,28 +280,60 @@ def init_model(m: int, config: NamConfig,
     return model
 
 
+class _Workspace:
+    """The loss functions' buffers for one model and compute dtype; train reuses one.
+    weights and biases view the model's own (float64) or a copy that take() refreshes."""
+
+    def __init__(self, model: NamModel, dtype):
+        self.dtype = np.dtype(dtype)
+        self.params = model._theta if self.dtype == np.float64 else model._theta.astype(dtype)
+        views, depth = model._views(self.params), len(model.layer_weights)
+        self.weights, self.biases = views[0:2 * depth:2], views[1:2 * depth:2]
+        self.spare = np.empty(0, np.uint8)
+
+    def take(self, model: NamModel):
+        """(weights, biases), refreshed from the model. A copy zeroes entries below the root
+        of the dtype's smallest normal number, so no product of two is subnormal: these
+        slow float32 many times, and shortcut's L2 penalty drives weights far below it."""
+        if self.params is not model._theta:
+            layers = self.params[:_subnet_params(model).size]
+            np.copyto(layers, _subnet_params(model), casting="same_kind")
+            np.copyto(layers, 0.0, where=np.abs(layers) < np.sqrt(np.finfo(self.dtype).tiny))
+        return self.weights, self.biases
+
+    def buffer(self, shape, dtype) -> np.ndarray:
+        """An uninitialized array on the spare bytes, which grow to the largest request."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if self.spare.size < size:
+            del self.spare  # before the larger block is taken: derivatives grow layer by layer
+            self.spare = np.empty(size, np.uint8)
+        return self.spare[:size].view(dtype).reshape(shape)
+
+
 def _subnet_forward(model: NamModel, x: np.ndarray, keep_cache: bool = False,
-                    k: Optional[int] = None):
-    """Run the subnetworks on x (n, m); returns g (m, n) and the backprop cache.
+                    k: Optional[int] = None, layers=None):
+    """Run the subnetworks on x (n, m); returns g (m, n), in float64, and the backprop cache.
 
     The cache lists each layer's input: x as (m, n, 1) for the first layer,
     a view of x, then each hidden layer's activation output, which
     _backward consumes. Biases and activations are applied in place. With k
     given, only subnetwork k runs, on x of shape (n, 1), and g is (1, n).
+    layers, the model's own by default, come from _Workspace.take; x has their dtype.
     """
     act, _ = ACTIVATIONS[model.config.activation]
     nets = slice(None) if k is None else slice(k, k + 1)
     a = x.T[:, :, None]  # (m, n, 1)
     inputs = []
-    last = len(model.layer_weights) - 1
-    for l, (w, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
+    weights, biases = (model.layer_weights, model.layer_biases) if layers is None else layers
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
         if keep_cache:
             inputs.append(a)
         # The first layer has fan-in 1: its matmul is a broadcast product.
         z = a * w[nets] if l == 0 else np.matmul(a, w[nets])
         z += b[nets, None, :]
         a = act(z) if l < last else z
-    g = a[:, :, 0]  # (m, n)
+    g = a[:, :, 0].astype(np.float64, copy=False)  # (m, n)
     return g, inputs
 
 
@@ -319,7 +352,7 @@ def _combine(model: NamModel, g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def predict_log_risk(model: NamModel, x) -> np.ndarray:
     """Additive log-risk for a batch of rows; usable as a risk score.
 
-    The network runs on blocks that start every _LOG_RISK_BLOCK_ROWS rows,
+    The network runs on blocks that start every _BLOCK_ROWS rows,
     so only one block's activations are held. A last block of one row joins
     the block before it, as a one-row matmul takes another BLAS path; each
     row then gets the floats of one unblocked pass.
@@ -327,13 +360,18 @@ def predict_log_risk(model: NamModel, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
+    return _blocked_log_risk(model, x)
+
+
+def _blocked_log_risk(model: NamModel, x: np.ndarray, layers=None) -> np.ndarray:
+    """predict_log_risk's row blocks, with _subnet_forward's layers."""
     n = x.shape[0]
     out = np.empty(n)
     start = 0
     while start < n:
-        stop = n if n - start <= _LOG_RISK_BLOCK_ROWS + 1 else start + _LOG_RISK_BLOCK_ROWS
+        stop = n if n - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
         rows = x[start:stop]
-        out[start:stop] = _combine(model, _subnet_forward(model, rows)[0], rows)
+        out[start:stop] = _combine(model, _subnet_forward(model, rows, layers=layers)[0], rows)
         start = stop
     return out
 
@@ -344,7 +382,7 @@ def _subnet_params(model: NamModel) -> np.ndarray:
 
 
 def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float,
-                    keep_cache: bool = False):
+                    work: _Workspace, keep_cache: bool = False):
     """Forward pass and the penalized loss; returns (loss, g, log_risk, cache).
 
     The smooth part is sum_i v_i sum_j (phi_ij - log_risk_i)^2 * tau_j,
@@ -353,15 +391,16 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
     The lasso variant adds lam * sum|beta|, the shortcut variant
     lam * sum|alpha| + mu * ||subnet parameters||^2.
     Without keep_cache, g and the cache are None and the log-risk comes
-    from predict_log_risk's row blocks, with the floats of one pass.
+    from predict_log_risk's row blocks, with the floats of one pass. The
+    network runs in work's dtype, on x cast to it.
     """
     if lam < 0 or mu < 0:
         raise DataError("regularization strengths must be nonnegative")
-    x, v = targets.x, targets.weights
+    x, v, layers = targets.x.astype(work.dtype, copy=False), targets.weights, work.take(model)
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
-    g, cache = _subnet_forward(model, x, True) if keep_cache else (None, None)
-    log_risk = predict_log_risk(model, x) if g is None else _combine(model, g, x)
+    g, cache = _subnet_forward(model, x, True, layers=layers) if keep_cache else (None, None)
+    log_risk = _blocked_log_risk(model, x, layers) if g is None else _combine(model, g, x)
     e = log_risk * targets.T - targets.b
     loss = float((v @ (e * e)) / targets.T + v @ targets.c)
     if model.variant == "lasso":
@@ -374,16 +413,28 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
     return loss, g, log_risk, cache
 
 
+def _weight_gradient(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Each subnetwork's a^T @ delta, summed over _BLOCK_ROWS-row blocks in row order: OpenBLAS
+    splits one product's sum over the rows between its threads, so it rounds by thread count."""
+    dw = np.matmul(a[:, :_BLOCK_ROWS].transpose(0, 2, 1), delta[:, :_BLOCK_ROWS])
+    for start in range(_BLOCK_ROWS, a.shape[1], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        dw += np.matmul(a[:, rows].transpose(0, 2, 1), delta[:, rows])
+    return dw
+
+
 def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
-              g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray) -> np.ndarray:
+              g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray,
+              work: _Workspace) -> np.ndarray:
     """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
 
     At the |.| kink the subgradient 0 is used. The gradient is written into
     the flat vector out, in param_arrays() order, and out is returned. The
     cache is consumed: each entry leaves the list once used, and a hidden
     activation's buffer, once its derivative is taken, holds the next delta.
+    The deltas run in work's dtype; derivatives go into work's spare bytes.
     """
-    x, v = targets.x, targets.weights
+    x, v = inputs[0][:, :, 0].T, targets.weights  # x as the forward pass took it
     _, act_grad = ACTIVATIONS[model.config.activation]
 
     # d loss / d log_risk
@@ -406,13 +457,14 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
 
     # Backpropagate dg through the stacked subnetworks.
     layer_grads: list[np.ndarray] = []
-    delta = dg[:, :, None]
-    for w in reversed(model.layer_weights):
+    delta = dg.astype(work.dtype, copy=False)[:, :, None]
+    for w in reversed(work.weights):
         a = inputs.pop()  # this layer's input
-        layer_grads += [delta.sum(axis=1), np.matmul(a.transpose(0, 2, 1), delta)]
+        layer_grads += [delta.sum(axis=1), _weight_gradient(a, delta)]
         if inputs:  # a is a hidden activation: take its derivative, then reuse it
-            grad = act_grad(a)
-            delta = np.matmul(delta, w.transpose(0, 2, 1), out=a)
+            grad = act_grad(a, work.buffer)
+            product = np.multiply if w.shape[2] == 1 else np.matmul  # fan-out 1: a broadcast
+            delta = product(delta, w.transpose(0, 2, 1), out=a)
             delta *= grad
             del grad  # before the next layer's derivative is taken
     layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
@@ -425,26 +477,30 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
 
 
 def loss_and_gradient(model: NamModel, targets: TargetBatch,
-                      lam: float = 0.0, mu: float = 0.0, out: Optional[np.ndarray] = None):
+                      lam: float = 0.0, mu: float = 0.0, out: Optional[np.ndarray] = None,
+                      dtype=np.float64, work: Optional[_Workspace] = None):
     """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
 
     At the |.| kink the subgradient 0 is used. Gradients come back in
-    param_arrays() order, as views of one flat vector: out when given (it
-    must have model.flatten()'s shape), a new one otherwise. A non-finite
-    loss raises NumericError before any gradient is taken.
+    param_arrays() order, as float64 views of one flat vector: out when given
+    (it must have model.flatten()'s shape), a new one otherwise. A non-finite
+    loss raises NumericError before any gradient is taken. The network runs
+    in dtype (see _Workspace.take), on work's buffers when given.
     """
-    loss, g, log_risk, inputs = _penalized_loss(model, targets, lam, mu, keep_cache=True)
+    work = _Workspace(model, dtype) if work is None else work
+    loss, g, log_risk, inputs = _penalized_loss(model, targets, lam, mu, work, keep_cache=True)
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
     if out is None:
         out = np.empty_like(model._theta)
-    return loss, model._views(_backward(model, targets, lam, mu, g, log_risk, inputs, out))
+    return loss, model._views(_backward(model, targets, lam, mu, g, log_risk, inputs, out, work))
 
 
-def loss_only(model: NamModel, targets: TargetBatch,
-              lam: float = 0.0, mu: float = 0.0) -> float:
-    """The loss of _penalized_loss alone: no backprop cache, no gradients."""
-    return _penalized_loss(model, targets, lam, mu)[0]
+def loss_only(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0,
+              dtype=np.float64, work: Optional[_Workspace] = None) -> float:
+    """The loss of _penalized_loss alone, with the subnetworks in dtype: no cache, no gradients."""
+    work = _Workspace(model, dtype) if work is None else work
+    return _penalized_loss(model, targets, lam, mu, work)[0]
 
 
 def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
@@ -484,23 +540,27 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     """Adam optimization for config.epochs; returns (trained model, loss trace).
 
     Deterministic for fixed seeds. Every step takes its gradient from
-    loss_and_gradient into one flat vector and updates the flat parameter
-    vector with _adam_step; mini-batches are row slices of targets. The
-    trace holds the full-batch loss after each epoch, starting with the
-    initial loss. In full-batch mode each entry but the last is the loss
-    that loss_and_gradient returns for the next epoch's gradient, so the
-    network runs once per epoch; only the entry after the last update
-    (and, with mini-batches, every entry) takes a separate loss_only pass.
-    If the last epoch is not the best one seen, the best parameters are
-    restored, so the final loss never exceeds the initial loss. Raises
-    TrainingDivergedError when the loss stops being finite, before any
-    gradient is taken from it. The input model is left unchanged.
+    loss_and_gradient, computed in float32 (_TRAIN_DTYPE) on x cast once and
+    a per-step copy of the subnetworks' parameters, into one float64 vector,
+    and updates the float64 parameters with _adam_step; mini-batches are row
+    slices of targets. Each loss runs the network in float32 too. The trace
+    holds the full-batch loss after each epoch, starting with the initial
+    loss. In full-batch mode each entry but the last is the loss that
+    loss_and_gradient returns for the next epoch's gradient, so the network
+    runs once per epoch; only the entry after the last update (and, with
+    mini-batches, every entry) takes a separate loss_only pass. If the last
+    epoch is not the best one seen, the best parameters are restored, so the
+    final loss never exceeds the initial loss. Raises TrainingDivergedError
+    when the loss stops being finite, before any gradient is taken from it.
+    The input model is left unchanged.
     """
     cfg = config if config is not None else model.config
     model = model.copy()
     theta = model._theta
     grad = np.empty_like(theta)
     state = np.zeros((4, theta.size))
+    targets = _rows(targets, slice(None), _TRAIN_DTYPE)  # x cast once; batches slice it
+    precision = dict(dtype=_TRAIN_DTYPE, work=_Workspace(model, _TRAIN_DTYPE))
     lr = cfg.learning_rate
     full_batch = cfg.batch is None or cfg.batch >= targets.n
     batch_rng = np.random.default_rng(cfg.seed + 1)
@@ -508,11 +568,11 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     def full_batch_pass() -> float:
         """The full-batch loss, with its gradient in grad when the loss is finite."""
         try:
-            return loss_and_gradient(model, targets, lam, mu, out=grad)[0]
-        except NumericError:
-            return loss_only(model, targets, lam, mu)  # the non-finite value, for the trace
+            return loss_and_gradient(model, targets, lam, mu, out=grad, **precision)[0]
+        except NumericError:  # the non-finite value, for the trace
+            return loss_only(model, targets, lam, mu, **precision)
 
-    loss = full_batch_pass() if full_batch else loss_only(model, targets, lam, mu)
+    loss = full_batch_pass() if full_batch else loss_only(model, targets, lam, mu, **precision)
     trace = [loss]
     if not np.isfinite(loss):
         raise TrainingDivergedError("initial loss is not finite", trace)
@@ -528,15 +588,15 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
                 if epoch + 1 < cfg.epochs:
                     loss = full_batch_pass()
                 else:
-                    loss = loss_only(model, targets, lam, mu)
+                    loss = loss_only(model, targets, lam, mu, **precision)
             else:
                 order = batch_rng.permutation(targets.n)
                 for i in range(0, targets.n, cfg.batch):
                     loss_and_gradient(model, _rows(targets, order[i:i + cfg.batch]),
-                                      lam, mu, out=grad)
+                                      lam, mu, out=grad, **precision)
                     step += 1
                     _adam_step(model, grad, state, step, lr)
-                loss = loss_only(model, targets, lam, mu)
+                loss = loss_only(model, targets, lam, mu, **precision)
         except NumericError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", trace) from exc

@@ -125,8 +125,9 @@ def test_forward_only_loss_holds_one_block_of_activations():
     assert peak <= block + 4 * 1024 * 1024
 
 
-# Trains on a 686 x 8 batch for argv[1] epochs (argv[2] rows a batch, 0 for
-# the full batch) and prints the minor page faults of the training alone.
+# Trains a network of activation argv[3] on a 686 x 8 batch for argv[1] epochs
+# (argv[2] rows a batch, 0 for the full batch) and prints the minor page
+# faults of the training alone.
 _FAULT_COUNTER = """
 import resource, sys
 import numpy as np
@@ -134,7 +135,8 @@ from survshape.nam import NamConfig, TargetBatch, init_model, train
 rng = np.random.default_rng(0)
 targets = TargetBatch(rng.normal(size=(686, 8)), rng.normal(size=(686, 5)),
                       rng.uniform(0.2, 1.0, 5), np.ones(686))
-config = NamConfig(epochs=int(sys.argv[1]), batch=int(sys.argv[2]) or None)
+config = NamConfig(epochs=int(sys.argv[1]), batch=int(sys.argv[2]) or None,
+                   activation=sys.argv[3])
 model = init_model(8, config)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 train(model, targets, config)
@@ -143,15 +145,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc and its page faults")
-@pytest.mark.parametrize("batch", [0, 64])
-def test_training_epochs_do_not_page_fault(batch):
+@pytest.mark.parametrize("batch, activation", [(0, "relu"), (64, "relu"), (0, "tanh")],
+                         ids=["0", "64", "tanh"])
+def test_training_epochs_do_not_page_fault(batch, activation):
     # Without the MALLOC_ settings glibc hands big temporaries back to the
     # kernel when they are freed, so an epoch that allocated them afresh
     # would fault their pages in again: about 2400 (full batch) and 1700
-    # (batches of 64) minor faults an epoch.
+    # (batches of 64) minor faults an epoch. tanh's derivative, a float
+    # array the size of a hidden layer, made about 1700 while it was taken
+    # into a fresh array each epoch.
     env = {key: value for key, value in os.environ.items() if not key.startswith("MALLOC_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(survshape.__file__))
-    faults = [int(subprocess.run([sys.executable, "-c", _FAULT_COUNTER, str(epochs), str(batch)],
+    faults = [int(subprocess.run([sys.executable, "-c", _FAULT_COUNTER, str(epochs), str(batch),
+                                  activation],
                                  env=env, capture_output=True, text=True, check=True).stdout)
               for epochs in (50, 150)]
     assert (faults[1] - faults[0]) / 100 < 50

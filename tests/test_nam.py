@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -75,6 +78,7 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
 
     This is train as it was before full-batch epochs took their trace
     loss from the next gradient pass, kept as the oracle for that loop.
+    It computes in float32, the dtype train passes to the loss functions.
 
     Deterministic for fixed seeds. The trace holds the full-batch loss
     after each epoch, starting with the initial loss. If the last epoch is
@@ -93,7 +97,7 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
     lr = cfg.learning_rate
     batch_rng = np.random.default_rng(cfg.seed + 1)
 
-    trace = [loss_only(model, targets, lam, mu)]
+    trace = [loss_only(model, targets, lam, mu, dtype=np.float32)]
     if not np.isfinite(trace[0]):
         raise TrainingDivergedError("initial loss is not finite", trace)
     best_loss = trace[0]
@@ -109,7 +113,7 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
                        for i in range(0, targets.n, cfg.batch)]
         try:
             for batch in batches:
-                _, grads = loss_and_gradient(model, batch, lam, mu)
+                _, grads = loss_and_gradient(model, batch, lam, mu, dtype=np.float32)
                 step += 1
                 scale1 = 1.0 - b1 ** step
                 scale2 = 1.0 - b2 ** step
@@ -121,7 +125,7 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
                     p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
                 if model.alpha is not None:
                     np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
-            epoch_loss = loss_only(model, targets, lam, mu)
+            epoch_loss = loss_only(model, targets, lam, mu, dtype=np.float32)
         except NumericError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", trace) from exc
@@ -326,6 +330,13 @@ def _reference_penalized_loss(model: NamModel, targets: TargetBatch, lam: float,
     return loss, g, log_risk, cache
 
 
+def _reference_weight_gradient(a, delta, rows=256):
+    """Each subnetwork's a^T @ delta as the sum of its 256-row blocks' products, in row order."""
+    blocks = [np.matmul(a[:, s:s + rows].transpose(0, 2, 1), delta[:, s:s + rows])
+              for s in range(0, a.shape[1], rows)]
+    return sum(blocks[1:], blocks[0])
+
+
 def _reference_backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
                         g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray) -> np.ndarray:
     """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
@@ -359,7 +370,7 @@ def _reference_backward(model: NamModel, targets: TargetBatch, lam: float, mu: f
     delta = dg[:, :, None]
     for l in range(len(model.layer_weights) - 1, -1, -1):
         w = model.layer_weights[l]
-        dw = np.matmul(inputs[l].transpose(0, 2, 1), delta)
+        dw = _reference_weight_gradient(inputs[l], delta)
         db = delta.sum(axis=1)
         layer_grads.append(db)
         layer_grads.append(dw)
@@ -381,8 +392,8 @@ def reference_loss_and_gradient(model: NamModel, targets: TargetBatch,
 
     The three functions above are the forward pass, loss and backward pass
     as they were before the passes wrote into their own buffers, kept
-    verbatim (but for their names and these derivatives) as the oracle for
-    the in-place passes.
+    verbatim (but for their names, these derivatives and the weight
+    gradient's fixed row blocks) as the oracle for the in-place passes.
     """
     loss, g, log_risk, inputs = _reference_penalized_loss(model, targets, lam, mu,
                                                           keep_cache=True)
@@ -595,7 +606,7 @@ class TestTrain:
         targets = random_batch(rng, 20, 2)
         cfg = small_config(epochs=5, learning_rate=1e300, batch=8)
         model = init_model(2, cfg)
-        initial = loss_only(model, targets)
+        initial = loss_only(model, targets, dtype=np.float32)
         with pytest.raises(TrainingDivergedError) as err:
             train(model, targets, cfg)
         assert str(err.value) == "training diverged at epoch 0: loss is not finite"
@@ -779,7 +790,8 @@ class TestFusedTrainingLoop:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("variant, learning_rate, epoch", [
         ("base", 1e55, 0),
-        ("shortcut", 1e44, 1),
+        # In float32 a step of 1e38 or more overflows the weights' copy at once.
+        ("shortcut", 1e10, 1),
     ])
     def test_divergence_mid_training_same_error(self, monkeypatch, variant,
                                                 learning_rate, epoch):
@@ -797,6 +809,116 @@ class TestFusedTrainingLoop:
         assert len(got.value.trace) == epoch + 1
         # One backward pass per update; none on the non-finite loss.
         assert len(backward) == epoch + 1
+
+
+class TestTrainingPrecision:
+    """train computes in float32; the loss functions' float64 default is the exact path."""
+
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(64, 32), (8, 4)])
+    def test_float32_gradient_is_within_1e_4_of_float64(self, variant, activation, hidden):
+        rng = np.random.default_rng(7)
+        model = init_model(3, small_config(variant, hidden_sizes=hidden, activation=activation))
+        randomize_params(model, rng)
+        for n in (6, 700):
+            targets = random_batch(rng, n, 3)
+            loss, grads = loss_and_gradient(model, targets, 0.3, 0.05)
+            low_loss, low_grads = loss_and_gradient(model, targets, 0.3, 0.05, dtype=np.float32)
+            exact = np.concatenate([g.ravel() for g in grads])
+            low = np.concatenate([g.ravel() for g in low_grads])
+            assert low.dtype == np.float64
+            denom = np.maximum(np.abs(exact), 1e-2 * np.abs(exact).max())
+            assert np.max(np.abs(low - exact) / denom) < 1e-4
+            assert low_loss == pytest.approx(loss, rel=1e-6)
+            assert loss_only(model, targets, 0.3, 0.05, dtype=np.float32) == pytest.approx(
+                loss, rel=1e-6)
+
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    def test_subnormal_weights_are_flushed_to_zero(self, variant):
+        # Weights below the root of the smallest normal float32, about 1.1e-19,
+        # are 0 in the float32 copy, so no product of two weights is subnormal.
+        rng = np.random.default_rng(8)
+        kept = np.float32(np.sqrt(np.finfo(np.float32).tiny))
+        model = init_model(3, small_config(variant, hidden_sizes=(64, 32)))
+        randomize_params(model, rng)
+        zeroed = model.copy()
+        model.layer_weights[1][0] = 1e-40
+        model.layer_weights[2][1] = -1e-40
+        model.layer_biases[0][2] = 1e-25
+        model.layer_weights[0][1] = kept
+        zeroed.layer_weights[1][0] = zeroed.layer_weights[2][1] = zeroed.layer_biases[0][2] = 0.0
+        zeroed.layer_weights[0][1] = kept
+        weights, biases = nam._Workspace(model, np.float32).take(model)
+        assert weights[1].dtype == np.float32
+        assert not np.any(weights[1][0]) and not np.any(weights[2][1]) and not np.any(biases[0][2])
+        assert np.all(weights[0][1] == kept)
+        targets = random_batch(rng, 300, 3)
+        assert (loss_only(model, targets, dtype=np.float32)
+                == loss_only(zeroed, targets, dtype=np.float32))
+        flat = [np.concatenate([g.ravel() for g in loss_and_gradient(m, targets,
+                                                                     dtype=np.float32)[1]])
+                for m in (model, zeroed)]
+        assert flat[0].tobytes() == flat[1].tobytes()
+
+    def test_shortcut_with_subnormal_weights_trains_to_a_finite_loss(self):
+        rng = np.random.default_rng(9)
+        targets = random_batch(rng, 40, 3)
+        cfg = small_config("shortcut", hidden_sizes=(64, 32), epochs=30, learning_rate=1e-2)
+        model = init_model(3, cfg)
+        for w in model.layer_weights:
+            w[...] = 1e-40 * np.sign(w)
+        trained, trace = train(model, targets, cfg, 0.01, 1.0)
+        assert all(np.isfinite(trace)) and trace[-1] <= trace[0]
+        assert np.all(np.isfinite(trained.flatten()))
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_train_computes_in_float32_and_keeps_float64_parameters(self, monkeypatch, batch):
+        rng = np.random.default_rng(10)
+        targets = random_batch(rng, 9, 3)
+        cfg = small_config("lasso", epochs=10, learning_rate=1e-2, batch=batch)
+        dtypes = []
+        for name in ("loss_and_gradient", "loss_only"):
+            original = getattr(nam, name)
+
+            def spy(*args, original=original, **kwargs):
+                dtypes.append(kwargs.get("dtype", np.float64))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(nam, name, spy)
+        trained, _ = train(init_model(3, cfg), targets, cfg, lam=0.1)
+        assert len(dtypes) >= 11 and all(d == np.float32 for d in dtypes)
+        assert trained.flatten().dtype == np.float64
+        x = rng.normal(size=(300, 3))
+        assert predict_log_risk(trained, x).tobytes() == unblocked_log_risk(trained, x).tobytes()
+
+
+# Prints a hash of the bytes of one gradient pass per dtype, over 700 rows
+# (three 256-row blocks) of the default network.
+_GRADIENT_HASHES = """
+import hashlib
+import numpy as np
+from survshape.nam import NamConfig, TargetBatch, init_model, loss_and_gradient
+rng = np.random.default_rng(0)
+targets = TargetBatch(rng.normal(size=(700, 8)), rng.normal(size=(700, 5)),
+                      rng.uniform(0.2, 1.0, 5), rng.uniform(0.1, 1.0, 700))
+model = init_model(8, NamConfig(variant="lasso"))
+for dtype in (np.float64, np.float32):
+    grads = loss_and_gradient(model, targets, 0.1, dtype=dtype)[1]
+    print(hashlib.sha256(np.concatenate([g.ravel() for g in grads]).tobytes()).hexdigest())
+"""
+
+
+def test_gradient_does_not_depend_on_the_blas_thread_count():
+    # Each layer's weight gradient sums over the rows. Taken as one product,
+    # OpenBLAS splits that sum between its threads when it has more than one,
+    # and the floats moved with the thread count.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nam.__file__))
+    hashes = [subprocess.run([sys.executable, "-c", _GRADIENT_HASHES], env=run_env, check=True,
+                             capture_output=True, text=True).stdout
+              for run_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})]
+    assert hashes[0] == hashes[1] and len(hashes[0].split()) == 2
 
 
 class TestShapeCurve:
