@@ -19,7 +19,6 @@ from .errors import (
     AlignmentError,
     DataError,
     DiameterUndefinedError,
-    EstimatorUndefinedError,
     GridDegenerateError,
     MetricUndefinedError,
     NumericError,

@@ -34,14 +34,14 @@ from .data import (
     train_test_split,
 )
 from .errors import DataError, NumericError, SurvShapeError, _atomic_open, _read_json
-from .explain import explain_global, explain_local, surrogate_c_index
+from .explain import EPSILON, N_POINTS, explain_global, explain_local, surrogate_c_index
 from .forest import (
     ForestConfig,
     fit_forest,
     load_forest,
     save_forest,
 )
-from .nam import ACTIVATIONS, VARIANTS, NamConfig, load_model, save_model
+from .nam import ACTIVATIONS, VARIANTS, NamConfig, default_mu, load_model, save_model
 from .report import (
     _fmt,
     explanation_summary,
@@ -49,7 +49,7 @@ from .report import (
     write_shapes_svg,
 )
 from .survival import concordance_index, risk_scores
-from .synthetic import SHAPE_FUNCTIONS, SyntheticSpec, generate_cox_data
+from .synthetic import FEATURE_DISTRIBUTIONS, SHAPE_FUNCTIONS, SyntheticSpec, generate_cox_data
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -160,7 +160,7 @@ def cmd_explain(args) -> int:
     if args.center_row is not None and args.center_values is not None:
         raise _UsageError("give only one of --center-row / --center-values")
     if args.mu is None:
-        args.mu = 1.0 if args.variant == "shortcut" else 0.0
+        args.mu = default_mu(args.variant)
 
     hidden = _parse_list(args, "hidden", int)
     print(_banner(args))
@@ -270,7 +270,7 @@ def build_parser():
     p.add_argument("--features-per-split", type=int, default=ForestConfig.features_per_split)
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--gamma-fraction", type=float, default=ForestConfig.gamma_fraction)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ForestConfig.seed)
     p.set_defaults(func=cmd_fit)
 
     p = subparsers["explain"] = sub.add_parser(
@@ -285,17 +285,17 @@ def build_parser():
                    help="row of --data to explain (local mode)")
     p.add_argument("--center-values", default=None,
                    help="comma-separated encoded feature values (local mode)")
-    p.add_argument("--n-points", type=int, default=100)
+    p.add_argument("--n-points", type=int, default=N_POINTS)
     p.add_argument("--lam", type=float, default=0.0, help="L1 strength")
     p.add_argument("--mu", type=float, default=None,
                    help="L2 strength on subnet parameters (default 1 for shortcut, else 0)")
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.add_argument("--hidden", default=",".join(map(str, NamConfig.hidden_sizes)))
     p.add_argument("--activation", choices=tuple(ACTIVATIONS), default=NamConfig.activation)
     p.add_argument("--learning-rate", type=float, default=NamConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=NamConfig.epochs)
     p.add_argument("--batch", type=int, default=NamConfig.batch)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=NamConfig.seed)
     p.add_argument("--svg", action="store_true", help="also write shapes.svg")
     p.set_defaults(func=cmd_explain)
 
@@ -306,11 +306,13 @@ def build_parser():
     p.add_argument("--coef", default=None, help="comma-separated linear coefficients")
     p.add_argument("--shapes", default=None,
                    help="comma-separated shape names: " + ",".join(sorted(SHAPE_FUNCTIONS)))
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--shape", type=float, default=1.0, help="Weibull shape parameter")
-    p.add_argument("--censoring", type=float, default=0.0)
-    p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scale", type=float, default=SyntheticSpec.scale)
+    p.add_argument("--shape", type=float, default=SyntheticSpec.shape_param,
+                   help="Weibull shape parameter")
+    p.add_argument("--censoring", type=float, default=SyntheticSpec.censoring_rate)
+    p.add_argument("--dist", choices=FEATURE_DISTRIBUTIONS,
+                   default=SyntheticSpec.feature_distribution)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synth)
 

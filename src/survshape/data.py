@@ -28,6 +28,7 @@ from .errors import (
     _atomic_open,
     _field,
     _read_json,
+    _real,
 )
 from .survival import KIND_NUMERIC, KIND_ONE_HOT, SurvivalDataset
 
@@ -225,7 +226,7 @@ def _split_indices(n: int, test_fraction: float, seed: int):
     attempt a shuffles with default_rng([seed, a]). A side of fewer than
     2 rows can never hold a dataset, so it is a DataError at once.
     """
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < _real(test_fraction, "test_fraction") < 1.0:
         raise DataError("test_fraction must lie strictly between 0 and 1")
     n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
     if min(n_test, n - n_test) < 2:

@@ -7,14 +7,16 @@ it alike and turns an unreadable, unparsable or corrupt file into a
 DataError, and `_field`, `_floats` and `_config`, which do the same for
 an ill-typed key, float array or config block;
 `_pack_floats` stores a float array as base64 of its float64 bytes. The
-config classes check their integer and real fields with `_integer` and
-`_real`. Every artifact writer goes through `_atomic_open`, text or
-binary, so a failed or interrupted write leaves no partial file.
+config classes check their integer fields with `_integer`, and every
+real-valued setting is checked, finite too, by `_real`. Every artifact
+writer goes through `_atomic_open`, text or binary, so a failed or
+interrupted write leaves no partial file.
 """
 
 import base64
 import gzip
 import json
+import math
 import numbers
 import operator
 import os
@@ -34,10 +36,6 @@ class DataError(SurvShapeError):
 
 class GridDegenerateError(DataError):
     """Fewer than two distinct times: no interval partition exists."""
-
-
-class EstimatorUndefinedError(DataError):
-    """Cumulative-hazard estimator hit an empty risk set at an event time."""
 
 
 class TooFewRowsError(DataError):
@@ -126,9 +124,11 @@ def _integer(value, name: str, optional: bool = False):
 
 
 def _real(value, name: str) -> float:
-    """value as a Python float; DataError unless it is a real number other than a bool."""
+    """value as a finite Python float; DataError for a bool, a non-number, NaN or ±inf."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        if math.isfinite(value):
+            return float(value)
+        raise DataError(f"{name} must be finite, got {float(value)!r}")
     raise DataError(f"{name} must be a real number, got {value!r}")
 
 

@@ -24,13 +24,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, DiameterUndefinedError, MetricUndefinedError
+from .errors import AlignmentError, DataError, DiameterUndefinedError, MetricUndefinedError, _real
 from .nam import (
     VARIANT_HEADS,
     NamConfig,
     NamModel,
     ShapeCurve,
     TargetBatch,
+    default_mu,
     init_model,
     predict_log_risk,
     shape_curve,
@@ -45,25 +46,12 @@ from .survival import (
     risk_scores,
 )
 
-__all__ = [
-    "Neighborhood",
-    "TargetBatch",
-    "FitDiagnostics",
-    "Explanation",
-    "dataset_diameter",
-    "generate_perturbations",
-    "build_neighborhood",
-    "neighborhood_weights",
-    "build_targets",
-    "explain_local",
-    "explain_global",
-    "surrogate_c_index",
-]
-
 # About how many squared distances dataset_diameter forms at a time (8 MB).
 _DIAMETER_BLOCK_ELEMENTS = 1 << 20
 # Points on the sampled curve of a numeric feature.
 _CURVE_SAMPLES = 101
+EPSILON = 1e-5  # the floor of both CHFs in a log-ratio target
+N_POINTS = 100  # the perturbed points of a local explanation
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ def _max_squared_distance(x: np.ndarray, sq: np.ndarray) -> float:
     return float(peaks.max())
 
 
-def generate_perturbations(x, dataset: SurvivalDataset, n_points: int = 100,
+def generate_perturbations(x, dataset: SurvivalDataset, n_points: int = N_POINTS,
                            seed: int = 0) -> np.ndarray:
     """Normal perturbations of the numeric coordinates of x.
 
@@ -204,7 +192,7 @@ def neighborhood_weights(x, points, radius: float) -> np.ndarray:
     return np.clip(1.0 - np.sqrt(dist / radius), 0.0, 1.0)
 
 
-def build_neighborhood(x, dataset: SurvivalDataset, n_points: int = 100,
+def build_neighborhood(x, dataset: SurvivalDataset, n_points: int = N_POINTS,
                        seed: int = 0) -> Neighborhood:
     """Generate perturbations and weight them; radius = distance to the farthest.
 
@@ -223,9 +211,9 @@ def build_neighborhood(x, dataset: SurvivalDataset, n_points: int = 100,
 
 
 def build_targets(blackbox, baseline: PiecewiseChf, points, weights,
-                  epsilon: float = 1e-5) -> TargetBatch:
+                  epsilon: float = EPSILON) -> TargetBatch:
     """Log-ratio targets ln H_j(x_i) - ln H_0j with both sides epsilon-floored."""
-    if not epsilon > 0:
+    if not _real(epsilon, "epsilon") > 0:
         raise DataError("epsilon must be positive")
     if blackbox.grid != baseline.grid:
         raise AlignmentError("black-box CHF grid differs from the baseline grid")
@@ -264,10 +252,11 @@ def _read_black_box(mode, blackbox, dataset, points, weights, epsilon):
 
 def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
                      epsilon, seed, center):
+    mu = default_mu(config.variant) if mu is None else mu
     targets, blackbox_risk = _read_black_box(mode, blackbox, dataset, points, weights,
                                              epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
-    model, trace = train(model, targets, config, lam, mu)
+    model, trace = train(model, targets, lam, mu)
 
     curves = []
     for k, kind in enumerate(dataset.feature_kinds):
@@ -295,12 +284,13 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
 
 def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
-                  lam: float = 0.0, mu: float = 0.0, n_points: int = 100,
-                  epsilon: float = 1e-5, seed: int = 0) -> Explanation:
+                  lam: float = 0.0, mu: Optional[float] = None, n_points: int = N_POINTS,
+                  epsilon: float = EPSILON, seed: int = 0) -> Explanation:
     """Explain the black box around one point via a perturbation neighborhood.
 
     The kernel radius is the largest distance between x and a generated
     point, so the weights span (0, 1] with exactly 0 at the farthest point.
+    The surrogate trains with config; mu=None means nam.default_mu(config.variant).
     Deterministic for fixed (seed, config).
     """
     x = np.asarray(x, dtype=float)
@@ -310,8 +300,9 @@ def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
 
 
 def explain_global(blackbox, dataset: SurvivalDataset, config: NamConfig,
-                   lam: float = 0.0, mu: float = 0.0, epsilon: float = 1e-5) -> Explanation:
-    """Explain the black box over the whole training set with unit weights."""
+                   lam: float = 0.0, mu: Optional[float] = None,
+                   epsilon: float = EPSILON) -> Explanation:
+    """Explain the black box over the training set, unit weights; mu as in explain_local."""
     return _fit_and_package("global", blackbox, dataset, dataset.features.copy(),
                             np.ones(dataset.n), config, lam, mu, epsilon, config.seed, None)
 

@@ -52,6 +52,7 @@ import numpy as np
 from .errors import (DataError, _atomic_open, _config, _field, _floats, _integer, _pack_floats,
                      _read_json, _real)
 from .survival import (
+    GAMMA_FRACTION,
     SurvivalDataset,
     TimeGrid,
     _leaf_counts,
@@ -89,7 +90,7 @@ class ForestConfig:
     max_depth: Optional[int] = None
     features_per_split: Optional[int] = None  # default: ceil(sqrt(m))
     seed: int = 0
-    gamma_fraction: float = 0.01
+    gamma_fraction: float = GAMMA_FRACTION
 
     def __post_init__(self):
         for name in ("n_trees", "min_leaf_events", "max_depth", "features_per_split", "seed"):

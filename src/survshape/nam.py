@@ -61,6 +61,11 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def default_mu(variant: str) -> float:
+    """The L2 strength a variant trains with when none is given: 1 for shortcut, else 0."""
+    return 1.0 if variant == "shortcut" else 0.0
+
+
 # The JSON types load_model accepts for each key of the model file's config block.
 _CONFIG_KINDS = {"hidden_sizes": list, "activation": str, "learning_rate": (int, float),
                  "epochs": int, "batch": (int, type(None)), "seed": int, "variant": str}
@@ -394,7 +399,7 @@ def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float
     from predict_log_risk's row blocks, with the floats of one pass. The
     network runs in work's dtype, on x cast to it.
     """
-    if lam < 0 or mu < 0:
+    if _real(lam, "lam") < 0 or _real(mu, "mu") < 0:
         raise DataError("regularization strengths must be nonnegative")
     x, v, layers = targets.x.astype(work.dtype, copy=False), targets.weights, work.take(model)
     if x.shape[1] != model.m:
@@ -535,10 +540,10 @@ def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every loss is checked for finiteness
-def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
-          lam: float = 0.0, mu: float = 0.0):
-    """Adam optimization for config.epochs; returns (trained model, loss trace).
+def train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0):
+    """Adam optimization with model.config's settings; returns (trained model, loss trace).
 
+    lam and mu must be finite and nonnegative (DataError otherwise).
     Deterministic for fixed seeds. Every step takes its gradient from
     loss_and_gradient, computed in float32 (_TRAIN_DTYPE) on x cast once and
     a per-step copy of the subnetworks' parameters, into one float64 vector,
@@ -554,7 +559,7 @@ def train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = N
     when the loss stops being finite, before any gradient is taken from it.
     The input model is left unchanged.
     """
-    cfg = config if config is not None else model.config
+    cfg = model.config
     model = model.copy()
     theta = model._theta
     grad = np.empty_like(theta)

@@ -36,11 +36,7 @@ def explanation_summary(expl: Explanation) -> list[tuple[str, str]]:
     pairs = [
         ("mode", expl.mode),
         ("variant", expl.variant),
-        ("lambda", _fmt(expl.params.get("lambda"))),
-        ("mu", _fmt(expl.params.get("mu"))),
-        ("epsilon", _fmt(expl.params.get("epsilon"))),
-        ("n_points", _fmt(expl.params.get("n_points"))),
-        ("seed", _fmt(expl.params.get("seed"))),
+        *((key, _fmt(expl.params[key])) for key in "lambda mu epsilon n_points seed".split()),
         ("initial_loss", _fmt(expl.diagnostics.initial_loss)),
         ("final_loss", _fmt(expl.diagnostics.final_loss)),
         ("epochs", _fmt(expl.diagnostics.epochs)),

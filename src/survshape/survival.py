@@ -20,10 +20,12 @@ from .errors import (
     GridDegenerateError,
     MetricUndefinedError,
     TooFewRowsError,
+    _real,
 )
 
 KIND_NUMERIC = "numeric"
 KIND_ONE_HOT = "one_hot_level"
+GAMMA_FRACTION = 0.01  # the tail interval's width, as a fraction of the event-time span
 
 
 @dataclass(frozen=True)
@@ -174,14 +176,14 @@ class PiecewiseChf:
         return _step_values(self.grid.times, self.values, np.asarray(t, dtype=float))
 
 
-def build_time_grid(dataset: SurvivalDataset, gamma_fraction: float = 0.01) -> TimeGrid:
+def build_time_grid(dataset: SurvivalDataset, gamma_fraction: float = GAMMA_FRACTION) -> TimeGrid:
     """Distinct observed event times plus a tail interval of relative width gamma_fraction.
 
     Uses the times of samples with an observed event; falls back to all
     observed times when fewer than two of those are distinct. Raises
     GridDegenerateError when even the fallback has fewer than two.
     """
-    if not gamma_fraction > 0:
+    if not _real(gamma_fraction, "gamma_fraction") > 0:
         raise DataError("gamma_fraction must be positive")
     event_times = np.unique(dataset.times[dataset.events == 1])
     if len(event_times) < 2:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _real
 from .survival import SurvivalDataset, TimeGrid, build_time_grid
 
 # Named univariate shapes usable as ground-truth per-feature effects.
@@ -25,6 +25,7 @@ SHAPE_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "abs": np.abs,
     "sin3": lambda x: np.sin(3.0 * x),
 }
+FEATURE_DISTRIBUTIONS = ("uniform", "normal")  # uniform on [-1, 1], standard normal
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class SyntheticSpec:
     scale: float = 1.0
     shape_param: float = 1.0
     censoring_rate: float = 0.0
-    feature_distribution: str = "uniform"  # uniform on [-1, 1] or "normal"
+    feature_distribution: str = FEATURE_DISTRIBUTIONS[0]
     seed: int = 0
 
     def __post_init__(self):
@@ -59,11 +60,13 @@ class SyntheticSpec:
             unknown = [s for s in self.shapes if s not in SHAPE_FUNCTIONS]
             if unknown:
                 raise DataError(f"unknown shape names: {unknown}")
+        for name in ("scale", "shape_param", "censoring_rate"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.scale > 0 and self.shape_param > 0):
             raise DataError("Weibull scale and shape must be positive")
         if not 0.0 <= self.censoring_rate < 1.0:
             raise DataError("censoring_rate must lie in [0, 1)")
-        if self.feature_distribution not in ("uniform", "normal"):
+        if self.feature_distribution not in FEATURE_DISTRIBUTIONS:
             raise DataError("feature_distribution must be 'uniform' or 'normal'")
         if self.coef is not None:
             object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))

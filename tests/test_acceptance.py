@@ -116,7 +116,7 @@ class TestCriterion2MinimizerOracle:
                       - np.log(np.maximum(baseline.values, 1e-5)))
         star = oracle_psi_star(log_ratios, forest.grid.widths)
         cfg = NamConfig(hidden_sizes=(64, 32), learning_rate=1e-2, epochs=4000, seed=0)
-        model, _ = train(init_model(2, cfg), targets, cfg, lam=0.0, mu=0.0)
+        model, _ = train(init_model(2, cfg), targets, lam=0.0, mu=0.0)
         rmse = float(np.sqrt(np.mean((predict_log_risk(model, points) - star) ** 2)))
         elapsed = time.time() - t0
         assert rmse < 0.05, f"RMSE {rmse:.4f}"

@@ -284,6 +284,7 @@ class TestConfigFile:
                     "--seed", "0", "--out", str(out)])
         assert code == 0
         assert "mu,1.0" in (out / "explanation.csv").read_text()
+        assert "\n  mu = 1.0\n" in (out / "report.txt").read_text()
 
 
 class TestEval:
@@ -874,7 +875,19 @@ _FAILED_WORK = [
     ("fit-nan-feature", 3, "feature 'x1' holds a non-finite value"),
     ("fit-inf-time", 3, "observed times must be finite"),
     ("explain-zero-weights", 3, "no weight is positive"),
-]
+] + [(f"{command} {flag} {value}", 3, f"error: {setting} must be finite, got {value}\n")
+     for command, flag, value, setting in [
+         # (command and its other flags, flag, non-finite value, setting the message names)
+         ("explain --variant shortcut", "--mu", "nan", "mu"),
+         ("explain", "--lam", "nan", "lam"),
+         ("explain --variant lasso", "--lam", "nan", "lam"),
+         ("explain", "--learning-rate", "inf", "learning_rate"),
+         ("explain", "--epsilon", "inf", "epsilon"),
+         ("fit", "--gamma-fraction", "inf", "gamma_fraction"),
+         ("fit", "--test-fraction", "nan", "test_fraction"),
+         ("synth", "--scale", "inf", "scale"),
+         ("synth", "--censoring", "nan", "censoring_rate"),
+     ]]
 
 
 class TestDataErrorLeavesNoOut:
@@ -957,7 +970,13 @@ class TestDataErrorLeavesNoOut:
         forest = str(fitted_dir / "forest.bin")
         data = str(synth_dir / "dataset.csv")
         model = str(model_dir / "nam.json")
-        if case == "synth-one-row":
+        command, *flags = case.split()
+        if flags:  # a setting given a non-finite value
+            argv = {"synth": ["synth", "--n", "20", "--m", "1", "--coef", "1"],
+                    "fit": ["fit", "--data", data, "--trees", "2"],
+                    "explain": ["explain", "--forest", forest, "--data", data, "--epochs", "3"],
+                    }[command] + flags
+        elif case == "synth-one-row":
             argv = ["synth", "--n", "1", "--m", "2", "--coef", "1,1"]
         elif case == "explain-diverges":
             argv = ["explain", "--forest", forest, "--data", data,

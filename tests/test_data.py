@@ -145,6 +145,11 @@ class TestTrainTestSplit:
         train, test = train_test_split(self.make(), 0.25, seed=1)
         assert (train.n, test.n) == (75, 25)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_non_finite_fraction_refused(self, fraction):
+        with pytest.raises(DataError, match=f"^test_fraction must be finite, got {fraction!r}$"):
+            train_test_split(self.make(), fraction)
+
     def test_deterministic(self):
         ds = self.make()
         t1 = train_test_split(ds, 0.3, seed=2)

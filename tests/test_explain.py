@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survshape import explain
-from survshape.errors import AlignmentError, DiameterUndefinedError
+from survshape.errors import AlignmentError, DataError, DiameterUndefinedError
 from survshape.explain import (
     build_neighborhood,
     build_targets,
@@ -274,6 +274,14 @@ class TestBuildTargets:
         batch = build_targets(bb, baseline, np.zeros((1, 1)), np.ones(1), epsilon=1e-5)
         assert_all_log_ratios(batch, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        grid = TimeGrid(np.array([1.0, 2.0]), 0.1)
+        baseline = PiecewiseChf(grid, np.array([0.1, 0.2]))
+        bb = constant_box(grid, np.array([0.1, 0.2]))
+        with pytest.raises(DataError, match=f"^epsilon must be finite, got {epsilon!r}$"):
+            build_targets(bb, baseline, np.zeros((1, 1)), np.ones(1), epsilon=epsilon)
+
     def test_grid_mismatch_raises(self):
         grid_a = TimeGrid(np.array([1.0, 2.0]), 0.1)
         grid_b = TimeGrid(np.array([1.0, 3.0]), 0.1)
@@ -339,8 +347,8 @@ class TestExplainLocal:
         cfg = fast_config(epochs=150)
         t1 = build_targets(oracle, baseline, pts, w)
         t2 = build_targets(oracle, baseline, pts[perm], w[perm])
-        m1, _ = train(init_model(dataset.m, cfg), t1, cfg)
-        m2, _ = train(init_model(dataset.m, cfg), t2, cfg)
+        m1, _ = train(init_model(dataset.m, cfg), t1)
+        m2, _ = train(init_model(dataset.m, cfg), t2)
         psi1 = predict_log_risk(m1, pts)
         psi2 = predict_log_risk(m2, pts)
         assert np.allclose(psi1, psi2, atol=1e-6)
@@ -365,6 +373,22 @@ class TestExplainGlobal:
         expl = explain_global(bb, dataset, fast_config())
         for curve in expl.curves:
             assert np.max(np.abs(curve.values)) < 0.05
+
+    def test_shortcut_defaults_to_mu_one(self):
+        _, dataset, _, oracle = linear_setup(n=60)
+        cfg = fast_config("shortcut", epochs=20)
+        default = explain_global(oracle, dataset, cfg)
+        explicit = explain_global(oracle, dataset, cfg, mu=1.0)
+        assert default.params["mu"] == explicit.params["mu"] == 1.0
+        assert default.model.flatten().tobytes() == explicit.model.flatten().tobytes()
+        assert default.model.flatten().tobytes() != explain_global(
+            oracle, dataset, cfg, mu=0.0).model.flatten().tobytes()
+
+    @pytest.mark.parametrize("variant", ["base", "lasso"])
+    def test_other_variants_default_to_mu_zero(self, variant):
+        _, dataset, _, oracle = linear_setup(n=60)
+        expl = explain_global(oracle, dataset, fast_config(variant, epochs=2))
+        assert expl.params["mu"] == 0.0
 
     def test_duplicated_dataset_same_result(self):
         _, dataset, _, oracle = linear_setup(n=60)
@@ -417,8 +441,8 @@ class TestExplainGlobal:
         # Every log-ratio moves by -log c: the row means move, the floors stay.
         assert np.allclose(t2.b / t2.T, t1.b / t1.T - np.log(c), atol=1e-9)
         assert np.allclose(t2.c, t1.c, atol=1e-9)
-        m1, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t1, cfg)
-        m2, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t2, cfg)
+        m1, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t1)
+        m2, _ = train(init_model(dataset.m, cfg, dataset.feature_names), t2)
         from survshape.nam import shape_curve
         for k in range(dataset.m):
             xs = np.linspace(-1, 1, 9)

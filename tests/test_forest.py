@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survshape import forest as forest_module
-from survshape.errors import DataError, EstimatorUndefinedError, _floats, _pack_floats
+from survshape.errors import DataError, _floats, _pack_floats
 from survshape.forest import (
     ForestConfig,
     fit_forest,
@@ -384,6 +384,11 @@ class TestFitAndPredict:
         with pytest.raises(DataError, match=f"^{field} must be {kind}, got {value!r}$"):
             ForestConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite_gamma_fraction(self, value):
+        with pytest.raises(DataError, match=f"^gamma_fraction must be finite, got {value!r}$"):
+            ForestConfig(gamma_fraction=value)
+
     def test_config_keeps_int_fields(self):
         config = ForestConfig(n_trees=np.int64(3), min_leaf_events=2, max_depth=None,
                               features_per_split=np.int32(2), seed=4)
@@ -422,6 +427,10 @@ def _forest_bytes(forest, path):
     return path.read_bytes()
 
 
+class WorkerFailure(DataError):
+    """A DataError subclass a pool worker raises; module-level, so it pickles by name."""
+
+
 class TestWorkerPool:
     """Trees grow in one process per usable CPU; the forest is the serial one."""
 
@@ -458,13 +467,13 @@ class TestWorkerPool:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def fail(*args):
-            raise EstimatorUndefinedError("empty risk set at an event time")
+            raise WorkerFailure("empty risk set at an event time")
 
         monkeypatch.setattr(forest_module, "_grow_tree", fail)
         _usable_cpus(monkeypatch, 2)
         with pytest.raises(DataError) as caught:
             fit_forest(separable_dataset(), ForestConfig(n_trees=4, min_leaf_events=2))
-        assert type(caught.value) is EstimatorUndefinedError
+        assert type(caught.value) is WorkerFailure
         assert str(caught.value) == "empty risk set at an event time"
         assert multiprocessing.active_children() == []
 

@@ -139,7 +139,7 @@ config = NamConfig(epochs=int(sys.argv[1]), batch=int(sys.argv[2]) or None,
                    activation=sys.argv[3])
 model = init_model(8, config)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train(model, targets, config)
+train(model, targets)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -72,8 +72,7 @@ def reference_loss(model: NamModel, x, phi, tau, v, lam: float = 0.0, mu: float 
     return loss
 
 
-def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamConfig] = None,
-                    lam: float = 0.0, mu: float = 0.0):
+def reference_train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0):
     """Reference Adam loop: a separate loss_only pass after every epoch's update.
 
     This is train as it was before full-batch epochs took their trace
@@ -88,7 +87,7 @@ def reference_train(model: NamModel, targets: TargetBatch, config: Optional[NamC
     """
     if targets.n == 0:
         raise DataError("cannot train on an empty target batch")
-    cfg = config if config is not None else model.config
+    cfg = model.config
     model = model.copy()
     params = model.param_arrays()
     moment1 = [np.zeros_like(p) for p in params]
@@ -159,6 +158,8 @@ class TestConfig:
         (dict(hidden_sizes=64), "hidden_sizes must be a nonempty list of positive ints"),
         (dict(hidden_sizes=None), "hidden_sizes must be a nonempty list of positive ints"),
         (dict(activation=["relu"]), "unknown activation ['relu']"),
+        (dict(learning_rate=float("nan")), "learning_rate must be finite, got nan"),
+        (dict(learning_rate=np.float64("inf")), "learning_rate must be finite, got inf"),
     ])
     def test_rejects_non_int_fields(self, kwargs, message):
         with pytest.raises(DataError) as err:
@@ -171,6 +172,35 @@ class TestConfig:
         assert all(type(v) is int for v in cfg.hidden_sizes + (cfg.epochs, cfg.seed))
         assert NamConfig(batch=np.int64(16)).batch == 16
         assert type(NamConfig(learning_rate=np.float32(0.5)).learning_rate) is float
+
+
+class TestNonFiniteStrengths:
+    """train and both loss functions refuse a NaN or infinite lam or mu, in every variant."""
+
+    @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
+    @pytest.mark.parametrize("name, value", [
+        ("lam", float("nan")), ("lam", -float("inf")), ("mu", float("nan")),
+        ("mu", float("inf")),
+    ])
+    def test_refused_before_any_step(self, variant, name, value, monkeypatch):
+        rng = np.random.default_rng(6)
+        targets = random_batch(rng, 6, 2)
+        model = init_model(2, small_config(variant, epochs=3))
+        steps = []
+        monkeypatch.setattr(nam, "_adam_step", lambda *args: steps.append(1))
+        strengths = {"lam": 0.1, "mu": 0.1, name: value}
+        for call in (train, loss_and_gradient, loss_only):
+            with pytest.raises(DataError, match=f"^{name} must be finite, got {value!r}$"):
+                call(model, targets, **strengths)
+        assert steps == []
+
+    def test_train_takes_its_settings_from_the_model(self):
+        rng = np.random.default_rng(7)
+        targets = random_batch(rng, 6, 2)
+        model = init_model(2, small_config(epochs=4))
+        assert len(train(model, targets)[1]) in (5, 6)
+        with pytest.raises(DataError, match="^lam must be a real number, got NamConfig"):
+            train(model, targets, small_config(epochs=9))
 
 
 class TestInitAndForward:
@@ -557,7 +587,7 @@ class TestTrain:
         targets = TargetBatch(rng.uniform(-1, 1, (12, 1)), np.full((12, 4), c),
                               np.ones(4), np.ones(12))
         cfg = small_config(epochs=800, learning_rate=5e-2)
-        model, trace = train(init_model(1, cfg), targets, cfg)
+        model, trace = train(init_model(1, cfg), targets)
         fitted = predict_log_risk(model, targets.x)
         assert np.max(np.abs(fitted - c)) < 0.01
         assert all(np.isfinite(trace))
@@ -571,16 +601,16 @@ class TestTrain:
         cfg = small_config(epochs=600, learning_rate=2e-2)
         t1 = TargetBatch(x, phi, tau, np.full(10, 0.5))
         t2 = TargetBatch(x, phi, tau, np.full(10, 1.0))
-        m1, _ = train(init_model(2, cfg), t1, cfg)
-        m2, _ = train(init_model(2, cfg), t2, cfg)
+        m1, _ = train(init_model(2, cfg), t1)
+        m2, _ = train(init_model(2, cfg), t2)
         assert np.max(np.abs(predict_log_risk(m1, x) - predict_log_risk(m2, x))) < 0.01
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         targets = random_batch(rng, 8, 2)
         cfg = small_config(epochs=40)
-        m1, tr1 = train(init_model(2, cfg), targets, cfg)
-        m2, tr2 = train(init_model(2, cfg), targets, cfg)
+        m1, tr1 = train(init_model(2, cfg), targets)
+        m2, tr2 = train(init_model(2, cfg), targets)
         assert np.array_equal(m1.flatten(), m2.flatten())
         assert tr1 == tr2
 
@@ -594,7 +624,7 @@ class TestTrain:
         model.layer_weights[0][...] = 1e300  # overflow on the first forward pass
         model.layer_weights[-1][...] = 1e300
         with pytest.raises(TrainingDivergedError) as err:
-            train(model, targets, cfg)
+            train(model, targets)
         assert isinstance(err.value.trace, list)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -608,7 +638,7 @@ class TestTrain:
         model = init_model(2, cfg)
         initial = loss_only(model, targets, dtype=np.float32)
         with pytest.raises(TrainingDivergedError) as err:
-            train(model, targets, cfg)
+            train(model, targets)
         assert str(err.value) == "training diverged at epoch 0: loss is not finite"
         assert err.value.trace == [initial]
 
@@ -616,7 +646,7 @@ class TestTrain:
         rng = np.random.default_rng(4)
         targets = random_batch(rng, 10, 2)
         cfg = small_config(epochs=30, batch=4)
-        model, trace = train(init_model(2, cfg), targets, cfg)
+        model, trace = train(init_model(2, cfg), targets)
         assert len(trace) >= 31
 
     def test_trained_to_per_example_minimizer(self):
@@ -628,7 +658,7 @@ class TestTrain:
         targets = TargetBatch(x, phi, tau, np.ones(n))
         star = oracle_psi_star(phi, tau)
         cfg = small_config(hidden_sizes=(32, 16), epochs=3000, learning_rate=1e-2)
-        model, _ = train(init_model(1, cfg), targets, cfg)
+        model, _ = train(init_model(1, cfg), targets)
         rmse = float(np.sqrt(np.mean((predict_log_risk(model, x) - star) ** 2)))
         assert rmse < 0.05
 
@@ -643,7 +673,7 @@ class TestTrain:
         counts = []
         for lam in (0.1, 1.0, 10.0, 100.0):
             cfg = small_config("lasso", epochs=1500, learning_rate=1e-2)
-            model, _ = train(init_model(3, cfg), targets, cfg, lam=lam)
+            model, _ = train(init_model(3, cfg), targets, lam=lam)
             counts.append(int(np.sum(np.abs(model.beta) < 1e-2)))
         assert counts == sorted(counts)
 
@@ -684,8 +714,8 @@ class TestFusedTrainingLoop:
         cfg = small_config(variant, activation=activation, epochs=40,
                            learning_rate=1e-2, batch=batch)
         model = init_model(3, cfg)
-        got, trace = train(model, targets, cfg, lam, mu)
-        expected, expected_trace = reference_train(model, targets, cfg, lam, mu)
+        got, trace = train(model, targets, lam, mu)
+        expected, expected_trace = reference_train(model, targets, lam, mu)
         assert got.flatten().tobytes() == expected.flatten().tobytes()
         assert trace == expected_trace
         assert len(trace) in (41, 42)
@@ -697,7 +727,7 @@ class TestFusedTrainingLoop:
         cfg = small_config("shortcut", epochs=10, learning_rate=1e-2, batch=batch)
         model = init_model(3, cfg)
         before = model.flatten()
-        trained, _ = train(model, targets, cfg, 0.1, 0.01)
+        trained, _ = train(model, targets, 0.1, 0.01)
         assert model.flatten().tobytes() == before.tobytes()
         assert trained.flatten().tobytes() != before.tobytes()
 
@@ -716,7 +746,7 @@ class TestFusedTrainingLoop:
         rng = np.random.default_rng(34)
         targets = random_batch(rng, 9, 3)
         cfg = small_config("shortcut", epochs=15, learning_rate=1e-2, batch=4)
-        model, _ = train(init_model(3, cfg), targets, cfg, 0.1, 0.01)
+        model, _ = train(init_model(3, cfg), targets, 0.1, 0.01)
         flat = model.flatten()
         # The fields are views of one vector, laid out in param_arrays() order.
         assert flat.tobytes() == np.concatenate(
@@ -749,8 +779,8 @@ class TestFusedTrainingLoop:
         targets = random_batch(rng, 8, 2)
         cfg = small_config(epochs=25, learning_rate=0.2)
         model = init_model(2, cfg)
-        got, trace = train(model, targets, cfg)
-        expected, expected_trace = reference_train(model, targets, cfg)
+        got, trace = train(model, targets)
+        expected, expected_trace = reference_train(model, targets)
         assert len(trace) == 27 and trace[-2] > trace[-1] == min(trace)
         assert got.flatten().tobytes() == expected.flatten().tobytes()
         assert trace == expected_trace
@@ -762,7 +792,7 @@ class TestFusedTrainingLoop:
         cfg = small_config("lasso", epochs=epochs)
         forward = count_calls(monkeypatch, "_penalized_loss")
         trace_passes = count_calls(monkeypatch, "loss_only")
-        _, trace = train(init_model(2, cfg), targets, cfg, lam=0.1)
+        _, trace = train(init_model(2, cfg), targets, lam=0.1)
         assert len(forward) == epochs + 1
         assert len(trace_passes) <= 1
         assert len(trace) >= epochs + 1
@@ -777,10 +807,10 @@ class TestFusedTrainingLoop:
         model.layer_weights[0][...] = 1e300
         model.layer_weights[-1][...] = 1e300
         with pytest.raises(TrainingDivergedError) as expected:
-            reference_train(model, targets, cfg)
+            reference_train(model, targets)
         backward = count_calls(monkeypatch, "_backward")
         with pytest.raises(TrainingDivergedError) as got:
-            train(model, targets, cfg)
+            train(model, targets)
         assert str(got.value) == str(expected.value) == "initial loss is not finite"
         assert len(got.value.trace) == 1 and not np.isfinite(got.value.trace[0])
         assert repr(got.value.trace) == repr(expected.value.trace)
@@ -800,10 +830,10 @@ class TestFusedTrainingLoop:
         cfg = small_config(variant, epochs=30, learning_rate=learning_rate)
         model = init_model(2, cfg)
         with pytest.raises(TrainingDivergedError) as expected:
-            reference_train(model, targets, cfg)
+            reference_train(model, targets)
         backward = count_calls(monkeypatch, "_backward")
         with pytest.raises(TrainingDivergedError) as got:
-            train(model, targets, cfg)
+            train(model, targets)
         assert str(got.value) == str(expected.value) == f"training diverged at epoch {epoch}"
         assert got.value.trace == expected.value.trace
         assert len(got.value.trace) == epoch + 1
@@ -868,7 +898,7 @@ class TestTrainingPrecision:
         model = init_model(3, cfg)
         for w in model.layer_weights:
             w[...] = 1e-40 * np.sign(w)
-        trained, trace = train(model, targets, cfg, 0.01, 1.0)
+        trained, trace = train(model, targets, 0.01, 1.0)
         assert all(np.isfinite(trace)) and trace[-1] <= trace[0]
         assert np.all(np.isfinite(trained.flatten()))
 
@@ -886,7 +916,7 @@ class TestTrainingPrecision:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(nam, name, spy)
-        trained, _ = train(init_model(3, cfg), targets, cfg, lam=0.1)
+        trained, _ = train(init_model(3, cfg), targets, lam=0.1)
         assert len(dtypes) >= 11 and all(d == np.float32 for d in dtypes)
         assert trained.flatten().dtype == np.float64
         x = rng.normal(size=(300, 3))

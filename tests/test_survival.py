@@ -80,6 +80,12 @@ class TestBuildTimeGrid:
         with pytest.raises(GridDegenerateError):
             build_time_grid(ds)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gamma_fraction_refused(self, value):
+        ds = make_dataset([1.0, 2.0, 4.0], [1, 1, 1])
+        with pytest.raises(DataError, match=f"^gamma_fraction must be finite, got {value!r}$"):
+            build_time_grid(ds, value)
+
     def test_duplicate_times_deduped(self):
         ds = make_dataset([1.0, 2.0, 2.0, 4.0], [1, 1, 1, 1])
         grid = build_time_grid(ds, gamma_fraction=0.5)

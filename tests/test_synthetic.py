@@ -78,6 +78,12 @@ class TestGenerateCoxData:
         with pytest.raises(DataError):
             SyntheticSpec(n=10, m=1, shapes=("wiggle",))
 
+    @pytest.mark.parametrize("field", ["scale", "shape_param", "censoring_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_reals(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be finite, got {value!r}$"):
+            SyntheticSpec(n=10, m=1, coef=(1.0,), **{field: value})
+
 
 class TestExactCoxPredictor:
     def test_prediction_matches_law(self):
