@@ -17,7 +17,6 @@ built-in defaults; explicit flags still win over the config file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from functools import partial
@@ -33,7 +32,7 @@ from .data import (
     read_csv_rows,
     train_test_split,
 )
-from .errors import DataError, NumericError, SurvShapeError, _atomic_open, _read_json
+from .errors import DataError, NumericError, SurvShapeError, _atomic_open, _read_json, _real
 from .explain import EPSILON, N_POINTS, explain_global, explain_local, surrogate_c_index
 from .forest import (
     ForestConfig,
@@ -71,19 +70,19 @@ def _banner(args) -> str:
 
 
 def _parse_list(args, dest: str, kind):
-    """The comma-separated values of a flag, each parsed by kind (int or finite float)."""
+    """The comma-separated values of a flag, each parsed by kind (int or float).
+
+    A value that does not parse is a usage error; a float goes through
+    errors._real, so NaN or ±inf is a DataError, as for a scalar flag.
+    """
     text = getattr(args, dest)
     flag = f"--{dest.replace('_', '-')}"
-    items = text.split(",")
     try:
-        values = tuple(kind(item) for item in items)
+        values = tuple(kind(item) for item in text.split(","))
     except ValueError:
         raise _UsageError(f"{flag} needs comma-separated {kind.__name__}s, "
                           f"not {text!r}") from None
-    for item, value in zip(items, values):
-        if not math.isfinite(value):
-            raise _UsageError(f"{flag} needs finite numbers, not {item.strip()!r}")
-    return values
+    return tuple(_real(value, flag) for value in values) if kind is float else values
 
 
 def _finish(args, pairs, artifacts=()) -> int:

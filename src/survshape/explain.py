@@ -285,14 +285,18 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
 
 def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
                   lam: float = 0.0, mu: Optional[float] = None, n_points: int = N_POINTS,
-                  epsilon: float = EPSILON, seed: int = 0) -> Explanation:
+                  epsilon: float = EPSILON, seed: Optional[int] = None) -> Explanation:
     """Explain the black box around one point via a perturbation neighborhood.
 
     The kernel radius is the largest distance between x and a generated
     point, so the weights span (0, 1] with exactly 0 at the farthest point.
     The surrogate trains with config; mu=None means nam.default_mu(config.variant).
-    Deterministic for fixed (seed, config).
+    The perturbations are drawn with seed, or config.seed when seed is
+    None; params["seed"] records the one used. Deterministic for fixed
+    (seed, config).
     """
+    if seed is None:
+        seed = config.seed
     x = np.asarray(x, dtype=float)
     nbhd = build_neighborhood(x, dataset, n_points, seed)
     return _fit_and_package("local", blackbox, dataset, nbhd.points, nbhd.weights,

@@ -2,7 +2,7 @@
 
 Trees split on the two-sample log-rank statistic, over every midpoint cut
 of a random feature subset, and store Nelson-Aalen cumulative hazards in
-their leaves, projected onto the dataset-level time grid at fit time so
+their leaves, as step functions on the dataset-level time grid, so
 ensemble averaging is a plain vector mean. Each node makes one split
 search (_best_split): the node's event times and its death and at-risk
 tables are built once and shared by all its candidate features.
@@ -21,16 +21,18 @@ features (-1 at a leaf), one threshold per split and the leaves' count
 tables as lists of integers; the preorder alone fixes which nodes are a
 split's children, so no child links are stored. The float arrays (grid
 times, thresholds) are base64 of their float64 bytes. _unflatten derives
-the nested dicts that route rows, each leaf with its dense CHF on the
-grid, from the stored forms of a fit and of a file alike, so a fitted
-and a loaded forest hold the same floats; each root keeps its stored
-form, which save_forest writes.
-Prediction routes the rows through one tree at a time and adds its leaf
-values into the result in blocks of rows, so it holds little beyond the
-result. The risk score, the integrated CHF
-(`SurvivalForest.integrated_chf`, which `risk_scores` calls), takes the
-same routes but adds one integral per reached leaf, so it never builds
-the (n, s+1) CHF matrix.
+the nested dicts that route rows from the stored forms of a fit and of a
+file alike, so a fitted and a loaded forest hold the same floats; each
+root keeps its stored form, which save_forest writes. A leaf holds its
+CHF as runs, not one float per grid point: each run's value (0 before
+the leaf's first event time, then the CHF after each event time) and the
+number of grid points it covers.
+Prediction routes the rows through one tree at a time, expands only
+that tree's reached leaves to grid length and adds them into the result
+in blocks of rows, so it holds little beyond the result. The risk score,
+the integrated CHF (`SurvivalForest.integrated_chf`, which `risk_scores`
+calls), takes the same routes but adds one integral per reached leaf, so
+it never builds the (n, s+1) CHF matrix.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ class SurvivalForest:
     """Fitted trees plus the shared grid and training feature metadata.
 
     Trees are nested dicts: internal nodes {"feature", "threshold",
-    "left", "right"}, leaves {"values": (s+1,) array}. A tree's root also
+    "left", "right"}, leaves {"values", "lengths"}: the leaf's CHF as
+    runs, value values[r] at lengths[r] grid points in turn, so that
+    np.repeat(values, lengths) is its (s+1,) CHF. A tree's root also
     holds "stored", the tree as forest.bin stores it (see the module
     docstring), which the rest was built from and save_forest writes.
     """
@@ -144,8 +148,8 @@ class SurvivalForest:
         """
         x, routes = _routes(self, x)
         total = np.zeros(x.shape[0])
-        for leaf, values in routes:
-            total += (values * self.grid.widths).sum(axis=1)[leaf]
+        for leaf, chfs in routes:
+            total += (chfs * self.grid.widths).sum(axis=1)[leaf]
         total /= len(self.trees)
         return total
 
@@ -306,12 +310,14 @@ def fit_forest(dataset: SurvivalDataset, config: ForestConfig = ForestConfig()) 
 
 
 def _leaf_numbers(tree: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of x, the number of the leaf it reaches; and the reached leaves' values, stacked.
+    """Per row of x, the number of the leaf it reaches; and the reached leaves' CHFs, one a row.
 
-    An explicit stack, so any depth works; a subtree no row reaches is skipped.
+    An explicit stack, so any depth works; a subtree no row reaches is
+    skipped. Only the reached leaves are expanded from their runs, in one
+    np.repeat.
     """
     leaf = np.empty(x.shape[0], dtype=np.intp)
-    values = []
+    values, lengths = [], []
     stack = [(tree, np.arange(x.shape[0]))]
     while stack:
         node, idx = stack.pop()
@@ -320,10 +326,12 @@ def _leaf_numbers(tree: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if "values" in node:
             leaf[idx] = len(values)
             values.append(node["values"])
+            lengths.append(node["lengths"])
             continue
         mask = x[idx, node["feature"]] <= node["threshold"]
         stack += [(node["right"], idx[~mask]), (node["left"], idx[mask])]
-    return leaf, np.stack(values)
+    chfs = np.repeat(np.concatenate(values), np.concatenate(lengths))
+    return leaf, chfs.reshape(len(values), -1)
 
 
 def _routes(forest: SurvivalForest, x):
@@ -346,18 +354,18 @@ def predict_chf_matrix(forest: SurvivalForest, x) -> np.ndarray:
 
     Trees are added in order, each one _PREDICT_BLOCK_ROWS rows at a time
     through a small buffer, so beside the result only one tree's reached
-    leaves and one block are held. Each row gets the same floats as adding
-    whole per-tree matrices.
+    leaves, expanded to grid length, and one block are held. Each row gets
+    the same floats as adding whole per-tree matrices.
     """
     x, routes = _routes(forest, x)
     n = x.shape[0]
     total = np.zeros((n, forest.grid.n_intervals))
     block = np.empty((min(n, _PREDICT_BLOCK_ROWS), forest.grid.n_intervals))
-    for leaf, values in routes:
+    for leaf, chfs in routes:
         for start in range(0, n, _PREDICT_BLOCK_ROWS):
             rows = leaf[start:start + _PREDICT_BLOCK_ROWS]
             # mode="clip" writes straight into out; "raise" would buffer a copy.
-            np.take(values, rows, axis=0, out=block[:len(rows)], mode="clip")
+            np.take(chfs, rows, axis=0, out=block[:len(rows)], mode="clip")
             total[start:start + len(rows)] += block[:len(rows)]
     total /= len(forest.trees)
     return total
@@ -413,7 +421,7 @@ def _unflatten_trees(blobs, m: int, s: int, first_tree: int) -> list:
 
     Their lists are joined and checked together, at a few dozen numpy calls
     for all of them rather than per tree, and _leaf_values builds all their
-    leaves' CHFs.
+    leaves' runs.
     """
     for k, blob in enumerate(blobs):
         if not isinstance(blob, dict):
@@ -480,21 +488,24 @@ def _unflatten_trees(blobs, m: int, s: int, first_tree: int) -> list:
     index = reached - np.repeat(np.append(0, reached)[first], sizes)
     refuse((index < 0) | (index >= s), events_at,
            f": a leaf's grid index falls outside 0..{s - 1}")
-    values = _leaf_values(sizes, index, deaths, at_risk, s, leaves_at)
-    return [_nest(feature[nodes_at[k]:nodes_at[k + 1]], thresholds[k], next(values), blobs[k])
+    runs = _leaf_values(sizes, index, deaths, at_risk, s)
+    return [_nest(feature[nodes_at[k]:nodes_at[k + 1]], thresholds[k],
+                  runs[leaves_at[k]:leaves_at[k + 1]], blobs[k])
             for k in range(len(blobs))]
 
 
-def _nest(feature, threshold, values, stored) -> dict:
+def _nest(feature, threshold, runs, stored) -> dict:
     """One tree's nested dicts from its preorder flags (checked to form one tree),
-    thresholds and leaves' values; its root keeps the stored form they came from."""
-    leaves = iter(values[::-1])
+    thresholds and leaves' (values, lengths) runs; its root keeps the stored
+    form they came from."""
+    leaves = reversed(runs)
     thresholds = iter(threshold[::-1].tolist())
     stack = []  # the subtrees after the current node, the first of them on top
     push, pop = stack.append, stack.pop
     for f in reversed(feature.tolist()):
         if f < 0:
-            push({"values": next(leaves)})
+            values, lengths = next(leaves)
+            push({"values": values, "lengths": lengths})
         else:
             push({"feature": f, "threshold": next(thresholds), "left": pop(), "right": pop()})
     stack[0]["stored"] = stored

@@ -11,7 +11,6 @@ construction and free of hidden state, so concurrent read-only use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -208,21 +207,20 @@ def _leaf_counts(times, events, grid_times) -> np.ndarray:
     return np.stack([np.searchsorted(grid_times, event_times), deaths, at_risk])
 
 
-def _leaf_values(sizes, index, deaths, at_risk, s: int, groups) -> Iterator[np.ndarray]:
-    """Leaves' Nelson-Aalen CHFs on an s-point grid, from their _leaf_counts tables.
+def _leaf_values(sizes, index, deaths, at_risk, s: int) -> list:
+    """Leaves' Nelson-Aalen CHFs on an s-point grid, as runs, from their _leaf_counts tables.
 
     Leaf k owns the next sizes[k] entries of the other three arrays, whose
     grid indices (0 to s) do not fall. Its increments deaths / at risk are
     summed in order: one cumsum over a zero-padded (leaves, 1 + most
     events) matrix gives each row the floats of that leaf's own cumsum.
-    np.repeat then holds each sum from its grid index up to the next one
-    (the leaf's last to the end of the grid), after a 0 from grid index 0 on.
+    Leaf k's CHF is sizes[k] + 1 runs: a 0 from grid index 0 on, then each
+    sum from its grid index up to the next one (the last to the end of the
+    grid), so a run may cover no grid point.
 
-    The leaves come in consecutive groups, split at the leaf numbers
-    `groups` (0 first, the leaf count last). It yields one (group's leaves,
-    s) array per group, each made when it is taken, as a tree-by-tree build
-    would: freed, one array for many trees went back to the system, and a
-    second load of a forest in one process faulted all its pages in again.
+    Returns one (values, lengths) pair per leaf: views of two flat arrays
+    that hold every leaf's runs in turn, without the padding.
+    np.repeat(values, lengths) is the leaf's CHF, s floats.
     """
     sizes = np.asarray(sizes)
     leaf = np.repeat(np.arange(len(sizes)), sizes)
@@ -233,9 +231,10 @@ def _leaf_values(sizes, index, deaths, at_risk, s: int, groups) -> Iterator[np.n
     bounds = np.full((len(sizes), hazard.shape[1] + 1), s)  # each run's start, then s
     bounds[:, 0] = 0
     bounds[leaf, column] = index
-    lengths = np.diff(bounds, axis=1)  # 0 for a padded run
-    return (np.repeat(hazard[a:b].ravel(), lengths[a:b].ravel()).reshape(b - a, s)
-            for a, b in zip(groups, groups[1:]))
+    runs = np.arange(hazard.shape[1]) <= sizes[:, None]  # each leaf's own runs
+    values, lengths = hazard[runs], np.diff(bounds, axis=1)[runs]
+    stops = np.cumsum(sizes + 1).tolist()
+    return [(values[a:b], lengths[a:b]) for a, b in zip([0] + stops[:-1], stops)]
 
 
 def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
@@ -245,8 +244,8 @@ def nelson_aalen(dataset: SurvivalDataset, grid: TimeGrid) -> PiecewiseChf:
     d_u counts events at u and n_u the samples still at risk just before u.
     """
     counts = _leaf_counts(dataset.times, dataset.events, grid.times)
-    values, = next(_leaf_values([counts.shape[1]], *counts, grid.n_intervals, [0, 1]))
-    return PiecewiseChf(grid, values)
+    (values, lengths), = _leaf_values([counts.shape[1]], *counts, grid.n_intervals)
+    return PiecewiseChf(grid, np.repeat(values, lengths))
 
 
 def risk_scores(box, x) -> np.ndarray:

@@ -69,7 +69,7 @@ class SyntheticSpec:
         if self.feature_distribution not in FEATURE_DISTRIBUTIONS:
             raise DataError("feature_distribution must be 'uniform' or 'normal'")
         if self.coef is not None:
-            object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
+            object.__setattr__(self, "coef", tuple(_real(c, "coef") for c in self.coef))
         if self.shapes is not None:
             object.__setattr__(self, "shapes", tuple(self.shapes))
 
@@ -97,16 +97,21 @@ def generate_cox_data(spec: SyntheticSpec):
 
     Event times use inverse-transform sampling T = H0^{-1}(-ln U / exp(r)).
     Censoring times are uniform on [0, c] with c bisected until the realized
-    censored fraction is within 0.05 of the requested rate.
+    censored fraction is within 0.05 of the requested rate. A log-risk too
+    large in magnitude for finite event times raises DataError.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.feature_distribution == "uniform":
         x = rng.uniform(-1.0, 1.0, size=(spec.n, spec.m))
     else:
         x = rng.standard_normal(size=(spec.n, spec.m))
-    risk = spec.log_risk(x)
     u = rng.uniform(size=spec.n)
-    event_times = spec.inverse_baseline_chf(-np.log(u) / np.exp(risk))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        risk = spec.log_risk(x)
+        event_times = spec.inverse_baseline_chf(-np.log(u) / np.exp(risk))
+    if not (np.all(np.isfinite(risk)) and np.all(np.isfinite(event_times))):
+        raise DataError(f"the log-risk spans {np.min(risk):g} to {np.max(risk):g}, "
+                        "too wide for finite event times")
 
     if spec.censoring_rate == 0.0:
         dataset = SurvivalDataset.from_arrays(x, event_times, np.ones(spec.n, dtype=int))

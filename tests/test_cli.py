@@ -4,6 +4,7 @@ import gzip
 import json
 import multiprocessing
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -62,6 +63,16 @@ class TestSynth:
 
     def test_usage_error_without_truth(self, tmp_path):
         assert run(["synth", "--n", "10", "--m", "1", "--out", str(tmp_path)]) == 2
+
+    def test_log_risk_too_wide_for_event_times_exits_3(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["synth", "--coef", "1e308", "--n", "20", "--m", "1",
+                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: the log-risk spans ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_gam_shapes(self, tmp_path):
         code = run(["synth", "--n", "30", "--m", "2", "--shapes", "linear,sin3",
@@ -832,7 +843,20 @@ class TestConfigValueTypes:
 
 
 class TestCommaListFlags:
-    """A bad element in a comma-separated flag is a usage error: exit 2, one line."""
+    """A comma-separated flag: an element that does not parse is a usage error
+    (exit 2); a NaN or infinite float is refused as a scalar one is (exit 3)."""
+
+    @staticmethod
+    def exit_code_and_error(argv, synth_dir, fitted_dir, tmp_path, capsys):
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if argv[0] == "explain":
+            argv += ["--forest", str(fitted_dir / "forest.bin"),
+                     "--data", str(synth_dir / "dataset.csv"), "--epochs", "5"]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return code, err
 
     @pytest.mark.parametrize("argv, message", [
         (["explain", "--hidden", "8,x"], "--hidden needs comma-separated ints"),
@@ -841,24 +865,23 @@ class TestCommaListFlags:
          "--center-values needs comma-separated floats"),
         (["synth", "--n", "20", "--m", "2", "--coef", "1,zz"],
          "--coef needs comma-separated floats"),
-        (["explain", "--mode", "local", "--center-values", "0.5,nan"],
-         "--center-values needs finite numbers, not 'nan'"),
-        (["synth", "--n", "20", "--m", "2", "--coef", "1, -inf"],
-         "--coef needs finite numbers, not '-inf'"),
-    ], ids=["hidden-text", "hidden-empty", "center-values-text", "coef-text",
-            "center-values-nan", "coef-inf"])
+    ], ids=["hidden-text", "hidden-empty", "center-values-text", "coef-text"])
     def test_bad_element_exits_2(self, argv, message, synth_dir, fitted_dir, tmp_path,
                                  capsys):
-        argv = argv + ["--out", str(tmp_path / "out")]
-        if argv[0] == "explain":
-            argv += ["--forest", str(fitted_dir / "forest.bin"),
-                     "--data", str(synth_dir / "dataset.csv"), "--epochs", "5"]
-        code = run(argv)
-        err = capsys.readouterr().err
+        code, err = self.exit_code_and_error(argv, synth_dir, fitted_dir, tmp_path, capsys)
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["explain", "--mode", "local", "--center-values", "0.5,nan"],
+         "error: --center-values must be finite, got nan\n"),
+        (["synth", "--n", "20", "--m", "2", "--coef", "1, -inf"],
+         "error: --coef must be finite, got -inf\n"),
+    ], ids=["center-values-nan", "coef-inf"])
+    def test_non_finite_element_exits_3(self, argv, message, synth_dir, fitted_dir, tmp_path,
+                                        capsys):
+        code, err = self.exit_code_and_error(argv, synth_dir, fitted_dir, tmp_path, capsys)
+        assert (code, err) == (3, message)
 
 
 # (case, exit code, stderr text) for test_failed_work_exits_without_out_dir

@@ -323,6 +323,20 @@ class TestExplainLocal:
         r = np.corrcoef(fitted, truth)[0, 1]
         assert r >= 0.95
 
+    def test_seed_defaults_to_the_config_seed(self):
+        _, dataset, _, oracle = linear_setup()
+        cfg = fast_config(epochs=30, seed=5)
+        implicit = explain_local(oracle, dataset, dataset.features[1], cfg)
+        explicit = explain_local(oracle, dataset, dataset.features[1], cfg, seed=5)
+        assert implicit.params["seed"] == explicit.params["seed"] == 5
+        assert implicit.reference_points.tobytes() == explicit.reference_points.tobytes()
+        assert implicit.model.flatten().tobytes() == explicit.model.flatten().tobytes()
+        for a, b in zip(implicit.curves, explicit.curves, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+        seed_0 = explain_local(oracle, dataset, dataset.features[1], cfg, seed=0)
+        assert seed_0.params["seed"] == 0
+        assert not np.array_equal(seed_0.reference_points, implicit.reference_points)
+
     def test_deterministic(self):
         _, dataset, _, oracle = linear_setup()
         cfg = fast_config(epochs=60)

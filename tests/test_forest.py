@@ -308,8 +308,11 @@ class TestFitAndPredict:
         seed = next(s for s in range(50) if 0 not in _bootstrap_rows(s, n))
         with pytest.warns(UserWarning, match="single leaf"):
             forest = fit_forest(ds, ForestConfig(n_trees=1, min_leaf_events=1, seed=seed))
-        values = forest.trees[0]["values"]
-        assert values.tobytes() == np.zeros(forest.grid.n_intervals).tobytes()
+        s = forest.grid.n_intervals
+        leaf = forest.trees[0]
+        assert leaf["values"].tobytes() == np.zeros(1).tobytes() and leaf["lengths"].tolist() == [s]
+        chf = predict_chf_matrix(forest, ds.features)
+        assert chf.tobytes() == np.zeros((n, s)).tobytes()
 
     def test_deterministic_forest(self, tmp_path):
         ds = separable_dataset()
@@ -327,8 +330,8 @@ class TestFitAndPredict:
         forest = fit_forest(ds, config)
         grid_len = forest.grid.n_intervals
         trees = (
-            {"values": np.full(grid_len, 0.2)},
-            {"values": np.full(grid_len, 0.4)},
+            {"values": np.array([0.2]), "lengths": np.array([grid_len])},
+            {"values": np.array([0.0, 0.4]), "lengths": np.array([0, grid_len])},
         )
         doctored = type(forest)(trees, forest.grid, forest.feature_names,
                                 forest.feature_kinds, forest.config)
@@ -521,16 +524,50 @@ class TestWorkerPool:
         assert forest_module._worker_count(500) == 1
 
 
+def stored_chfs(blob, s):
+    """Each leaf's CHF on the s-point grid, in preorder, summed by hand from a stored
+    tree's count tables."""
+    chfs, start = [], 0
+    for size in blob["leaf_events"]:
+        chf, total, index = np.zeros(s), 0.0, 0
+        for step, d, n in zip(*(blob[key][start:start + size]
+                                for key in ("grid_steps", "deaths", "at_risk"))):
+            index += step  # the first step from 0, each later one from the last index
+            total += d / n
+            chf[index:] = total
+        chfs.append(chf)
+        start += size
+    return chfs
+
+
+def leaf_chfs(tree, s):
+    """A tree's leaf CHFs in preorder: from its stored count tables, or, for a tree
+    made by hand, repeated from its runs."""
+    if "stored" in tree:
+        return stored_chfs(tree["stored"], s)
+    return [np.repeat(values, lengths) for values, lengths in preorder(tree)[2]]
+
+
+def hand_made_leaf(k, s):
+    """A leaf built by hand as k + 2 rising runs; the first covers no grid point, as in a
+    leaf with an event at the grid's first time."""
+    cuts = np.sort(np.r_[0, np.random.default_rng(k).integers(1, s, k)])
+    return {"values": np.linspace(0.0, 1.0 + k / 3.0, k + 2) ** 1.5,
+            "lengths": np.diff(np.r_[0, cuts, s])}
+
+
 def scatter_sum_predict(forest, x):
-    """Each tree's leaf values scattered into a full n x (s+1) matrix, summed in tree order, divided."""
+    """Each tree's leaf CHFs (leaf_chfs) scattered into a full n x (s+1) matrix, summed
+    in tree order, divided."""
     total = np.zeros((len(x), forest.grid.n_intervals))
     scratch = np.empty_like(total)
     for tree in forest.trees:
+        chfs = iter(leaf_chfs(tree, forest.grid.n_intervals))
         stack = [(tree, np.arange(len(x)))]
-        while stack:
+        while stack:  # preorder, as leaf_chfs
             node, idx = stack.pop()
-            if "values" in node:
-                scratch[idx] = node["values"]
+            if "feature" not in node:
+                scratch[idx] = next(chfs)
                 continue
             mask = x[idx, node["feature"]] <= node["threshold"]
             stack += [(node["right"], idx[~mask]), (node["left"], idx[mask])]
@@ -565,9 +602,9 @@ class TestBlockedPrediction:
         save_forest(fitted, tmp_path / "forest.bin")
         loaded, _ = load_forest(tmp_path / "forest.bin")
         s = fitted.grid.n_intervals
-        single_leaves = type(fitted)(
-            tuple({"values": np.linspace(0.0, 1.0 + k / 3.0, s) ** 1.5} for k in range(3)),
-            fitted.grid, fitted.feature_names, fitted.feature_kinds, fitted.config)
+        single_leaves = type(fitted)(tuple(hand_made_leaf(k, s) for k in range(3)),
+                                     fitted.grid, fitted.feature_names, fitted.feature_kinds,
+                                     fitted.config)
         x = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
         for forest in (fitted, loaded, single_leaves):
             assert predict_chf_matrix(forest, x).tobytes() == scatter_sum_predict(forest, x).tobytes()
@@ -586,9 +623,9 @@ def risk_cases(tmp_path):
     save_forest(fitted, tmp_path / "forest.bin")
     loaded, _ = load_forest(tmp_path / "forest.bin")
     s = fitted.grid.n_intervals
-    single_leaves = type(fitted)(
-        tuple({"values": np.linspace(0.0, 1.0 + k / 3.0, s) ** 1.5} for k in range(3)),
-        fitted.grid, fitted.feature_names, fitted.feature_kinds, fitted.config)
+    single_leaves = type(fitted)(tuple(hand_made_leaf(k, s) for k in range(3)),
+                                 fitted.grid, fitted.feature_names, fitted.feature_kinds,
+                                 fitted.config)
     x = np.random.default_rng(7).uniform(-1.5, 1.5, (600, 3))
     chain, chain_x, _ = deep_chain()
     return [(fitted, x), (loaded, x), (single_leaves, x), (chain, chain_x)]
@@ -719,23 +756,17 @@ class TestSerialization:
             assert list(blob) == ["feature", "threshold", "leaf_events", "grid_steps",
                                   "deaths", "at_risk"]
             assert blob == tree["stored"]
-            features, thresholds, values = preorder(tree)
+            features, thresholds, runs = preorder(tree)
             assert blob["feature"] == features
             assert _floats(blob, "threshold", "tree").tolist() == thresholds
             assert len(thresholds) == len(features) - features.count(-1)
-            assert len(blob["leaf_events"]) == len(values)
-            start = 0
-            for size, leaf_values in zip(blob["leaf_events"], values):  # leaves in preorder
-                stop = start + size
-                chf, total, index = np.zeros(forest.grid.n_intervals), 0.0, 0
-                for step, d, n in zip(*(blob[key][start:stop]
-                                        for key in ("grid_steps", "deaths", "at_risk"))):
-                    index += step  # the first step from 0, each later one from the last index
-                    total += d / n
-                    chf[index:] = total
-                assert chf.tobytes() == leaf_values.tobytes()
-                start = stop
-            assert start == len(blob["grid_steps"]) == len(blob["deaths"]) == len(blob["at_risk"])
+            assert len(blob["leaf_events"]) == len(runs)
+            for size, (values, lengths) in zip(blob["leaf_events"], runs):  # leaves in preorder
+                assert len(values) == len(lengths) == size + 1 and values[0] == 0.0
+            assert ([chf.tobytes() for chf in stored_chfs(blob, forest.grid.n_intervals)]
+                    == [np.repeat(values, lengths).tobytes() for values, lengths in runs])
+            events = sum(blob["leaf_events"])
+            assert events == len(blob["grid_steps"]) == len(blob["deaths"]) == len(blob["at_risk"])
 
     @given(st.lists(st.booleans(), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -772,10 +803,13 @@ class TestSerialization:
                                 forest.feature_kinds, forest.config)
         save_forest(doctored, tmp_path / "f.bin")
         loaded, _ = load_forest(tmp_path / "f.bin")
-        zeros = np.zeros(forest.grid.n_intervals)
+        s = forest.grid.n_intervals
         for tree in (leaf, loaded.trees[0]):
-            assert tree["values"].tobytes() == zeros.tobytes()  # +0.0 throughout
+            assert tree["values"].tobytes() == np.zeros(1).tobytes()  # one run of +0.0
+            assert tree["lengths"].tolist() == [s]
             assert tree["stored"] == stored
+        x = separable_dataset().features
+        assert predict_chf_matrix(loaded, x).tobytes() == np.zeros((len(x), s)).tobytes()
         assert forest_document(tmp_path / "f.bin")["trees"][0] == stored
 
     @pytest.mark.parametrize("values", [
@@ -848,16 +882,17 @@ class TestCountTables:
         s = len(grid_times)
         leaves = [random_leaf(rng, grid_times) for _ in range(25)]
         tables = [_leaf_counts(t, e, grid_times) for t, e in leaves]
-        # all leaves at once, in groups of 10 (zero-padded to the most events of any)
+        # all leaves at once (zero-padded to the most events of any), and each alone
         sizes = [c.shape[1] for c in tables]
-        together = np.concatenate(list(_leaf_values(
-            sizes, *np.concatenate(tables, axis=1), s, [0, 10, 20, 25])))
+        together = _leaf_values(sizes, *np.concatenate(tables, axis=1), s)
         assert any(c.shape[1] == 0 for c in tables) and any(c.shape[1] > 1 for c in tables)
-        for (times, events), counts, row in zip(leaves, tables, together):
+        for (times, events), counts, runs in zip(leaves, tables, together):
             oracle = hand_nelson_aalen(times, events, grid_times)  # summed in order, as the fit does
-            alone, = next(_leaf_values([counts.shape[1]], *counts, s, [0, 1]))
-            assert alone.tobytes() == oracle.tobytes()
-            assert row.tobytes() == oracle.tobytes()
+            alone, = _leaf_values([counts.shape[1]], *counts, s)
+            for values, lengths in (runs, alone):
+                assert len(values) == len(lengths) == counts.shape[1] + 1
+                assert values[0] == 0.0 and lengths.min() >= 0 and lengths.sum() == s
+                assert np.repeat(values, lengths).tobytes() == oracle.tobytes()
 
     def test_ties_and_censored_times_count_as_in_the_estimator(self):
         grid_times = np.array([1.0, 2.0, 3.0, 4.0])
@@ -866,8 +901,9 @@ class TestCountTables:
         events = np.array([0, 1, 1, 0, 1, 0, 0])
         counts = _leaf_counts(times, events, grid_times)
         assert counts.tolist() == [[1, 2], [2, 1], [6, 3]]
-        values, = next(_leaf_values([2], *counts, 4, [0, 1]))
-        assert values.tolist() == [0.0, 2 / 6, 2 / 6 + 1 / 3, 2 / 6 + 1 / 3]
+        (values, lengths), = _leaf_values([2], *counts, 4)
+        assert values.tolist() == [0.0, 2 / 6, 2 / 6 + 1 / 3]
+        assert lengths.tolist() == [1, 1, 2]
 
     @pytest.mark.parametrize("n_trees, min_leaf_events", [(1, 1), (5, 2), (3, 30)])
     def test_stored_form_round_trips(self, n_trees, min_leaf_events):
@@ -880,10 +916,13 @@ class TestCountTables:
         loaded = forest_module._unflatten(blobs, 2, forest.grid.n_intervals)
         assert [tree["stored"] for tree in loaded] == blobs
         for fitted_tree, loaded_tree, blob in zip(forest.trees, loaded, blobs):
-            (features, thresholds, values), again = preorder(fitted_tree), preorder(loaded_tree)
+            (features, thresholds, runs), again = preorder(fitted_tree), preorder(loaded_tree)
             assert features == again[0] == blob["feature"]
             assert thresholds == again[1] == _floats(blob, "threshold", "tree").tolist()
-            assert [v.tobytes() for v in values] == [v.tobytes() for v in again[2]]
+            for (values, lengths), (loaded_values, loaded_lengths) in zip(runs, again[2],
+                                                                          strict=True):
+                assert values.tobytes() == loaded_values.tobytes()
+                assert lengths.tobytes() == loaded_lengths.tobytes()
         if min_leaf_events == 30:
             assert all("feature" not in tree for tree in forest.trees)
 
@@ -913,7 +952,7 @@ class TestCountTables:
             if "feature" in node:
                 stack += [node["right"], node["left"]]
             else:
-                leaves.append(node["values"].tobytes())
+                leaves.append(np.repeat(node["values"], node["lengths"]).tobytes())
         assert len(leaves) > 1
         assert [chf.tobytes() for chf in scope["chfs"]] == leaves
 
@@ -924,19 +963,20 @@ def _bootstrap_rows(seed, n):
 
 
 def preorder(tree):
-    """A tree's split features (-1 at a leaf), thresholds and leaf values, in preorder."""
-    features, thresholds, values = [], [], []
+    """A tree's split features (-1 at a leaf), thresholds and leaf (values, lengths) runs,
+    in preorder."""
+    features, thresholds, runs = [], [], []
     stack = [tree]
     while stack:  # a split, its left subtree, then its right one
         node = stack.pop()
         if "values" in node:
             features.append(-1)
-            values.append(node["values"])
+            runs.append((node["values"], node["lengths"]))
         else:
             features.append(node["feature"])
             thresholds.append(node["threshold"])
             stack += [node["right"], node["left"]]
-    return features, thresholds, values
+    return features, thresholds, runs
 
 
 def _same_leaf(tree, a, b):

@@ -1,5 +1,5 @@
 """Linear-memory guards for the metrics that scan all pairs of samples,
-for the forest's prediction and the two risk scores, and for the
+for the forest's leaves, prediction and the two risk scores, and for the
 surrogate's training passes, which must also reuse their memory from one
 epoch to the next.
 
@@ -20,7 +20,7 @@ import pytest
 import survshape
 
 from survshape.explain import dataset_diameter
-from survshape.forest import ForestConfig, fit_forest, predict_chf_matrix
+from survshape.forest import ForestConfig, fit_forest, load_forest, predict_chf_matrix, save_forest
 from survshape.nam import (NamConfig, TargetBatch, init_model, loss_and_gradient, loss_only,
                            predict_log_risk)
 from survshape.survival import SurvivalDataset, concordance_index, risk_scores
@@ -66,6 +66,26 @@ def small_forest():
     spec = SyntheticSpec(n=300, m=8, coef=(1.0, -0.5, 0.3, 0.0, 0.8, 0.0, 0.2, 1.2),
                          censoring_rate=0.45, seed=3)
     return fit_forest(generate_cox_data(spec)[0], ForestConfig(n_trees=10, seed=1))
+
+
+def test_loaded_forest_holds_its_leaves_as_runs(tmp_path):
+    # Small leaves on 1200 rows: about 5300 leaves on an 840-point grid.
+    spec = SyntheticSpec(n=1200, m=4, coef=(1.0, -0.5, 0.3, 0.0), censoring_rate=0.3, seed=2)
+    forest = fit_forest(generate_cox_data(spec)[0],
+                        ForestConfig(n_trees=10, min_leaf_events=1, seed=1))
+    save_forest(forest, tmp_path / "forest.bin")
+    del forest
+    tracemalloc.start()
+    try:
+        loaded, _ = load_forest(tmp_path / "forest.bin")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    leaves = sum(len(tree["stored"]["leaf_events"]) for tree in loaded.trees)
+    grid_length_leaves = leaves * loaded.grid.n_intervals * 8
+    assert grid_length_leaves > 32 * 1024 * 1024
+    # The runs, the routing dicts and the stored form together take about 4 MB.
+    assert retained < 8 * 1024 * 1024
 
 
 def test_predict_chf_matrix_holds_little_beyond_its_result():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -83,6 +85,20 @@ class TestGenerateCoxData:
     def test_rejects_non_finite_reals(self, field, value):
         with pytest.raises(DataError, match=f"^{field} must be finite, got {value!r}$"):
             SyntheticSpec(n=10, m=1, coef=(1.0,), **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_coefficients(self, value):
+        with pytest.raises(DataError, match=f"^coef must be finite, got {value!r}$"):
+            SyntheticSpec(n=10, m=2, coef=(1.0, value))
+
+    def test_rejects_coefficients_it_cannot_turn_into_times(self):
+        # exp of the log-risk overflows, and -log(u) / 0 divides by zero, both silently
+        spec = SyntheticSpec(n=20, m=1, coef=(1e308,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^the log-risk spans .* too wide for finite "
+                                                "event times$"):
+                generate_cox_data(spec)
 
 
 class TestExactCoxPredictor:
