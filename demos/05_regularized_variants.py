@@ -25,16 +25,16 @@ oracle = ExactCoxPredictor.for_dataset(spec, dataset)
 print("== lasso: sweep the L1 strength ==")
 for lam in (0.1, 1.0, 10.0, 100.0):
     cfg = NamConfig(hidden_sizes=(16, 8), learning_rate=1e-2, epochs=1200,
-                    seed=0, variant="lasso")
-    expl = explain_global(oracle, dataset, cfg, lam=lam)
+                    seed=0, variant="lasso", lam=lam)
+    expl = explain_global(oracle, dataset, cfg)
     beta = expl.mixing["beta"]
     pruned = [n for n, b in zip(expl.feature_names, beta) if abs(b) < 1e-2]
     print(f"  lambda={lam:>6}: beta={np.round(beta, 4)} pruned={pruned or '-'}")
 
 print("\n== shortcut: alpha separates linear from nonlinear features ==")
 cfg = NamConfig(hidden_sizes=(32, 16), learning_rate=1e-2, epochs=3000,
-                seed=0, variant="shortcut")
-expl = explain_global(oracle, dataset, cfg, lam=1.0, mu=0.01)
+                seed=0, variant="shortcut", lam=1.0, mu=0.01)
+expl = explain_global(oracle, dataset, cfg)
 print(f"  {'feature':<8} {'alpha':>7} {'1-alpha':>8} {'omega':>7} {'(1-a)*w':>8}")
 for k, name in enumerate(expl.feature_names):
     a = expl.mixing["alpha"][k]

@@ -40,7 +40,7 @@ from .forest import (
     load_forest,
     save_forest,
 )
-from .nam import ACTIVATIONS, VARIANTS, NamConfig, default_mu, load_model, save_model
+from .nam import ACTIVATIONS, VARIANTS, NamConfig, load_model, save_model
 from .report import (
     _fmt,
     explanation_summary,
@@ -158,17 +158,14 @@ def cmd_explain(args) -> int:
                           "and global mode takes neither")
     if args.center_row is not None and args.center_values is not None:
         raise _UsageError("give only one of --center-row / --center-values")
-    if args.mu is None:
-        args.mu = default_mu(args.variant)
-
-    hidden = _parse_list(args, "hidden", int)
+    config = NamConfig(hidden_sizes=_parse_list(args, "hidden", int), activation=args.activation,
+                       learning_rate=args.learning_rate, epochs=args.epochs, batch=args.batch,
+                       seed=args.seed, variant=args.variant, lam=args.lam, mu=args.mu)
+    args.mu = config.mu  # the banner shows the resolved default
     print(_banner(args))
 
     forest, extra = load_forest(args.forest)
     dataset = _load_dataset_for(forest, extra, args.data)
-    config = NamConfig(hidden_sizes=hidden, activation=args.activation,
-                       learning_rate=args.learning_rate, epochs=args.epochs,
-                       batch=args.batch, seed=args.seed, variant=args.variant)
 
     if args.mode == "local":
         if args.center_row is not None:
@@ -181,12 +178,10 @@ def cmd_explain(args) -> int:
                 raise _UsageError(
                     f"--center-values needs {dataset.m} comma-separated numbers")
         explanation = explain_local(forest, dataset, center, config,
-                                    lam=args.lam, mu=args.mu,
                                     n_points=args.n_points, epsilon=args.epsilon,
                                     seed=args.seed)
     else:
-        explanation = explain_global(forest, dataset, config, lam=args.lam,
-                                     mu=args.mu, epsilon=args.epsilon)
+        explanation = explain_global(forest, dataset, config, epsilon=args.epsilon)
 
     artifacts = [
         ("explanation", "explanation.csv", partial(write_explanation_csv, explanation)),
@@ -285,8 +280,8 @@ def build_parser():
     p.add_argument("--center-values", default=None,
                    help="comma-separated encoded feature values (local mode)")
     p.add_argument("--n-points", type=int, default=N_POINTS)
-    p.add_argument("--lam", type=float, default=0.0, help="L1 strength")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--lam", type=float, default=NamConfig.lam, help="L1 strength")
+    p.add_argument("--mu", type=float, default=NamConfig.mu,
                    help="L2 strength on subnet parameters (default 1 for shortcut, else 0)")
     p.add_argument("--epsilon", type=float, default=EPSILON)
     p.add_argument("--hidden", default=",".join(map(str, NamConfig.hidden_sizes)))

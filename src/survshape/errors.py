@@ -4,16 +4,17 @@ DataError covers malformed or degenerate inputs (CLI exit code 3),
 NumericError covers runtime numeric failures (CLI exit code 4). The JSON
 readers share `_read_json`, which reads plain JSON and a gzip stream of
 it alike and turns an unreadable, unparsable or corrupt file into a
-DataError, and `_field`, `_floats` and `_config`, which do the same for
-an ill-typed key, float array or config block;
-`_pack_floats` stores a float array as base64 of its float64 bytes. The
-config classes check their integer fields with `_integer`, and every
-real-valued setting is checked, finite too, by `_real`. Every artifact
-writer goes through `_atomic_open`, text or binary, so a failed or
-interrupted write leaves no partial file.
+DataError, `_field` and `_floats`, which do the same for an ill-typed
+key or float array, and `_config`, which builds a config class from its
+block. `_pack_floats` stores a float array as base64 of its float64
+bytes. Each config class alone checks its fields: integers with
+`_integer`, reals, finite too, with `_real`. Every artifact writer goes
+through `_atomic_open`, text or binary, so a failed or interrupted write
+leaves no partial file.
 """
 
 import base64
+import dataclasses
 import gzip
 import json
 import math
@@ -102,12 +103,19 @@ def _floats(obj: dict, key: str, where: str) -> np.ndarray:
     raise DataError(f"{where}'s {key!r} must be base64 of little-endian float64 values")
 
 
-def _config(blob: dict, kinds: dict, what: str, path, where: str) -> dict:
-    """A config block's settings: unknown keys refused first, then each key through _field."""
-    unknown = sorted(set(blob) - set(kinds))
+def _config(cls, blob: dict, what: str, path, where: str):
+    """cls(**blob) once no key is unknown or missing; cls's DataError gets `where` as prefix."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(blob) - set(names))
     if unknown:
         raise DataError(f"{path}: unknown {what} config key(s): {', '.join(unknown)}")
-    return {key: _field(blob, key, kind, where) for key, kind in kinds.items()}
+    for name in names:
+        if name not in blob:
+            raise DataError(f"{where} has no {name!r}")
+    try:
+        return cls(**blob)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _integer(value, name: str, optional: bool = False):

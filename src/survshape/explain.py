@@ -31,7 +31,6 @@ from .nam import (
     NamModel,
     ShapeCurve,
     TargetBatch,
-    default_mu,
     init_model,
     predict_log_risk,
     shape_curve,
@@ -81,10 +80,10 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Centered shape curves plus mixing coefficients and fit diagnostics."""
+    """Centered shape curves plus mixing coefficients and fit diagnostics; the surrogate's
+    settings are model.config, and params holds only the explanation's own."""
 
     mode: str  # "local" | "global"
-    variant: str
     feature_names: tuple[str, ...]
     curves: tuple[ShapeCurve, ...]
     mixing: dict
@@ -250,13 +249,11 @@ def _read_black_box(mode, blackbox, dataset, points, weights, epsilon):
             risk_scores(blackbox, dataset.features))
 
 
-def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
-                     epsilon, seed, center):
-    mu = default_mu(config.variant) if mu is None else mu
+def _fit_and_package(mode, blackbox, dataset, points, weights, config, epsilon, seed, center):
     targets, blackbox_risk = _read_black_box(mode, blackbox, dataset, points, weights,
                                              epsilon)
     model = init_model(dataset.m, config, dataset.feature_names)
-    model, trace = train(model, targets, lam, mu)
+    model, trace = train(model, targets)
 
     curves = []
     for k, kind in enumerate(dataset.feature_kinds):
@@ -277,20 +274,19 @@ def _fit_and_package(mode, blackbox, dataset, points, weights, config, lam, mu,
     diagnostics = FitDiagnostics(initial_loss=trace[0], final_loss=trace[-1],
                                  epochs=config.epochs, c_index=c_index,
                                  c_index_blackbox=c_blackbox)
-    params = {"mode": mode, "variant": config.variant, "lambda": lam, "mu": mu,
-              "epsilon": epsilon, "n_points": len(points), "seed": seed, "center": center}
-    return Explanation(mode, model.variant, dataset.feature_names, tuple(curves),
+    params = dict(mode=mode, epsilon=epsilon, n_points=len(points), seed=seed, center=center)
+    return Explanation(mode, dataset.feature_names, tuple(curves),
                        mixing, diagnostics, model, points, params)
 
 
 def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
-                  lam: float = 0.0, mu: Optional[float] = None, n_points: int = N_POINTS,
-                  epsilon: float = EPSILON, seed: Optional[int] = None) -> Explanation:
+                  n_points: int = N_POINTS, epsilon: float = EPSILON,
+                  seed: Optional[int] = None) -> Explanation:
     """Explain the black box around one point via a perturbation neighborhood.
 
     The kernel radius is the largest distance between x and a generated
     point, so the weights span (0, 1] with exactly 0 at the farthest point.
-    The surrogate trains with config; mu=None means nam.default_mu(config.variant).
+    The surrogate trains with config, its penalties' lam and mu included.
     The perturbations are drawn with seed, or config.seed when seed is
     None; params["seed"] records the one used. Deterministic for fixed
     (seed, config).
@@ -300,15 +296,14 @@ def explain_local(blackbox, dataset: SurvivalDataset, x, config: NamConfig,
     x = np.asarray(x, dtype=float)
     nbhd = build_neighborhood(x, dataset, n_points, seed)
     return _fit_and_package("local", blackbox, dataset, nbhd.points, nbhd.weights,
-                            config, lam, mu, epsilon, seed, x.tolist())
+                            config, epsilon, seed, x.tolist())
 
 
 def explain_global(blackbox, dataset: SurvivalDataset, config: NamConfig,
-                   lam: float = 0.0, mu: Optional[float] = None,
                    epsilon: float = EPSILON) -> Explanation:
-    """Explain the black box over the training set, unit weights; mu as in explain_local."""
+    """Explain the black box over the training set, unit weights; config as in explain_local."""
     return _fit_and_package("global", blackbox, dataset, dataset.features.copy(),
-                            np.ones(dataset.n), config, lam, mu, epsilon, config.seed, None)
+                            np.ones(dataset.n), config, epsilon, config.seed, None)
 
 
 def surrogate_c_index(explanation: Union[Explanation, NamModel], blackbox,

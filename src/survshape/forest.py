@@ -77,12 +77,6 @@ _MOST_AT_RISK = np.iinfo(np.int32).max
 # and little held beyond the trees themselves.
 _LOAD_CHUNK = 32
 
-# The JSON types load_forest accepts per config key, in ForestConfig's field order.
-_CONFIG_KINDS = {"n_trees": int, "min_leaf_events": int, "max_depth": (int, type(None)),
-                 "features_per_split": (int, type(None)), "seed": int,
-                 "gamma_fraction": (int, float)}
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     """Hyperparameters; only the tree count is protocol-fixed, at 500."""
@@ -543,10 +537,10 @@ def load_forest(path):
     """Read a forest written by save_forest; returns (forest, extra).
 
     An unreadable file, invalid JSON, another format version, a missing
-    or ill-typed key (config keys included; a bool is never a number), an
-    `extra` that is neither an object nor null, an unknown config key, an
-    `n_trees` other than the number of trees or a tree that does not fit
-    the grid and features raises DataError.
+    or ill-typed key, an `extra` that is neither an object nor null, an
+    unknown or missing config key, a config value ForestConfig refuses,
+    an `n_trees` other than the number of trees or a tree that does not
+    fit the grid and features raises DataError.
     """
     payload = _read_json(path, "forest")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-forest":
@@ -559,7 +553,7 @@ def load_forest(path):
     grid_blob = _field(payload, "grid", dict, where)
     names = _field(payload, "feature_names", list, where)
     kinds = _field(payload, "feature_kinds", list, where)
-    config = _field(payload, "config", dict, where)
+    config_blob = _field(payload, "config", dict, where)
     trees = _field(payload, "trees", list, where)
     times = _floats(grid_blob, "times", where)
     gamma = _field(grid_blob, "gamma", (int, float), where)
@@ -568,9 +562,9 @@ def load_forest(path):
         raise DataError(f"{where}'s 'extra' must be an object or null")
     if len(names) != len(kinds) or not all(isinstance(v, str) for v in names + kinds):
         raise DataError(f"{path}: feature names and kinds must be matching lists of strings")
-    settings = _config(config, _CONFIG_KINDS, "forest", path, f"{path}: forest config")
-    if settings["n_trees"] != len(trees):
-        raise DataError(f"{path}: forest config says n_trees = {settings['n_trees']}, "
+    config = _config(ForestConfig, config_blob, "forest", path, f"{path}: forest config")
+    if config.n_trees != len(trees):
+        raise DataError(f"{path}: forest config says n_trees = {config.n_trees}, "
                         f"but the file holds {len(trees)} trees")
     try:
         grid = TimeGrid(times, gamma)
@@ -581,7 +575,7 @@ def load_forest(path):
             grid,
             tuple(names),
             tuple(kinds),
-            ForestConfig(**settings),
+            config,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed forest file: {exc!r}") from exc

@@ -31,7 +31,7 @@ from .errors import (DataError, NumericError, TrainingDivergedError, _atomic_ope
 # Each variant's mixing heads, in parameter order, with their initial values.
 VARIANT_HEADS = {"base": {}, "lasso": {"beta": 1.0}, "shortcut": {"alpha": 0.5, "omega": 0.0}}
 VARIANTS = tuple(VARIANT_HEADS)
-FORMAT_VERSION = 3  # of the model file; save_model writes it, load_model reads only it
+FORMAT_VERSION = 4  # of the model file; save_model writes it, load_model reads only it
 _BLOCK_ROWS = 256  # of predict_log_risk's network and of each weight gradient's sum
 _TRAIN_DTYPE = np.float32  # of every loss and gradient train computes
 
@@ -61,19 +61,13 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def default_mu(variant: str) -> float:
-    """The L2 strength a variant trains with when none is given: 1 for shortcut, else 0."""
-    return 1.0 if variant == "shortcut" else 0.0
-
-
-# The JSON types load_model accepts for each key of the model file's config block.
-_CONFIG_KINDS = {"hidden_sizes": list, "activation": str, "learning_rate": (int, float),
-                 "epochs": int, "batch": (int, type(None)), "seed": int, "variant": str}
+_PENALIZED = {"lam": ("lasso", "shortcut"), "mu": ("shortcut",)}  # variants applying each
 
 
 @dataclass(frozen=True)
 class NamConfig:
-    """Architecture and optimizer settings shared by all subnetworks."""
+    """Every setting of one surrogate. A penalty strength must be finite, nonnegative
+    and 0 for a variant that does not apply it (see _PENALIZED)."""
 
     hidden_sizes: tuple[int, ...] = (64, 32)
     activation: str = "relu"
@@ -82,6 +76,8 @@ class NamConfig:
     batch: Optional[int] = None  # None = full batch
     seed: int = 0
     variant: str = "base"
+    lam: float = 0.0  # L1 strength on beta (lasso) or alpha (shortcut)
+    mu: Optional[float] = None  # L2 on shortcut's subnetworks; None = 1.0 there, else 0.0
 
     def __post_init__(self):
         try:
@@ -94,7 +90,10 @@ class NamConfig:
         for name in ("epochs", "batch", "seed"):
             value = _integer(getattr(self, name), name, optional=name == "batch")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate"))
+        if self.mu is None:
+            object.__setattr__(self, "mu", 1.0 if self.variant == "shortcut" else 0.0)
+        for name in ("learning_rate", "lam", "mu"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation {self.activation!r}")
         if not self.learning_rate > 0:
@@ -105,6 +104,13 @@ class NamConfig:
             raise DataError("batch must be a positive int or None")
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}")
+        for name, variants in _PENALIZED.items():
+            value = getattr(self, name)
+            if value < 0:
+                raise DataError(f"{name} must be nonnegative, got {value!r}")
+            if value > 0 and self.variant not in variants:
+                raise DataError(f"{name} must be 0 for the {self.variant} variant, "
+                                f"which does not apply it; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -386,21 +392,20 @@ def _subnet_params(model: NamModel) -> np.ndarray:
     return model._theta[:sum(p.size for p in model.layer_weights + model.layer_biases)]
 
 
-def _penalized_loss(model: NamModel, targets: TargetBatch, lam: float, mu: float,
-                    work: _Workspace, keep_cache: bool = False):
+def _penalized_loss(model: NamModel, targets: TargetBatch, work: _Workspace,
+                    keep_cache: bool = False):
     """Forward pass and the penalized loss; returns (loss, g, log_risk, cache).
 
     The smooth part is sum_i v_i sum_j (phi_ij - log_risk_i)^2 * tau_j,
     computed from the batch's statistics as
     sum_i v_i [(log_risk_i T - b_i)^2 / T + c_i] (see TargetBatch).
     The lasso variant adds lam * sum|beta|, the shortcut variant
-    lam * sum|alpha| + mu * ||subnet parameters||^2.
-    Without keep_cache, g and the cache are None and the log-risk comes
-    from predict_log_risk's row blocks, with the floats of one pass. The
-    network runs in work's dtype, on x cast to it.
+    lam * sum|alpha| + mu * ||subnet parameters||^2, lam and mu from
+    model.config. Without keep_cache, g and the cache are None and the
+    log-risk comes from predict_log_risk's row blocks, with the floats of
+    one pass. The network runs in work's dtype, on x cast to it.
     """
-    if _real(lam, "lam") < 0 or _real(mu, "mu") < 0:
-        raise DataError("regularization strengths must be nonnegative")
+    lam, mu = model.config.lam, model.config.mu
     x, v, layers = targets.x.astype(work.dtype, copy=False), targets.weights, work.take(model)
     if x.shape[1] != model.m:
         raise DataError(f"expected {model.m} features, got {x.shape[1]}")
@@ -428,9 +433,8 @@ def _weight_gradient(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return dw
 
 
-def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
-              g: np.ndarray, log_risk: np.ndarray, inputs, out: np.ndarray,
-              work: _Workspace) -> np.ndarray:
+def _backward(model: NamModel, targets: TargetBatch, g: np.ndarray, log_risk: np.ndarray,
+              inputs, out: np.ndarray, work: _Workspace) -> np.ndarray:
     """Analytic gradients of _penalized_loss from its forward pass (keep_cache=True).
 
     At the |.| kink the subgradient 0 is used. The gradient is written into
@@ -440,6 +444,7 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
     The deltas run in work's dtype; derivatives go into work's spare bytes.
     """
     x, v = inputs[0][:, :, 0].T, targets.weights  # x as the forward pass took it
+    lam, mu = model.config.lam, model.config.mu
     _, act_grad = ACTIVATIONS[model.config.activation]
 
     # d loss / d log_risk
@@ -475,37 +480,38 @@ def _backward(model: NamModel, targets: TargetBatch, lam: float, mu: float,
     layer_grads.reverse()  # now [dW0, db0, dW1, db1, ...]
 
     np.concatenate([grad.ravel() for grad in layer_grads + [d_bias] + head_grads], out=out)
-    if model.variant == "shortcut" and mu > 0.0:
+    if mu > 0.0:  # shortcut only: NamConfig refuses mu > 0 elsewhere
         layers = _subnet_params(model)
         out[:layers.size] += 2.0 * mu * layers
     return out
 
 
-def loss_and_gradient(model: NamModel, targets: TargetBatch,
-                      lam: float = 0.0, mu: float = 0.0, out: Optional[np.ndarray] = None,
+def loss_and_gradient(model: NamModel, targets: TargetBatch, out: Optional[np.ndarray] = None,
                       dtype=np.float64, work: Optional[_Workspace] = None):
     """Exact loss (see _penalized_loss) and analytic gradients for every trainable array.
 
-    At the |.| kink the subgradient 0 is used. Gradients come back in
-    param_arrays() order, as float64 views of one flat vector: out when given
-    (it must have model.flatten()'s shape), a new one otherwise. A non-finite
+    The penalties' strengths are model.config's lam and mu, and at the |.|
+    kink the subgradient 0 is used. Gradients come back in param_arrays()
+    order, as float64 views of one flat vector: out when given (it must
+    have model.flatten()'s shape), a new one otherwise. A non-finite
     loss raises NumericError before any gradient is taken. The network runs
     in dtype (see _Workspace.take), on work's buffers when given.
     """
     work = _Workspace(model, dtype) if work is None else work
-    loss, g, log_risk, inputs = _penalized_loss(model, targets, lam, mu, work, keep_cache=True)
+    loss, g, log_risk, inputs = _penalized_loss(model, targets, work, keep_cache=True)
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
     if out is None:
         out = np.empty_like(model._theta)
-    return loss, model._views(_backward(model, targets, lam, mu, g, log_risk, inputs, out, work))
+    return loss, model._views(_backward(model, targets, g, log_risk, inputs, out, work))
 
 
-def loss_only(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0,
-              dtype=np.float64, work: Optional[_Workspace] = None) -> float:
-    """The loss of _penalized_loss alone, with the subnetworks in dtype: no cache, no gradients."""
+def loss_only(model: NamModel, targets: TargetBatch, dtype=np.float64,
+              work: Optional[_Workspace] = None) -> float:
+    """The loss of _penalized_loss alone, model.config's penalties included, with the
+    subnetworks in dtype: no cache, no gradients."""
     work = _Workspace(model, dtype) if work is None else work
-    return _penalized_loss(model, targets, lam, mu, work)[0]
+    return _penalized_loss(model, targets, work)[0]
 
 
 def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
@@ -540,24 +546,25 @@ def _adam_step(model: NamModel, grad: np.ndarray, state: np.ndarray, step: int,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every loss is checked for finiteness
-def train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0):
+def train(model: NamModel, targets: TargetBatch):
     """Adam optimization with model.config's settings; returns (trained model, loss trace).
 
-    lam and mu must be finite and nonnegative (DataError otherwise).
-    Deterministic for fixed seeds. Every step takes its gradient from
-    loss_and_gradient, computed in float32 (_TRAIN_DTYPE) on x cast once and
-    a per-step copy of the subnetworks' parameters, into one float64 vector,
-    and updates the float64 parameters with _adam_step; mini-batches are row
-    slices of targets. Each loss runs the network in float32 too. The trace
-    holds the full-batch loss after each epoch, starting with the initial
-    loss. In full-batch mode each entry but the last is the loss that
-    loss_and_gradient returns for the next epoch's gradient, so the network
-    runs once per epoch; only the entry after the last update (and, with
-    mini-batches, every entry) takes a separate loss_only pass. If the last
-    epoch is not the best one seen, the best parameters are restored, so the
-    final loss never exceeds the initial loss. Raises TrainingDivergedError
-    when the loss stops being finite, before any gradient is taken from it.
-    The input model is left unchanged.
+    Every setting comes from model.config: epochs, batch, learning rate,
+    seed and the penalties' lam and mu. Deterministic for fixed seeds. Every
+    step takes its gradient from loss_and_gradient, computed in float32
+    (_TRAIN_DTYPE) on x cast once and a per-step copy of the subnetworks'
+    parameters, into one float64 vector, and updates the float64 parameters
+    with _adam_step; mini-batches are row slices of targets. Each loss runs
+    the network in float32 too. The trace holds the full-batch loss after
+    each epoch, starting with the initial loss. In full-batch mode each
+    entry but the last is the loss that loss_and_gradient returns for the
+    next epoch's gradient, so the network runs once per epoch; only the
+    entry after the last update (and, with mini-batches, every entry) takes
+    a separate loss_only pass. If the last epoch is not the best one seen,
+    the best parameters are restored, so the final loss never exceeds the
+    initial loss. Raises TrainingDivergedError when the loss stops being
+    finite, before any gradient is taken from it. The input model is left
+    unchanged.
     """
     cfg = model.config
     model = model.copy()
@@ -573,11 +580,11 @@ def train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0
     def full_batch_pass() -> float:
         """The full-batch loss, with its gradient in grad when the loss is finite."""
         try:
-            return loss_and_gradient(model, targets, lam, mu, out=grad, **precision)[0]
+            return loss_and_gradient(model, targets, out=grad, **precision)[0]
         except NumericError:  # the non-finite value, for the trace
-            return loss_only(model, targets, lam, mu, **precision)
+            return loss_only(model, targets, **precision)
 
-    loss = full_batch_pass() if full_batch else loss_only(model, targets, lam, mu, **precision)
+    loss = full_batch_pass() if full_batch else loss_only(model, targets, **precision)
     trace = [loss]
     if not np.isfinite(loss):
         raise TrainingDivergedError("initial loss is not finite", trace)
@@ -593,15 +600,15 @@ def train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0
                 if epoch + 1 < cfg.epochs:
                     loss = full_batch_pass()
                 else:
-                    loss = loss_only(model, targets, lam, mu, **precision)
+                    loss = loss_only(model, targets, **precision)
             else:
                 order = batch_rng.permutation(targets.n)
                 for i in range(0, targets.n, cfg.batch):
                     loss_and_gradient(model, _rows(targets, order[i:i + cfg.batch]),
-                                      lam, mu, out=grad, **precision)
+                                      out=grad, **precision)
                     step += 1
                     _adam_step(model, grad, state, step, lr)
-                loss = loss_only(model, targets, lam, mu, **precision)
+                loss = loss_only(model, targets, **precision)
         except NumericError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", trace) from exc
@@ -665,9 +672,9 @@ def save_model(model: NamModel, path) -> None:
 def load_model(path) -> NamModel:
     """Read a checkpoint written by save_model; the model is built on its params vector.
 
-    An unreadable file, invalid JSON, another version, a missing or ill-typed
-    key, features < 1, an unknown config key, a config NamConfig rejects and
-    params other than the finite values the config and features need raise DataError.
+    An unreadable file, invalid JSON, another version, a missing or ill-typed key,
+    features < 1, a config block NamConfig refuses (or with an unknown or missing key)
+    and params other than the finite values the config and features need raise DataError.
     """
     payload = _read_json(path, "model")
     if not isinstance(payload, dict) or payload.get("format") != "survshape-nam":
@@ -685,9 +692,8 @@ def load_model(path) -> NamModel:
     params = _floats(payload, "params", where)
     if not np.all(np.isfinite(params)):
         raise DataError(f"{where}'s 'params' holds a non-finite value")
-    settings = _config(blob, _CONFIG_KINDS, "model", path, where)
+    cfg = _config(NamConfig, blob, "model", path, where)
     try:
-        cfg = NamConfig(**settings)
         need = _param_count(m, cfg)  # checked first, so nothing is built from a bad count
         if params.size != need:
             raise DataError(f"model file's 'params' has {params.size} values; "

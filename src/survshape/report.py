@@ -33,10 +33,11 @@ def _fmt(value) -> str:
 
 def explanation_summary(expl: Explanation) -> list[tuple[str, str]]:
     """The key/value pairs of the CSV summary block, in a fixed order."""
+    config = expl.model.config
     pairs = [
         ("mode", expl.mode),
-        ("variant", expl.variant),
-        *((key, _fmt(expl.params[key])) for key in "lambda mu epsilon n_points seed".split()),
+        ("variant", config.variant), ("lambda", _fmt(config.lam)), ("mu", _fmt(config.mu)),
+        *((key, _fmt(expl.params[key])) for key in "epsilon n_points seed".split()),
         ("initial_loss", _fmt(expl.diagnostics.initial_loss)),
         ("final_loss", _fmt(expl.diagnostics.final_loss)),
         ("epochs", _fmt(expl.diagnostics.epochs)),

@@ -68,7 +68,9 @@ class TestCriterion1GradientOracle:
             m = int(rng.integers(1, 5))  # m <= 4
             for variant in ("base", "lasso", "shortcut"):
                 cfg = NamConfig(hidden_sizes=(8, 4), learning_rate=1e-3, epochs=1,
-                                seed=seed, variant=variant)
+                                seed=seed, variant=variant,
+                                lam=0.3 if variant != "base" else 0.0,
+                                mu=0.05 if variant == "shortcut" else 0.0)
                 model = init_model(m, cfg)
                 for p in model.param_arrays():
                     p += 0.1 * rng.standard_normal(p.shape)
@@ -83,15 +85,13 @@ class TestCriterion1GradientOracle:
                     widths=rng.uniform(0.2, 1.5, size=4),
                     weights=rng.uniform(0.1, 1.0, size=6),
                 )
-                lam = 0.3 if variant != "base" else 0.0
-                mu = 0.05 if variant == "shortcut" else 0.0
-                _, grads = loss_and_gradient(model, targets, lam, mu)
+                _, grads = loss_and_gradient(model, targets)
                 analytic = np.concatenate([g.ravel() for g in grads])
                 probe = model.copy()
 
-                def flat_loss(vec, probe=probe, targets=targets, lam=lam, mu=mu):
+                def flat_loss(vec, probe=probe, targets=targets):
                     probe.set_flat(vec)
-                    return loss_only(probe, targets, lam, mu)
+                    return loss_only(probe, targets)
 
                 numeric = finite_difference_gradient(flat_loss, model.flatten(), h=1e-6)
                 denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-2)
@@ -116,7 +116,7 @@ class TestCriterion2MinimizerOracle:
                       - np.log(np.maximum(baseline.values, 1e-5)))
         star = oracle_psi_star(log_ratios, forest.grid.widths)
         cfg = NamConfig(hidden_sizes=(64, 32), learning_rate=1e-2, epochs=4000, seed=0)
-        model, _ = train(init_model(2, cfg), targets, lam=0.0, mu=0.0)
+        model, _ = train(init_model(2, cfg), targets)
         rmse = float(np.sqrt(np.mean((predict_log_risk(model, points) - star) ** 2)))
         elapsed = time.time() - t0
         assert rmse < 0.05, f"RMSE {rmse:.4f}"
@@ -150,8 +150,8 @@ class TestCriterion4NonlinearityDetection:
         dataset, _ = generate_cox_data(spec)
         oracle = ExactCoxPredictor.for_dataset(spec, dataset)
         cfg = NamConfig(hidden_sizes=(32, 16), learning_rate=1e-2, epochs=5000,
-                        seed=0, variant="shortcut")
-        expl = explain_global(oracle, dataset, cfg, lam=1.0, mu=0.01)
+                        seed=0, variant="shortcut", lam=1.0, mu=0.01)
+        expl = explain_global(oracle, dataset, cfg)
         alpha = expl.mixing["alpha"]
         elapsed = time.time() - t0
         assert alpha[0] < alpha[1], f"alpha = {alpha}"
@@ -168,8 +168,8 @@ class TestCriterion5LassoSparsity:
         beta_by_lam = {}
         for lam in (0.1, 1.0, 10.0, 100.0):
             cfg = NamConfig(hidden_sizes=(32, 16), learning_rate=1e-2, epochs=2000,
-                            seed=0, variant="lasso")
-            expl = explain_global(oracle, dataset, cfg, lam=lam)
+                            seed=0, variant="lasso", lam=lam)
+            expl = explain_global(oracle, dataset, cfg)
             beta = expl.mixing["beta"]
             beta_by_lam[lam] = beta
             counts.append(int(np.sum(np.abs(beta) < 1e-2)))

@@ -1,5 +1,6 @@
 import base64
 import csv
+import dataclasses
 import gzip
 import json
 import multiprocessing
@@ -14,6 +15,8 @@ from survshape import forest as forest_module
 from survshape.cli import main
 from survshape.data import DatasetSchema
 from survshape.errors import _floats, _pack_floats
+from survshape.forest import ForestConfig
+from survshape.nam import NamConfig
 
 
 def run(argv):
@@ -543,15 +546,16 @@ class TestMalformedForestFile:
         (_forest_with_inf_threshold, "non-finite threshold"),
         (_forest_with_bad_base64,
          "tree 0's 'threshold' must be base64 of little-endian float64 values"),
-        (_forest_with_fractional_n_trees, "forest config's 'n_trees' has the wrong type"),
-        (_forest_with_bool_n_trees, "forest config's 'n_trees' has the wrong type"),
+        (_forest_with_fractional_n_trees, "forest config: n_trees must be an int, got 2.7"),
+        (_forest_with_bool_n_trees, "forest config: n_trees must be an int, got True"),
         (_forest_with_text_min_leaf_events,
-         "forest config's 'min_leaf_events' has the wrong type"),
-        (_forest_with_text_gamma_fraction, "forest config's 'gamma_fraction' has the wrong type"),
-        (_forest_with_fractional_max_depth, "forest config's 'max_depth' has the wrong type"),
+         "forest config: min_leaf_events must be an int, got '4'"),
+        (_forest_with_text_gamma_fraction,
+         "forest config: gamma_fraction must be a real number, got '0.5'"),
+        (_forest_with_fractional_max_depth, "forest config: max_depth must be an int, got 2.5"),
         (_forest_with_text_features_per_split,
-         "forest config's 'features_per_split' has the wrong type"),
-        (_forest_with_null_seed, "forest config's 'seed' has the wrong type"),
+         "forest config: features_per_split must be an int, got '2'"),
+        (_forest_with_null_seed, "forest config: seed must be an int, got None"),
         (_forest_without_config_seed, "forest config has no 'seed'"),
         (_forest_with_n_trees_off_by_one, "n_trees = 49, but the file holds 50 trees"),
         (_forest_without_trees, "n_trees must be >= 1"),
@@ -699,6 +703,12 @@ def _model_of_version_2(payload):
     payload["version"] = 2
 
 
+def _model_of_version_3(payload):
+    # as version 3 wrote it: no lam or mu in the config block
+    payload["version"] = 3
+    del payload["config"]["lam"], payload["config"]["mu"]
+
+
 def _model_with_text_param(payload):
     # decimal numbers, as version 2 wrote them
     payload["params"] = _floats(payload, "params", "params").tolist()
@@ -766,7 +776,7 @@ class TestMalformedModelFile:
     # The lasso model of model_dir: 2 features, hidden 4,3, so 2 * (27 + 1) + 1 = 57 params.
     @pytest.mark.parametrize("corrupt, message", [
         (_model_without_params, "model file has no 'params'"),
-        (_model_config_ill_typed, "model file's 'epochs' has the wrong type"),
+        (_model_config_ill_typed, "model file: epochs must be an int, got '5'"),
         (_model_config_rejected, "unknown activation 'sigmoid'"),
         (_model_layer_shape_off, "'params' has 57 values; 2 features with this config need 69"),
         (_model_feature_count_off,
@@ -775,9 +785,11 @@ class TestMalformedModelFile:
          "'params' has 57 values; 2 features with this config need 59"),
         (_model_config_unknown_key, "unknown model config key(s): foo"),
         (_model_of_version_1, "model file version 1 is not supported (this release reads "
-                              "version 3); rerun explain"),
+                              "version 4); rerun explain"),
         (_model_of_version_2, "model file version 2 is not supported (this release reads "
-                              "version 3); rerun explain"),
+                              "version 4); rerun explain"),
+        (_model_of_version_3, "model file version 3 is not supported (this release reads "
+                              "version 4); rerun explain"),
         (_model_with_text_param, "model file's 'params' has the wrong type"),
         (_model_with_number_params, "model file's 'params' has the wrong type"),
         (_model_with_bad_base64,
@@ -797,6 +809,78 @@ class TestMalformedModelFile:
         err = self.eval_with(json.dumps(payload).encode(), synth_dir, fitted_dir,
                              tmp_path, capsys)
         assert message in err
+
+
+def _wrong_typed(field):
+    """JSON values of a type the config field does not take: a bool, and a string, a
+    float and null wherever the field takes none of these (the annotation says which)."""
+    kind = str(field.type)
+    values = [True]
+    if "str" not in kind:
+        values.append("1")
+    if "int" in kind:
+        values.append(2.5)
+    if "Optional" not in kind:
+        values.append(None)
+    return values
+
+
+_CONFIG_FIELDS = [(cls, field.name, value) for cls in (ForestConfig, NamConfig)
+                  for field in dataclasses.fields(cls) for value in _wrong_typed(field)]
+
+
+class TestConfigBlocks:
+    """Each config block is checked by its class alone: a value of the wrong type, a
+    missing key and an unknown key each exit 3 with one line that names the path once."""
+
+    @pytest.fixture
+    def paths(self, synth_dir, fitted_dir, model_dir, forest_document):
+        return synth_dir, fitted_dir, model_dir, forest_document
+
+    def run_with(self, cls, edit, paths, tmp_path, capsys):
+        """The stderr line of a run on a forest.bin (ForestConfig) or nam.json (NamConfig)
+        whose config block went through edit; paths are the fixtures the runs read."""
+        synth_dir, fitted_dir, model_dir, forest_document = paths
+        data = ["--data", str(synth_dir / "dataset.csv"), "--out", str(tmp_path / "out")]
+        if cls is ForestConfig:
+            path = tmp_path / "forest.bin"
+            forest_document(fitted_dir / "forest.bin", lambda p: edit(p["config"]), path)
+            argv = ["explain", "--forest", str(path), "--epochs", "5"]
+        else:
+            path = tmp_path / "nam.json"
+            payload = json.loads((model_dir / "nam.json").read_text(encoding="utf-8"))
+            edit(payload["config"])
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            argv = ["eval", "--forest", str(fitted_dir / "forest.bin"), "--model", str(path)]
+        code = run(argv + data)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.count(str(path)) == 1
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("cls, name, value", _CONFIG_FIELDS,
+                             ids=[f"{cls.__name__}-{name}-{value!r}"
+                                  for cls, name, value in _CONFIG_FIELDS])
+    def test_wrong_typed_value_names_the_field(self, cls, name, value, paths, tmp_path,
+                                               capsys):
+        err = self.run_with(cls, lambda config: config.update({name: value}), paths,
+                            tmp_path, capsys)
+        assert name in err
+
+    @pytest.mark.parametrize("cls, block", [(ForestConfig, "forest config"),
+                                            (NamConfig, "model file")],
+                             ids=["ForestConfig", "NamConfig"])
+    def test_missing_and_unknown_keys(self, cls, block, paths, tmp_path, capsys):
+        what = block.split()[0]
+        for field in dataclasses.fields(cls):
+            err = self.run_with(cls, lambda config: config.pop(field.name), paths,
+                                tmp_path, capsys)
+            assert err.endswith(f": {block} has no {field.name!r}\n")
+        err = self.run_with(cls, lambda config: config.update(foo=1, bar=2), paths,
+                            tmp_path, capsys)
+        assert err.endswith(f": unknown {what} config key(s): bar, foo\n")
 
 
 class TestConfigValueTypes:
@@ -910,6 +994,13 @@ _FAILED_WORK = [
          ("fit", "--test-fraction", "nan", "test_fraction"),
          ("synth", "--scale", "inf", "scale"),
          ("synth", "--censoring", "nan", "censoring_rate"),
+     ]] + [(f"explain {flags}", 3, f"error: {message}\n") for flags, message in [
+         # a penalty the variant does not apply, or a negative one
+         ("--lam 5", "lam must be 0 for the base variant, which does not apply it; got 5.0"),
+         ("--mu 7", "mu must be 0 for the base variant, which does not apply it; got 7.0"),
+         ("--variant lasso --mu 0.5",
+          "mu must be 0 for the lasso variant, which does not apply it; got 0.5"),
+         ("--variant shortcut --lam -1", "lam must be nonnegative, got -1.0"),
      ]]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -392,17 +393,17 @@ class TestExplainGlobal:
         _, dataset, _, oracle = linear_setup(n=60)
         cfg = fast_config("shortcut", epochs=20)
         default = explain_global(oracle, dataset, cfg)
-        explicit = explain_global(oracle, dataset, cfg, mu=1.0)
-        assert default.params["mu"] == explicit.params["mu"] == 1.0
+        explicit = explain_global(oracle, dataset, dataclasses.replace(cfg, mu=1.0))
+        assert default.model.config.mu == explicit.model.config.mu == 1.0
         assert default.model.flatten().tobytes() == explicit.model.flatten().tobytes()
         assert default.model.flatten().tobytes() != explain_global(
-            oracle, dataset, cfg, mu=0.0).model.flatten().tobytes()
+            oracle, dataset, dataclasses.replace(cfg, mu=0.0)).model.flatten().tobytes()
 
     @pytest.mark.parametrize("variant", ["base", "lasso"])
     def test_other_variants_default_to_mu_zero(self, variant):
         _, dataset, _, oracle = linear_setup(n=60)
         expl = explain_global(oracle, dataset, fast_config(variant, epochs=2))
-        assert expl.params["mu"] == 0.0
+        assert expl.model.config.mu == 0.0
 
     def test_duplicated_dataset_same_result(self):
         _, dataset, _, oracle = linear_setup(n=60)
@@ -433,8 +434,8 @@ class TestExplainGlobal:
 
     def test_mixing_values_exposed(self):
         _, dataset, _, oracle = linear_setup()
-        expl = explain_global(oracle, dataset, fast_config("shortcut", epochs=50),
-                              lam=0.1, mu=0.01)
+        expl = explain_global(oracle, dataset,
+                              fast_config("shortcut", epochs=50, lam=0.1, mu=0.01))
         assert set(expl.mixing) == {"alpha", "omega", "linear_weight"}
         assert np.allclose(expl.mixing["linear_weight"],
                            (1 - expl.mixing["alpha"]) * expl.mixing["omega"])

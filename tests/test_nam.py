@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -28,10 +30,18 @@ from survshape.synthetic import finite_difference_gradient, oracle_psi_star
 
 
 def small_config(variant="base", seed=0, **kw):
+    """A small network without penalties unless kw gives lam or mu."""
     defaults = dict(hidden_sizes=(8, 4), activation="relu", learning_rate=1e-3,
-                    epochs=50, seed=seed, variant=variant)
+                    epochs=50, seed=seed, variant=variant, mu=0.0)
     defaults.update(kw)
     return NamConfig(**defaults)
+
+
+def penalized_config(variant, lam, mu, **kw):
+    """small_config with lam and mu wherever the variant applies them: lasso takes
+    lam alone and base neither, as NamConfig refuses a penalty a variant ignores."""
+    return small_config(variant, lam=lam if variant != "base" else 0.0,
+                        mu=mu if variant == "shortcut" else 0.0, **kw)
 
 
 def random_batch(rng, n, m, s_plus_1=3):
@@ -54,12 +64,13 @@ def randomize_params(model, rng):
         model.omega[...] = rng.normal(size=model.m)
 
 
-def reference_loss(model: NamModel, x, phi, tau, v, lam: float = 0.0, mu: float = 0.0):
-    """The penalized loss from the full (n, s+1) target matrix phi.
+def reference_loss(model: NamModel, x, phi, tau, v):
+    """The penalized loss from the full (n, s+1) target matrix phi, with model.config's penalties.
 
     This is the formula TargetBatch's per-row statistics replace, kept as
     the oracle for them.
     """
+    lam, mu = model.config.lam, model.config.mu
     resid = phi - predict_log_risk(model, x)[:, None]
     loss = float(np.einsum("i,ij,j->", v, resid * resid, tau))
     if model.variant == "lasso":
@@ -72,7 +83,7 @@ def reference_loss(model: NamModel, x, phi, tau, v, lam: float = 0.0, mu: float 
     return loss
 
 
-def reference_train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu: float = 0.0):
+def reference_train(model: NamModel, targets: TargetBatch):
     """Reference Adam loop: a separate loss_only pass after every epoch's update.
 
     This is train as it was before full-batch epochs took their trace
@@ -96,7 +107,7 @@ def reference_train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu:
     lr = cfg.learning_rate
     batch_rng = np.random.default_rng(cfg.seed + 1)
 
-    trace = [loss_only(model, targets, lam, mu, dtype=np.float32)]
+    trace = [loss_only(model, targets, dtype=np.float32)]
     if not np.isfinite(trace[0]):
         raise TrainingDivergedError("initial loss is not finite", trace)
     best_loss = trace[0]
@@ -112,7 +123,7 @@ def reference_train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu:
                        for i in range(0, targets.n, cfg.batch)]
         try:
             for batch in batches:
-                _, grads = loss_and_gradient(model, batch, lam, mu, dtype=np.float32)
+                _, grads = loss_and_gradient(model, batch, dtype=np.float32)
                 step += 1
                 scale1 = 1.0 - b1 ** step
                 scale2 = 1.0 - b2 ** step
@@ -124,7 +135,7 @@ def reference_train(model: NamModel, targets: TargetBatch, lam: float = 0.0, mu:
                     p -= lr * (m1 / scale1) / (np.sqrt(m2 / scale2) + eps)
                 if model.alpha is not None:
                     np.clip(model.alpha, 0.0, 1.0, out=model.alpha)
-            epoch_loss = loss_only(model, targets, lam, mu, dtype=np.float32)
+            epoch_loss = loss_only(model, targets, dtype=np.float32)
         except NumericError as exc:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {exc}", trace) from exc
@@ -173,34 +184,54 @@ class TestConfig:
         assert NamConfig(batch=np.int64(16)).batch == 16
         assert type(NamConfig(learning_rate=np.float32(0.5)).learning_rate) is float
 
+    def test_mu_defaults_to_one_for_shortcut_only(self):
+        assert NamConfig(variant="shortcut").mu == 1.0
+        assert NamConfig(variant="lasso").mu == NamConfig().mu == 0.0
+        assert NamConfig(variant="shortcut", mu=None) == NamConfig(variant="shortcut", mu=1)
+        assert type(NamConfig(lam=np.float32(0.5), variant="lasso").lam) is float
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(lam=5.0), "lam must be 0 for the base variant, which does not apply it; got 5.0"),
+        (dict(mu=7.0), "mu must be 0 for the base variant, which does not apply it; got 7.0"),
+        (dict(variant="lasso", mu=0.5),
+         "mu must be 0 for the lasso variant, which does not apply it; got 0.5"),
+        (dict(variant="lasso", lam=-0.1), "lam must be nonnegative, got -0.1"),
+        (dict(variant="shortcut", mu=-1), "mu must be nonnegative, got -1.0"),
+        (dict(variant="shortcut", lam="0.1"), "lam must be a real number, got '0.1'"),
+        (dict(variant="shortcut", mu=True), "mu must be a real number, got True"),
+    ])
+    def test_refuses_a_penalty_the_variant_does_not_apply(self, kwargs, message):
+        with pytest.raises(DataError) as err:
+            NamConfig(**kwargs)
+        assert str(err.value) == message
+
+    def test_takes_every_penalty_its_variant_applies(self):
+        assert NamConfig(variant="lasso", lam=2.5).lam == 2.5
+        shortcut = NamConfig(variant="shortcut", lam=0.5, mu=0.25)
+        assert (shortcut.lam, shortcut.mu) == (0.5, 0.25)
+        assert NamConfig(lam=0, mu=0.0) == NamConfig()
+
 
 class TestNonFiniteStrengths:
-    """train and both loss functions refuse a NaN or infinite lam or mu, in every variant."""
+    """NamConfig refuses a NaN or infinite lam or mu in every variant, so no model,
+    loss or training step is ever built on one."""
 
     @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
     @pytest.mark.parametrize("name, value", [
         ("lam", float("nan")), ("lam", -float("inf")), ("mu", float("nan")),
         ("mu", float("inf")),
     ])
-    def test_refused_before_any_step(self, variant, name, value, monkeypatch):
-        rng = np.random.default_rng(6)
-        targets = random_batch(rng, 6, 2)
-        model = init_model(2, small_config(variant, epochs=3))
-        steps = []
-        monkeypatch.setattr(nam, "_adam_step", lambda *args: steps.append(1))
-        strengths = {"lam": 0.1, "mu": 0.1, name: value}
-        for call in (train, loss_and_gradient, loss_only):
-            with pytest.raises(DataError, match=f"^{name} must be finite, got {value!r}$"):
-                call(model, targets, **strengths)
-        assert steps == []
+    def test_refused_before_any_step(self, variant, name, value):
+        with pytest.raises(DataError, match=f"^{name} must be finite, got {value!r}$"):
+            small_config(variant, epochs=3, **{name: value})
 
     def test_train_takes_its_settings_from_the_model(self):
         rng = np.random.default_rng(7)
         targets = random_batch(rng, 6, 2)
         model = init_model(2, small_config(epochs=4))
         assert len(train(model, targets)[1]) in (5, 6)
-        with pytest.raises(DataError, match="^lam must be a real number, got NamConfig"):
-            train(model, targets, small_config(epochs=9))
+        for call in (train, loss_and_gradient, loss_only, nam._penalized_loss, nam._backward):
+            assert not {"lam", "mu"} & set(inspect.signature(call).parameters)
 
 
 class TestInitAndForward:
@@ -416,15 +447,16 @@ def _reference_backward(model: NamModel, targets: TargetBatch, lam: float, mu: f
     return out
 
 
-def reference_loss_and_gradient(model: NamModel, targets: TargetBatch,
-                                lam: float = 0.0, mu: float = 0.0):
+def reference_loss_and_gradient(model: NamModel, targets: TargetBatch):
     """(loss, flat gradient, forward-only loss) from passes that allocate every array afresh.
 
     The three functions above are the forward pass, loss and backward pass
     as they were before the passes wrote into their own buffers, kept
     verbatim (but for their names, these derivatives and the weight
     gradient's fixed row blocks) as the oracle for the in-place passes.
+    They take the penalties' strengths from model.config.
     """
+    lam, mu = model.config.lam, model.config.mu
     loss, g, log_risk, inputs = _reference_penalized_loss(model, targets, lam, mu,
                                                           keep_cache=True)
     grad = _reference_backward(model, targets, lam, mu, g, log_risk, inputs,
@@ -440,21 +472,20 @@ class TestInPlacePasses:
     @pytest.mark.parametrize("hidden", [(64, 32), (8, 4), (16,)])
     def test_bitwise_equal_to_reference(self, variant, activation, hidden):
         rng = np.random.default_rng(41)
-        model = init_model(3, small_config(variant, hidden_sizes=hidden,
-                                           activation=activation))
+        model = init_model(3, penalized_config(variant, 0.3, 0.05, hidden_sizes=hidden,
+                                               activation=activation))
         randomize_params(model, rng)
-        lam, mu = 0.3, 0.05
         for n in (1, 2, 64, 257, 700):
             targets = random_batch(rng, n, 3)
             x_before = targets.x.tobytes()
             half = nam._rows(targets, rng.permutation(n)[:(n + 1) // 2])
             for batch in (targets, half):
-                loss, grad, forward_only = reference_loss_and_gradient(model, batch, lam, mu)
-                got_loss, got_grads = loss_and_gradient(model, batch, lam, mu)
+                loss, grad, forward_only = reference_loss_and_gradient(model, batch)
+                got_loss, got_grads = loss_and_gradient(model, batch)
                 assert got_loss == loss
                 got = np.concatenate([g.ravel() for g in got_grads])
                 assert got.tobytes() == grad.tobytes()  # bit for bit, signed zeros too
-                assert loss_only(model, batch, lam, mu) == forward_only
+                assert loss_only(model, batch) == forward_only
             # The cache's first entry is a view of x; the backward pass only reads it.
             assert targets.x.tobytes() == x_before
 
@@ -498,19 +529,17 @@ class TestLossAndGradient:
         for seed in range(3):
             rng = np.random.default_rng(100 + seed)
             m = int(rng.integers(1, 5))
-            model = init_model(m, small_config(variant, seed=seed))
+            model = init_model(m, penalized_config(variant, 0.3, 0.05, seed=seed))
             randomize_params(model, rng)
             targets = random_batch(rng, n=6, m=m)
-            lam = 0.3 if variant != "base" else 0.0
-            mu = 0.05 if variant == "shortcut" else 0.0
-            _, grads = loss_and_gradient(model, targets, lam, mu)
+            _, grads = loss_and_gradient(model, targets)
             analytic = np.concatenate([g.ravel() for g in grads])
 
             probe = model.copy()
 
             def flat_loss(vec):
                 probe.set_flat(vec)
-                return loss_only(probe, targets, lam, mu)
+                return loss_only(probe, targets)
 
             numeric = finite_difference_gradient(flat_loss, model.flatten(), h=1e-6)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-2)
@@ -527,10 +556,10 @@ class TestLossAndGradient:
 
     def test_gradient_order_matches_param_arrays(self):
         rng = np.random.default_rng(5)
-        model = init_model(2, small_config("shortcut"))
+        model = init_model(2, small_config("shortcut", lam=0.1, mu=0.01))
         randomize_params(model, rng)
         targets = random_batch(rng, 5, 2)
-        _, grads = loss_and_gradient(model, targets, 0.1, 0.01)
+        _, grads = loss_and_gradient(model, targets)
         params = model.param_arrays()
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
@@ -549,11 +578,11 @@ class TestSufficientStatistics:
         v = rng.uniform(0.1, 1.0, n)
         v[[2, 7]] = 0.0
         targets = TargetBatch(x, phi, tau, v)
-        model = init_model(m, small_config(variant))
+        model = init_model(m, penalized_config(variant, 0.3, 0.05))
         randomize_params(model, rng)
         for idx in (slice(None), np.array([7, 0, 4, 2]), np.array([5])):
-            got = loss_only(model, nam._rows(targets, idx), 0.3, 0.05)
-            expected = reference_loss(model, x[idx], phi[idx], tau, v[idx], 0.3, 0.05)
+            got = loss_only(model, nam._rows(targets, idx))
+            expected = reference_loss(model, x[idx], phi[idx], tau, v[idx])
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_bias_gradient_vanishes_at_weighted_mean(self):
@@ -672,8 +701,8 @@ class TestTrain:
         targets = TargetBatch(x, phi, tau, np.ones(n))
         counts = []
         for lam in (0.1, 1.0, 10.0, 100.0):
-            cfg = small_config("lasso", epochs=1500, learning_rate=1e-2)
-            model, _ = train(init_model(3, cfg), targets, lam=lam)
+            cfg = small_config("lasso", epochs=1500, learning_rate=1e-2, lam=lam)
+            model, _ = train(init_model(3, cfg), targets)
             counts.append(int(np.sum(np.abs(model.beta) < 1e-2)))
         assert counts == sorted(counts)
 
@@ -712,10 +741,10 @@ class TestFusedTrainingLoop:
         rng = np.random.default_rng(31)
         targets = random_batch(rng, 9, 3)
         cfg = small_config(variant, activation=activation, epochs=40,
-                           learning_rate=1e-2, batch=batch)
+                           learning_rate=1e-2, batch=batch, lam=lam, mu=mu)
         model = init_model(3, cfg)
-        got, trace = train(model, targets, lam, mu)
-        expected, expected_trace = reference_train(model, targets, lam, mu)
+        got, trace = train(model, targets)
+        expected, expected_trace = reference_train(model, targets)
         assert got.flatten().tobytes() == expected.flatten().tobytes()
         assert trace == expected_trace
         assert len(trace) in (41, 42)
@@ -724,29 +753,30 @@ class TestFusedTrainingLoop:
     def test_input_model_unchanged(self, batch):
         rng = np.random.default_rng(32)
         targets = random_batch(rng, 9, 3)
-        cfg = small_config("shortcut", epochs=10, learning_rate=1e-2, batch=batch)
+        cfg = small_config("shortcut", epochs=10, learning_rate=1e-2, batch=batch,
+                           lam=0.1, mu=0.01)
         model = init_model(3, cfg)
         before = model.flatten()
-        trained, _ = train(model, targets, 0.1, 0.01)
+        trained, _ = train(model, targets)
         assert model.flatten().tobytes() == before.tobytes()
         assert trained.flatten().tobytes() != before.tobytes()
 
     def test_gradient_fills_out(self):
         rng = np.random.default_rng(33)
-        model = init_model(2, small_config("lasso"))
+        model = init_model(2, small_config("lasso", lam=0.1))
         randomize_params(model, rng)
         targets = random_batch(rng, 5, 2)
         out = np.full(model.flatten().size, np.nan)
-        _, grads = loss_and_gradient(model, targets, 0.1, 0.0, out=out)
-        _, fresh = loss_and_gradient(model, targets, 0.1, 0.0)
+        _, grads = loss_and_gradient(model, targets, out=out)
+        _, fresh = loss_and_gradient(model, targets)
         assert all(np.shares_memory(g, out) for g in grads)
         assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
 
     def test_trained_model_copies_and_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(34)
         targets = random_batch(rng, 9, 3)
-        cfg = small_config("shortcut", epochs=15, learning_rate=1e-2, batch=4)
-        model, _ = train(init_model(3, cfg), targets, 0.1, 0.01)
+        cfg = small_config("shortcut", epochs=15, learning_rate=1e-2, batch=4, lam=0.1, mu=0.01)
+        model, _ = train(init_model(3, cfg), targets)
         flat = model.flatten()
         # The fields are views of one vector, laid out in param_arrays() order.
         assert flat.tobytes() == np.concatenate(
@@ -789,10 +819,10 @@ class TestFusedTrainingLoop:
         rng = np.random.default_rng(13)
         targets = random_batch(rng, 7, 2)
         epochs = 12
-        cfg = small_config("lasso", epochs=epochs)
+        cfg = small_config("lasso", epochs=epochs, lam=0.1)
         forward = count_calls(monkeypatch, "_penalized_loss")
         trace_passes = count_calls(monkeypatch, "loss_only")
-        _, trace = train(init_model(2, cfg), targets, lam=0.1)
+        _, trace = train(init_model(2, cfg), targets)
         assert len(forward) == epochs + 1
         assert len(trace_passes) <= 1
         assert len(trace) >= epochs + 1
@@ -849,19 +879,20 @@ class TestTrainingPrecision:
     @pytest.mark.parametrize("hidden", [(64, 32), (8, 4)])
     def test_float32_gradient_is_within_1e_4_of_float64(self, variant, activation, hidden):
         rng = np.random.default_rng(7)
-        model = init_model(3, small_config(variant, hidden_sizes=hidden, activation=activation))
+        model = init_model(3, penalized_config(variant, 0.3, 0.05, hidden_sizes=hidden,
+                                               activation=activation))
         randomize_params(model, rng)
         for n in (6, 700):
             targets = random_batch(rng, n, 3)
-            loss, grads = loss_and_gradient(model, targets, 0.3, 0.05)
-            low_loss, low_grads = loss_and_gradient(model, targets, 0.3, 0.05, dtype=np.float32)
+            loss, grads = loss_and_gradient(model, targets)
+            low_loss, low_grads = loss_and_gradient(model, targets, dtype=np.float32)
             exact = np.concatenate([g.ravel() for g in grads])
             low = np.concatenate([g.ravel() for g in low_grads])
             assert low.dtype == np.float64
             denom = np.maximum(np.abs(exact), 1e-2 * np.abs(exact).max())
             assert np.max(np.abs(low - exact) / denom) < 1e-4
             assert low_loss == pytest.approx(loss, rel=1e-6)
-            assert loss_only(model, targets, 0.3, 0.05, dtype=np.float32) == pytest.approx(
+            assert loss_only(model, targets, dtype=np.float32) == pytest.approx(
                 loss, rel=1e-6)
 
     @pytest.mark.parametrize("variant", ["base", "lasso", "shortcut"])
@@ -894,11 +925,12 @@ class TestTrainingPrecision:
     def test_shortcut_with_subnormal_weights_trains_to_a_finite_loss(self):
         rng = np.random.default_rng(9)
         targets = random_batch(rng, 40, 3)
-        cfg = small_config("shortcut", hidden_sizes=(64, 32), epochs=30, learning_rate=1e-2)
+        cfg = small_config("shortcut", hidden_sizes=(64, 32), epochs=30, learning_rate=1e-2,
+                           lam=0.01, mu=1.0)
         model = init_model(3, cfg)
         for w in model.layer_weights:
             w[...] = 1e-40 * np.sign(w)
-        trained, trace = train(model, targets, 0.01, 1.0)
+        trained, trace = train(model, targets)
         assert all(np.isfinite(trace)) and trace[-1] <= trace[0]
         assert np.all(np.isfinite(trained.flatten()))
 
@@ -906,7 +938,7 @@ class TestTrainingPrecision:
     def test_train_computes_in_float32_and_keeps_float64_parameters(self, monkeypatch, batch):
         rng = np.random.default_rng(10)
         targets = random_batch(rng, 9, 3)
-        cfg = small_config("lasso", epochs=10, learning_rate=1e-2, batch=batch)
+        cfg = small_config("lasso", epochs=10, learning_rate=1e-2, batch=batch, lam=0.1)
         dtypes = []
         for name in ("loss_and_gradient", "loss_only"):
             original = getattr(nam, name)
@@ -916,7 +948,7 @@ class TestTrainingPrecision:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(nam, name, spy)
-        trained, _ = train(init_model(3, cfg), targets, lam=0.1)
+        trained, _ = train(init_model(3, cfg), targets)
         assert len(dtypes) >= 11 and all(d == np.float32 for d in dtypes)
         assert trained.flatten().dtype == np.float64
         x = rng.normal(size=(300, 3))
@@ -932,9 +964,9 @@ from survshape.nam import NamConfig, TargetBatch, init_model, loss_and_gradient
 rng = np.random.default_rng(0)
 targets = TargetBatch(rng.normal(size=(700, 8)), rng.normal(size=(700, 5)),
                       rng.uniform(0.2, 1.0, 5), rng.uniform(0.1, 1.0, 700))
-model = init_model(8, NamConfig(variant="lasso"))
+model = init_model(8, NamConfig(variant="lasso", lam=0.1))
 for dtype in (np.float64, np.float32):
-    grads = loss_and_gradient(model, targets, 0.1, dtype=dtype)[1]
+    grads = loss_and_gradient(model, targets, dtype=dtype)[1]
     print(hashlib.sha256(np.concatenate([g.ravel() for g in grads]).tobytes()).hexdigest())
 """
 
@@ -1009,7 +1041,7 @@ class TestCheckpoint:
         randomize_params(model, rng)
         save_model(model, tmp_path / "model.json")
         payload = json.loads((tmp_path / "model.json").read_text())
-        assert payload["version"] == 3 and payload["features"] == 2
+        assert payload["version"] == 4 and payload["features"] == 2
         params = _floats(payload, "params", "model file")
         assert params.size == model.flatten().size == nam._param_count(2, cfg)
         loaded = load_model(tmp_path / "model.json")
@@ -1019,6 +1051,27 @@ class TestCheckpoint:
         nameless = init_model(3, cfg)
         save_model(nameless, tmp_path / "model.json")
         assert load_model(tmp_path / "model.json").feature_names is None
+
+    @pytest.mark.parametrize("cfg", [
+        NamConfig(hidden_sizes=(8, 4), epochs=5, variant="lasso", lam=0.3),
+        NamConfig(hidden_sizes=(8, 4), epochs=5, variant="shortcut", lam=0.2, mu=0.05),
+    ], ids=["lasso", "shortcut"])
+    def test_roundtrip_keeps_the_penalties(self, cfg, tmp_path):
+        rng = np.random.default_rng(23)
+        model = init_model(3, cfg)
+        randomize_params(model, rng)
+        save_model(model, tmp_path / "nam.json")
+        payload = json.loads((tmp_path / "nam.json").read_text())
+        assert list(payload["config"]) == [f.name for f in dataclasses.fields(NamConfig)]
+        loaded = load_model(tmp_path / "nam.json")
+        assert loaded.config == cfg
+        assert (loaded.config.lam, loaded.config.mu) == (cfg.lam, cfg.mu)
+        targets = random_batch(rng, 300, 3)
+        for dtype in (np.float64, np.float32):
+            (loss, grads), (got_loss, got_grads) = (
+                loss_and_gradient(m, targets, dtype=dtype) for m in (model, loaded))
+            assert got_loss == loss
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got_grads, grads))
 
     def test_file_takes_at_most_11_bytes_a_parameter(self, tmp_path):
         cfg = NamConfig()

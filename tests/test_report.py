@@ -1,6 +1,6 @@
 from survshape.explain import explain_global
 from survshape.nam import NamConfig
-from survshape.report import write_explanation_csv, write_shapes_svg
+from survshape.report import explanation_summary, write_explanation_csv, write_shapes_svg
 from survshape.survival import SurvivalDataset
 from survshape.synthetic import ExactCoxPredictor, SyntheticSpec, generate_cox_data
 
@@ -10,8 +10,8 @@ def small_explanation(variant="base", lam=0.0, mu=0.0):
     dataset, _ = generate_cox_data(spec)
     oracle = ExactCoxPredictor.for_dataset(spec, dataset)
     cfg = NamConfig(hidden_sizes=(8, 4), learning_rate=1e-2, epochs=60, seed=0,
-                    variant=variant)
-    return explain_global(oracle, dataset, cfg, lam=lam, mu=mu)
+                    variant=variant, lam=lam, mu=mu)
+    return explain_global(oracle, dataset, cfg)
 
 
 class TestCsv:
@@ -39,6 +39,13 @@ class TestCsv:
         write_explanation_csv(expl, path)
         text = path.read_text()
         assert "beta.x0," in text and "beta.x1," in text
+
+    def test_summary_reads_the_settings_from_the_model_config(self):
+        expl = small_explanation("shortcut", lam=0.25, mu=0.5)
+        assert set(expl.params) == {"mode", "epsilon", "n_points", "seed", "center"}
+        summary = dict(explanation_summary(expl))
+        assert [summary[key] for key in ("variant", "lambda", "mu")] == [
+            "shortcut", "0.25", "0.5"]
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
